@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,37 +39,13 @@ from .steering import (
     NO_PARADOX_CROSS_DUPLICATE,
     NO_PARADOX_PURITY,
     PARADOX,
+    ConditionalStateSet,
     ParadoxReport,
     certify,
     conditional_states,
 )
 
 DEMO_NAMES = ("two-qubit", "lc4", "product")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, normalized to one flat record."""
-
-    command: str
-    fmt: str = "text"
-    demo_name: str | None = None
-    theta: float = math.pi / 4
-    state_path: Path | None = None
-    protocol_path: Path | None = None
-    lp: bool = False
-    dump_lp: Path | None = None
-    tolerance: float | None = None
-    seed: int = 0
-    count: int = 20
-    n_qubits: int = 2
-    alice_qubits: int = 1
-    rank: int = 1
-
-    def tolerances(self) -> Tolerances:
-        if self.tolerance is None:
-            return Tolerances()
-        return Tolerances(purity=self.tolerance, phase=self.tolerance)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,23 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        fmt=getattr(args, "fmt", "text"),
-        demo_name=getattr(args, "name", None),
-        theta=getattr(args, "theta", math.pi / 4),
-        state_path=getattr(args, "state", None),
-        protocol_path=getattr(args, "protocol", None),
-        lp=getattr(args, "lp", False),
-        dump_lp=getattr(args, "dump_lp", None),
-        tolerance=getattr(args, "tolerance", None),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 20),
-        n_qubits=getattr(args, "n_qubits", 2),
-        alice_qubits=getattr(args, "alice_qubits", 1),
-        rank=getattr(args, "rank", 1),
-    )
+def _tolerances(args: argparse.Namespace) -> Tolerances:
+    if args.tolerance is None:
+        return Tolerances()
+    return Tolerances(purity=args.tolerance, phase=args.tolerance)
 
 
 def _emit_json(doc: dict) -> None:
@@ -151,27 +113,29 @@ def _emit_report(report: ParadoxReport, fmt: str) -> None:
         print(report.to_text(), end="")
 
 
-def _demo_instance(cfg: RunConfig) -> tuple[EnsembleState, SteeringProtocol]:
-    if cfg.demo_name == "two-qubit":
-        return two_qubit_theta_state(cfg.theta), tensor_protocol("z", "x", n_qubits=2)
-    if cfg.demo_name == "lc4":
-        return lc4_mixed(cfg.theta), tensor_protocol("zz", "yx", n_qubits=4)
-    if cfg.demo_name == "product":
+def _demo_instance(args: argparse.Namespace) -> tuple[EnsembleState, SteeringProtocol]:
+    if args.name == "two-qubit":
+        return two_qubit_theta_state(args.theta), tensor_protocol("z", "x", n_qubits=2)
+    if args.name == "lc4":
+        return lc4_mixed(args.theta), tensor_protocol("zz", "yx", n_qubits=4)
+    if args.name == "product":
         product = EnsembleState(2, (1.0,), (basis_ket(2, 0),))
         return product, tensor_protocol("z", "x", n_qubits=2)
-    raise DimensionError(f"unknown demo {cfg.demo_name!r}")
+    raise DimensionError(f"unknown demo {args.name!r}")
 
 
-def cmd_demo(cfg: RunConfig) -> int:
-    state, protocol = _demo_instance(cfg)
-    report = certify(state, protocol, lp=cfg.lp, tolerances=cfg.tolerances())
-    _emit_report(report, cfg.fmt)
+def cmd_demo(args: argparse.Namespace) -> int:
+    state, protocol = _demo_instance(args)
+    report = certify(state, protocol, lp=args.lp, tolerances=_tolerances(args))
+    _emit_report(report, args.fmt)
     return 0
 
 
-def _load_pair(cfg: RunConfig) -> tuple[EnsembleState | DensityMatrix, SteeringProtocol]:
-    state = load_state(cfg.state_path.read_text())
-    protocol = load_protocol(cfg.protocol_path.read_text())
+def _load_pair(
+    args: argparse.Namespace,
+) -> tuple[EnsembleState | DensityMatrix, SteeringProtocol]:
+    state = load_state(args.state.read_text())
+    protocol = load_protocol(args.protocol.read_text())
     if protocol.alice_qubits >= state.n_qubits:
         raise DimensionError(
             f"protocol measures {protocol.alice_qubits} qubits but the state only has "
@@ -180,27 +144,30 @@ def _load_pair(cfg: RunConfig) -> tuple[EnsembleState | DensityMatrix, SteeringP
     return state, protocol
 
 
-def _dump_lp(
-    cfg: RunConfig, state: EnsembleState | DensityMatrix, protocol: SteeringProtocol
-) -> None:
-    tols = cfg.tolerances()
+def _lp_problem(
+    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, tols: Tolerances
+) -> tuple[ConditionalStateSet, ConditionalStateSet, lhs_lp.LpProblem, bool]:
     rho = density_of(state) if isinstance(state, EnsembleState) else state
     set1 = conditional_states(rho, protocol, 1, tols)
     set2 = conditional_states(rho, protocol, 2, tols)
-    problem, relative = lhs_lp.problem_for(
-        set1, set2, tol=tols.phase, prob_floor=tols.prob_floor
-    )
+    problem, relative = lhs_lp.problem_for(set1, set2, tolerances=tols)
+    return set1, set2, problem, relative
+
+
+def _write_lp(path: Path, problem: lhs_lp.LpProblem, relative: bool) -> None:
     doc = problem.to_json_dict()
     doc["relative"] = relative
-    cfg.dump_lp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    state, protocol = _load_pair(cfg)
-    report = certify(state, protocol, lp=cfg.lp, tolerances=cfg.tolerances())
-    if cfg.dump_lp is not None:
-        _dump_lp(cfg, state, protocol)
-    _emit_report(report, cfg.fmt)
+def cmd_check(args: argparse.Namespace) -> int:
+    state, protocol = _load_pair(args)
+    tols = _tolerances(args)
+    report = certify(state, protocol, lp=args.lp, tolerances=tols)
+    if args.dump_lp is not None:
+        _, _, problem, relative = _lp_problem(state, protocol, tols)
+        _write_lp(args.dump_lp, problem, relative)
+    _emit_report(report, args.fmt)
     return 0
 
 
@@ -213,40 +180,40 @@ def _random_protocol(m_qubits: int, seed: int, index: int) -> SteeringProtocol:
     return SteeringProtocol(alice_qubits=m_qubits, setting_1=s1, setting_2=s2)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.count < 1:
-        raise DimensionError(f"count must be positive, got {cfg.count}")
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise DimensionError(f"count must be positive, got {args.count}")
     fixed = None
-    if cfg.protocol_path is not None:
-        fixed = load_protocol(cfg.protocol_path.read_text())
-        if fixed.alice_qubits != cfg.alice_qubits:
+    if args.protocol is not None:
+        fixed = load_protocol(args.protocol.read_text())
+        if fixed.alice_qubits != args.alice_qubits:
             raise DimensionError(
-                f"protocol measures {fixed.alice_qubits} qubits, sweep says {cfg.alice_qubits}"
+                f"protocol measures {fixed.alice_qubits} qubits, sweep says {args.alice_qubits}"
             )
-    if cfg.alice_qubits >= cfg.n_qubits:
+    if args.alice_qubits >= args.n_qubits:
         raise DimensionError(
-            f"alice_qubits={cfg.alice_qubits} leaves Bob empty for n={cfg.n_qubits}"
+            f"alice_qubits={args.alice_qubits} leaves Bob empty for n={args.n_qubits}"
         )
-    tols = cfg.tolerances()
+    tols = _tolerances(args)
     counts = {PARADOX: 0, NO_PARADOX_PURITY: 0, NO_PARADOX_CROSS_DUPLICATE: 0}
     samples = []
-    for i in range(cfg.count):
+    for i in range(args.count):
         # per-sample determinism: the state takes seed+i, the protocol a
         # stream keyed on (seed, i) so the two never share draws
-        state = random_mixed(cfg.n_qubits, cfg.rank, cfg.seed + i)
-        protocol = fixed or _random_protocol(cfg.alice_qubits, cfg.seed, i)
+        state = random_mixed(args.n_qubits, args.rank, args.seed + i)
+        protocol = fixed or _random_protocol(args.alice_qubits, args.seed, i)
         report = certify(state, protocol, tolerances=tols)
         counts[report.verdict] = counts.get(report.verdict, 0) + 1
-        samples.append({"index": i, "seed": cfg.seed + i, "verdict": report.verdict})
-    if cfg.fmt == "json":
+        samples.append({"index": i, "seed": args.seed + i, "verdict": report.verdict})
+    if args.fmt == "json":
         _emit_json(
             {
                 "command": "sweep",
-                "n_qubits": cfg.n_qubits,
-                "alice_qubits": cfg.alice_qubits,
-                "rank": cfg.rank,
-                "count": cfg.count,
-                "seed": cfg.seed,
+                "n_qubits": args.n_qubits,
+                "alice_qubits": args.alice_qubits,
+                "rank": args.rank,
+                "count": args.count,
+                "seed": args.seed,
                 "protocol": "fixed" if fixed is not None else "random",
                 "verdict_counts": counts,
                 "samples": samples,
@@ -254,8 +221,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
     else:
         print(
-            f"sweep: n={cfg.n_qubits} alice={cfg.alice_qubits} rank={cfg.rank} "
-            f"count={cfg.count} seed={cfg.seed} "
+            f"sweep: n={args.n_qubits} alice={args.alice_qubits} rank={args.rank} "
+            f"count={args.count} seed={args.seed} "
             f"protocol={'fixed' if fixed is not None else 'random'}"
         )
         for verdict in sorted(counts):
@@ -263,19 +230,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_lhs(cfg: RunConfig) -> int:
-    state, protocol = _load_pair(cfg)
-    tols = cfg.tolerances()
-    rho = density_of(state) if isinstance(state, EnsembleState) else state
-    set1 = conditional_states(rho, protocol, 1, tols)
-    set2 = conditional_states(rho, protocol, 2, tols)
-    problem, relative = lhs_lp.problem_for(
-        set1, set2, tol=tols.phase, prob_floor=tols.prob_floor
-    )
-    if cfg.dump_lp is not None:
-        doc = problem.to_json_dict()
-        doc["relative"] = relative
-        cfg.dump_lp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def cmd_lhs(args: argparse.Namespace) -> int:
+    state, protocol = _load_pair(args)
+    tols = _tolerances(args)
+    set1, set2, problem, relative = _lp_problem(state, protocol, tols)
+    if args.dump_lp is not None:
+        _write_lp(args.dump_lp, problem, relative)
     result = lhs_lp.solve_feasibility(problem, tol=tols.lp_feasibility)
     residual = None
     if result.feasible:
@@ -283,7 +243,7 @@ def cmd_lhs(cfg: RunConfig) -> int:
         verdict = "feasible"
     else:
         verdict = "infeasible-relative-to-candidates" if relative else "infeasible"
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         model_doc = None
         if result.feasible:
             model_doc = {
@@ -320,10 +280,9 @@ def cmd_lhs(cfg: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     handlers = {"demo": cmd_demo, "check": cmd_check, "sweep": cmd_sweep, "lhs": cmd_lhs}
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except SolverLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,6 @@ from .errors import ValidationError
 
 # matrix / vector checks
 HERMITICITY_TOL = 1e-10
-EIGEN_RESIDUAL_TOL = 1e-9
 WEIGHT_TOL = 1e-10
 
 # classification thresholds
@@ -36,7 +35,6 @@ class Tolerances:
     """
 
     hermiticity: float = HERMITICITY_TOL
-    eigen_residual: float = EIGEN_RESIDUAL_TOL
     purity: float = PURITY_TOL
     phase: float = PHASE_TOL
     prob_floor: float = PROB_FLOOR

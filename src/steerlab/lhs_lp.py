@@ -27,6 +27,7 @@ import numpy as np
 
 from . import config
 from ._schema import complex_entry
+from .config import Tolerances
 from .errors import (
     DimensionError,
     PreconditionError,
@@ -38,10 +39,9 @@ from .linalg import (
     as_complex,
     is_hermitian,
     outer,
-    principal_vector,
-    purity,
+    phase_coincidences,
 )
-from .steering import ConditionalStateSet
+from .steering import ConditionalStateSet, purity_requirement
 
 
 @dataclass(frozen=True)
@@ -69,23 +69,21 @@ def candidate_ensemble(
 
     Zero-probability outcomes contribute nothing.  Every surviving state must
     be pure (PreconditionError otherwise); the general mode with a caller
-    supplied candidate list has no such restriction.
+    supplied candidate list has no such restriction.  The principal vectors
+    are taken in outcome order, setting 1 first, and one is kept unless
+    1 - |<u|v>| < ``tol`` for a vector u kept before it.
     """
-    vectors: list[ComplexArray] = []
-    for cs in (set1, set2):
-        for label, op in zip(cs.outcomes, cs.operators):
-            p = float(np.trace(op).real)
-            if p <= prob_floor:
-                continue
-            if abs(purity(op) - 1.0) >= purity_tol:
-                raise PreconditionError(
-                    f"conditional state {label!r} of setting {cs.setting_index} is mixed; "
-                    "supply an explicit candidate list instead"
-                )
-            v = principal_vector(op)
-            if not any(abs(np.vdot(u, v)) > 1.0 - tol for u in vectors):
-                vectors.append(v)
-    return [outer(v) for v in vectors]
+    check = purity_requirement(set1, set2, purity_tol, prob_floor)
+    if not check.ok:
+        raise PreconditionError(
+            "a conditional state is mixed; supply an explicit candidate list instead"
+        )
+    hits = phase_coincidences(check.vectors, tol)
+    kept: list[int] = []
+    for i in range(len(hits)):
+        if not hits[kept, i].any():
+            kept.append(i)
+    return [outer(check.vectors[i]) for i in kept]
 
 
 def fallback_candidates(
@@ -267,21 +265,24 @@ def problem_for(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
     candidates: list[ComplexArray] | None = None,
-    tol: float = config.PHASE_TOL,
-    prob_floor: float = config.PROB_FLOOR,
+    tolerances: Tolerances | None = None,
 ) -> tuple[LpProblem, bool]:
     """Build the program with the right candidate source.
 
     Returns (problem, relative): ``relative`` is False only when the
     candidates came from the pure-state completeness argument, in which case
-    an infeasible verdict rules out every hidden-state model.
+    an infeasible verdict rules out every hidden-state model.  The purity,
+    phase and probability-floor thresholds come from ``tolerances``, as in
+    ``certify``.
     """
+    tols = tolerances or Tolerances()
     if candidates is not None:
         return build_lp(set1, set2, candidates), True
     try:
-        return build_lp(set1, set2, candidate_ensemble(set1, set2, tol, prob_floor)), False
+        pure = candidate_ensemble(set1, set2, tols.phase, tols.prob_floor, tols.purity)
     except PreconditionError:
-        return build_lp(set1, set2, fallback_candidates(set1, set2, prob_floor)), True
+        return build_lp(set1, set2, fallback_candidates(set1, set2, tols.prob_floor)), True
+    return build_lp(set1, set2, pure), False
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,7 @@ class FeasibilityResult:
 
 
 def _phase1_simplex(
-    a: np.ndarray, b: np.ndarray, tol: float, max_iter: int
+    a: np.ndarray, b: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, float, int]:
     """Minimize the artificial mass of Ax = b, x >= 0 with Bland's rule.
 
@@ -372,7 +373,7 @@ def solve_feasibility(
     The phase-1 optimum is the infeasibility certificate: a value above
     ``tol`` means no hidden-state assignment exists for these candidates.
     """
-    x, optimum, iterations = _phase1_simplex(problem.a_eq, problem.b_eq, tol, max_iter)
+    x, optimum, iterations = _phase1_simplex(problem.a_eq, problem.b_eq, max_iter)
     if optimum > tol:
         return FeasibilityResult(
             feasible=False, phase1_optimum=optimum, iterations=iterations

@@ -26,35 +26,6 @@ def as_complex(a: npt.ArrayLike) -> ComplexArray:
     return out
 
 
-def kron(a: npt.ArrayLike, b: npt.ArrayLike, cap: int | None = None) -> ComplexArray:
-    """Tensor product of two matrices, guarded by the dimension cap.
-
-    Parameters
-    ----------
-    a, b : array_like
-        2-D complex matrices.
-    cap : int, optional
-        Maximum allowed output dimension.  Defaults to the configured cap
-        (2**12 unless overridden through STEERLAB_MAX_DIM).
-    """
-    a, b = as_complex(a), as_complex(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("kron expects 2-D operands")
-    limit = config.max_dim() if cap is None else cap
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > limit or cols > limit:
-        raise DimensionError(
-            f"kron result is {rows}x{cols}, beyond the configured cap {limit}"
-        )
-    return np.kron(a, b)
-
-
-def dagger(a: npt.ArrayLike) -> ComplexArray:
-    """Conjugate transpose."""
-    return as_complex(a).conj().T
-
-
 def outer(u: npt.ArrayLike, v: npt.ArrayLike | None = None) -> ComplexArray:
     """|u><v| as a matrix; v defaults to u."""
     u = as_complex(u).ravel()
@@ -171,6 +142,18 @@ def phase_equal(u: npt.ArrayLike, v: npt.ArrayLike, tol: float = config.PHASE_TO
     if nu < 1e-14 or nv < 1e-14:
         raise DegenerateInputError("phase comparison with a zero vector is undefined")
     return bool(1.0 - abs(np.vdot(u, v)) / (nu * nv) < tol)
+
+
+def phase_coincidences(
+    rows: ComplexArray, tol: float = config.PHASE_TOL
+) -> npt.NDArray[np.bool_]:
+    """Which rows agree with which up to a global phase.
+
+    Entry (i, j) is 1 - |<r_i|r_j>| < ``tol``.  The rows must be unit vectors,
+    as principal vectors are; this is the row-stacked ``phase_equal`` without
+    the normalization, one matrix product for all pairs.
+    """
+    return 1.0 - np.abs(rows.conj() @ rows.T) < tol
 
 
 def canonical_phase(v: npt.ArrayLike) -> ComplexArray:

@@ -332,20 +332,11 @@ def save_state(state: EnsembleState | DensityMatrix) -> dict:
     raise ValidationError(f"cannot serialize {type(state).__name__}")
 
 
-def bob_dim(state: EnsembleState | DensityMatrix, alice_qubits: int) -> int:
-    """Dimension of the kept subsystem after Alice's first ``alice_qubits`` qubits."""
-    n = state.n_qubits
-    if not 1 <= alice_qubits < n:
-        raise DimensionError(f"alice_qubits must lie in [1, {n - 1}], got {alice_qubits}")
-    return 2 ** (n - alice_qubits)
-
-
 __all__ = [
     "BoundaryThetaWarning",
     "DensityMatrix",
     "EnsembleState",
     "basis_ket",
-    "bob_dim",
     "canonical_ensemble",
     "density_of",
     "lc4_mixed",

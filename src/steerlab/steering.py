@@ -35,7 +35,7 @@ from .linalg import (
     numerical_rank,
     outer,
     partial_trace,
-    phase_equal,
+    phase_coincidences,
     principal_vector,
     purity,
 )
@@ -169,20 +169,6 @@ class CollapseDecomposition:
                 out += p * abs(c_row[outcome_index]) ** 2 * outer(v)
         return out
 
-    def proportionality(self, alpha: int, alpha_prime: int, outcome_index: int) -> complex | None:
-        """Ratio c with s_a v_a = c s_a' v_a' when the branches are parallel.
-
-        Diagnostic only; returns None when either branch is empty and the raw
-        ratio otherwise (meaningful when the branch vectors are phase-equal).
-        """
-        s_a = self.coefficients[alpha, outcome_index]
-        s_b = self.coefficients[alpha_prime, outcome_index]
-        v_a = self.vectors[alpha][outcome_index]
-        v_b = self.vectors[alpha_prime][outcome_index]
-        if v_a is None or v_b is None:
-            return None
-        return complex(s_a * np.vdot(v_b, v_a) / s_b)
-
 
 def collapse_decomposition(
     ensemble: EnsembleState, setting: MeasurementSetting, alice_qubits: int
@@ -234,9 +220,19 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class PurityCheck:
+    """Outcome of the pure state requirement, with the evidence later checks reuse.
+
+    When ``ok``, ``labels`` holds each setting's counted outcome labels and
+    ``vectors`` their unit principal vectors, one row per label, setting 1
+    first.  When not, ``labels`` is empty, ``vectors`` is None and no
+    eigenvector was computed.
+    """
+
     ok: bool
     records: tuple[OutcomeRecord, ...]
     excluded: tuple[tuple[int, str], ...]
+    labels: tuple[tuple[str, ...], tuple[str, ...]]
+    vectors: np.ndarray | None = field(repr=False, compare=False)
 
 
 def purity_requirement(
@@ -252,6 +248,8 @@ def purity_requirement(
     """
     records: list[OutcomeRecord] = []
     excluded: list[tuple[int, str]] = []
+    counted: tuple[list[str], list[str]] = ([], [])
+    operators: list[ComplexArray] = []
     ok = True
     for cs in (set1, set2):
         for label, op in zip(cs.outcomes, cs.operators):
@@ -262,9 +260,19 @@ def purity_requirement(
                 continue
             q = purity(op)
             records.append(OutcomeRecord(cs.setting_index, label, p, q))
+            counted[cs.setting_index - 1].append(label)
+            operators.append(op)
             if abs(q - 1.0) >= tol:
                 ok = False
-    return PurityCheck(ok=ok, records=tuple(records), excluded=tuple(excluded))
+    labels: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+    vectors = None
+    if ok:
+        labels = (tuple(counted[0]), tuple(counted[1]))
+        dim = set1.operators[0].shape[0]
+        vectors = np.array([principal_vector(op) for op in operators]).reshape(-1, dim)
+    return PurityCheck(
+        ok=ok, records=tuple(records), excluded=tuple(excluded), labels=labels, vectors=vectors
+    )
 
 
 @dataclass(frozen=True)
@@ -277,21 +285,21 @@ class DuplicateCheck:
     within_2: tuple[tuple[str, str], ...]
 
 
-def _pure_vectors(
-    cs: ConditionalStateSet, purity_tol: float, prob_floor: float
-) -> dict[str, ComplexArray]:
-    out: dict[str, ComplexArray] = {}
-    for label, op in zip(cs.outcomes, cs.operators):
-        p = float(np.trace(op).real)
-        if p <= prob_floor:
-            continue
-        if abs(purity(op) - 1.0) >= purity_tol:
-            raise PreconditionError(
-                f"conditional state {label!r} of setting {cs.setting_index} is mixed; "
-                "the coincidence check is only defined for pure conditional states"
-            )
-        out[label] = principal_vector(op)
-    return out
+def _duplicates(check: PurityCheck, tol: float) -> DuplicateCheck:
+    labels_1, labels_2 = check.labels
+    k1 = len(labels_1)
+    hits = phase_coincidences(check.vectors, tol)
+
+    def pairs(block, labels_a, labels_b):
+        return tuple((labels_a[i], labels_b[j]) for i, j in np.argwhere(block))
+
+    cross = pairs(hits[:k1, k1:], labels_1, labels_2)
+    return DuplicateCheck(
+        ok=not cross,
+        cross=cross,
+        within_1=pairs(np.triu(hits[:k1, :k1], 1), labels_1, labels_1),
+        within_2=pairs(np.triu(hits[k1:, k1:], 1), labels_2, labels_2),
+    )
 
 
 def measurement_requirement(
@@ -304,31 +312,19 @@ def measurement_requirement(
     """Cross-setting and within-setting coincidences among conditional states.
 
     Requires the purity requirement to hold (PreconditionError otherwise).
-    The requirement itself is satisfied exactly when no conditional state of
-    setting 1 is phase-equal to one of setting 2; within-setting coincidences
-    never block a paradox and are reported as context.
+    Two counted conditional states coincide when their unit principal vectors
+    u, v satisfy 1 - |<u|v>| < ``tol``.  The requirement itself is satisfied
+    exactly when no conditional state of setting 1 coincides with one of
+    setting 2; within-setting coincidences never block a paradox and are
+    reported as context.
     """
-    v1 = _pure_vectors(set1, purity_tol, prob_floor)
-    v2 = _pure_vectors(set2, purity_tol, prob_floor)
-
-    def within(vecs: dict[str, ComplexArray]) -> tuple[tuple[str, str], ...]:
-        labels = list(vecs)
-        return tuple(
-            (a, b)
-            for i, a in enumerate(labels)
-            for b in labels[i + 1 :]
-            if phase_equal(vecs[a], vecs[b], tol)
+    check = purity_requirement(set1, set2, purity_tol, prob_floor)
+    if not check.ok:
+        raise PreconditionError(
+            "a conditional state is mixed; the coincidence check is only defined "
+            "for pure conditional states"
         )
-
-    cross = tuple(
-        (a, b) for a in v1 for b in v2 if phase_equal(v1[a], v2[b], tol)
-    )
-    return DuplicateCheck(
-        ok=not cross,
-        cross=cross,
-        within_1=within(v1),
-        within_2=within(v2),
-    )
+    return _duplicates(check, tol)
 
 
 @dataclass(frozen=True)
@@ -476,9 +472,7 @@ def certify(
     if not check.ok:
         verdict = NO_PARADOX_PURITY
     else:
-        dup = measurement_requirement(
-            set1, set2, tol=tols.phase, prob_floor=tols.prob_floor, purity_tol=tols.purity
-        )
+        dup = _duplicates(check, tols.phase)
         cross = dup.cross
         within = tuple((1, a, b) for a, b in dup.within_1) + tuple(
             (2, a, b) for a, b in dup.within_2
@@ -503,9 +497,7 @@ def certify(
 
     from . import lhs_lp
 
-    problem, relative = lhs_lp.problem_for(
-        set1, set2, candidates, tol=tols.phase, prob_floor=tols.prob_floor
-    )
+    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tols)
     result = lhs_lp.solve_feasibility(problem, tol=tols.lp_feasibility)
     if result.feasible:
         lp_verdict = "feasible"

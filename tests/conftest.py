@@ -11,10 +11,12 @@ import pytest
 
 from steerlab import (
     SteeringProtocol,
+    Tolerances,
     random_rank1_setting,
     settings_equal,
     tensor_protocol,
 )
+from steerlab.linalg import outer, phase_equal, principal_vector
 
 
 def brute_conditional(rho, projector, n_qubits, alice_qubits):
@@ -30,6 +32,44 @@ def brute_conditional(rho, projector, n_qubits, alice_qubits):
     for t in range(d_a):
         out += big[t * d_b : (t + 1) * d_b, t * d_b : (t + 1) * d_b]
     return out
+
+
+def _counted_vectors(cs, tols):
+    return {
+        label: principal_vector(op)
+        for label, op in zip(cs.outcomes, cs.operators)
+        if np.trace(op).real > tols.prob_floor
+    }
+
+
+def pairwise_duplicates(set1, set2, tols=Tolerances()):
+    """(cross, within_1, within_2) coincidences by one phase_equal call per pair.
+
+    Reference for the overlap-matrix check; the conditional states must be pure.
+    """
+    v1, v2 = _counted_vectors(set1, tols), _counted_vectors(set2, tols)
+
+    def within(vecs):
+        labels = list(vecs)
+        return tuple(
+            (a, b)
+            for i, a in enumerate(labels)
+            for b in labels[i + 1 :]
+            if phase_equal(vecs[a], vecs[b], tols.phase)
+        )
+
+    cross = tuple((a, b) for a in v1 for b in v2 if phase_equal(v1[a], v2[b], tols.phase))
+    return cross, within(v1), within(v2)
+
+
+def pairwise_candidates(set1, set2, tols=Tolerances()):
+    """Greedy phase_equal deduplication of the counted principal vectors, setting 1 first."""
+    kept = []
+    for cs in (set1, set2):
+        for v in _counted_vectors(cs, tols).values():
+            if not any(phase_equal(u, v, tols.phase) for u in kept):
+                kept.append(v)
+    return [outer(v) for v in kept]
 
 
 def random_protocol(m_qubits, seed):

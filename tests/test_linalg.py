@@ -9,10 +9,8 @@ from steerlab import DegenerateInputError, DimensionError, ValidationError
 from steerlab.linalg import (
     as_complex,
     canonical_phase,
-    dagger,
     hermitian_eig,
     is_hermitian,
-    kron,
     n_qubits_of,
     numerical_rank,
     outer,
@@ -21,9 +19,6 @@ from steerlab.linalg import (
     principal_vector,
     purity,
 )
-
-SZ = np.diag([1.0, -1.0]).astype(complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def haar_vector(rng, dim):
@@ -44,20 +39,6 @@ class TestBasics:
         # column views of Fortran-incompatible layouts must still validate
         m = np.arange(9, dtype=complex).reshape(3, 3)
         np.testing.assert_allclose(as_complex(m[:, 1]), [1, 4, 7])
-
-    def test_kron_pauli_entry(self):
-        k = kron(SZ, SX)
-        assert k.shape == (4, 4)
-        assert k[0, 1] == 1.0 + 0j
-        assert k[3, 2] == -1.0 + 0j
-
-    def test_kron_respects_cap(self):
-        with pytest.raises(DimensionError):
-            kron(np.eye(64), np.eye(64), cap=1024)
-
-    def test_dagger(self):
-        m = np.array([[1, 2j], [3, 4]], dtype=complex)
-        np.testing.assert_array_equal(dagger(m), m.conj().T)
 
     def test_outer_self(self):
         v = np.array([1.0, 1j]) / np.sqrt(2)

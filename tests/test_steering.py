@@ -7,17 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_conditional, random_protocol
+from conftest import (
+    brute_conditional,
+    pairwise_candidates,
+    pairwise_duplicates,
+    random_protocol,
+)
 from steerlab import (
     NO_PARADOX_CROSS_DUPLICATE,
     NO_PARADOX_PURITY,
     PARADOX,
     DimensionError,
     EnsembleState,
+    MeasurementSetting,
     PreconditionError,
+    SteeringProtocol,
+    Tolerances,
     UnsupportedSettingError,
     basis_ket,
     bob_marginal,
+    candidate_ensemble,
     certify,
     collapse_decomposition,
     conditional_states,
@@ -27,6 +36,7 @@ from steerlab import (
     measurement_requirement,
     purity_requirement,
     random_mixed,
+    random_pure,
     rank_bound_check,
     tensor_protocol,
     tensor_setting,
@@ -40,6 +50,28 @@ def two_qubit_setup(theta):
     protocol = tensor_protocol("z", "x", n_qubits=2)
     rho = density_of(state)
     return state, rho, protocol
+
+
+def evidence_instance(kind, seed):
+    """A state-protocol pair whose coincidence pattern ``kind`` names.
+
+    haar: pure state, no coincidences; product: every conditional state is
+    Bob's factor, so cross and within duplicates; lc4: within duplicates
+    only; mixed: mixed conditional states.
+    """
+    if kind == "lc4":
+        theta = 0.2 + 1.1 * np.random.default_rng(seed).random()
+        return lc4_mixed(theta), tensor_protocol("zz", "yx", n_qubits=4)
+    m = 1 + seed % 2
+    n = m + 2
+    protocol = random_protocol(m, seed)
+    if kind == "mixed":
+        return random_mixed(n, 2, seed), protocol
+    if kind == "haar":
+        psi = random_pure(n, seed)
+    else:
+        psi = np.kron(random_pure(m, seed), random_pure(n - m, seed + 1))
+    return EnsembleState(n, (1.0,), (psi,)), protocol
 
 
 class TestConditionalStates:
@@ -217,6 +249,103 @@ class TestRequirements:
             measurement_requirement(s1, s2)
 
 
+class TestOverlapMatrixDifferential:
+    """The overlap-matrix checks against one phase_equal call per pair."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["haar", "product", "lc4"])
+    def test_matches_pairwise_reference(self, kind, seed):
+        state, protocol = evidence_instance(kind, seed)
+        rho = density_of(state)
+        s1 = conditional_states(rho, protocol, 1)
+        s2 = conditional_states(rho, protocol, 2)
+        cross, within_1, within_2 = pairwise_duplicates(s1, s2)
+        if kind == "haar":
+            assert not cross
+        elif kind == "product":
+            assert cross and within_1 and within_2
+        else:
+            assert within_2 and not cross
+
+        dup = measurement_requirement(s1, s2)
+        assert (dup.cross, dup.within_1, dup.within_2) == (cross, within_1, within_2)
+        report = certify(state, protocol)
+        assert report.cross_setting_duplicates == cross
+        assert report.within_setting_duplicates == tuple(
+            (1, a, b) for a, b in within_1
+        ) + tuple((2, a, b) for a, b in within_2)
+
+        got, want = candidate_ensemble(s1, s2), pairwise_candidates(s1, s2)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def bob_rotated(state, alice_qubits, rng):
+    d_b = 2 ** (state.n_qubits - alice_qubits)
+    u, _ = np.linalg.qr(rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b)))
+    vectors = tuple((v.reshape(-1, d_b) @ u.T).ravel() for v in state.vectors)
+    return EnsembleState(state.n_qubits, state.weights, vectors)
+
+
+def relabelled(setting, order):
+    return MeasurementSetting(
+        label=setting.label,
+        m_qubits=setting.m_qubits,
+        outcomes=tuple(setting.outcomes[i] for i in order),
+        projectors=tuple(setting.projectors[i] for i in order),
+        vectors=tuple(setting.vectors[i] for i in order),
+    )
+
+
+def within_pairs(report, swap=False):
+    return {
+        (3 - k if swap else k, frozenset((a, b))) for k, a, b in report.within_setting_duplicates
+    }
+
+
+class TestMetamorphic:
+    """Transformations that cannot change the verdict or the coincidences."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["haar", "product", "lc4", "mixed"]),
+        seed=st.integers(0, 10_000),
+        phase=st.floats(0.0, 2 * np.pi),
+    )
+    def test_invariances(self, kind, seed, phase):
+        state, protocol = evidence_instance(kind, seed)
+        base = certify(state, protocol)
+        m, n = protocol.alice_qubits, protocol.n_qubits
+        s1, s2 = protocol.setting_1, protocol.setting_2
+        rng = np.random.default_rng(seed)
+        phased = EnsembleState(
+            state.n_qubits, state.weights, tuple(np.exp(1j * phase) * v for v in state.vectors)
+        )
+        reordered = SteeringProtocol(
+            m,
+            relabelled(s1, rng.permutation(s1.n_outcomes)),
+            relabelled(s2, rng.permutation(s2.n_outcomes)),
+            n,
+        )
+        for name, variant in (
+            ("bob-unitary", certify(bob_rotated(state, m, rng), protocol)),
+            ("global-phase", certify(phased, protocol)),
+            ("reordered-outcomes", certify(state, reordered)),
+        ):
+            assert variant.verdict == base.verdict, name
+            cross = set(variant.cross_setting_duplicates)
+            assert cross == set(base.cross_setting_duplicates), name
+            assert within_pairs(variant) == within_pairs(base), name
+
+        swapped = certify(state, SteeringProtocol(m, s2, s1, n))
+        assert swapped.verdict == base.verdict
+        assert set(swapped.cross_setting_duplicates) == {
+            (b, a) for a, b in base.cross_setting_duplicates
+        }
+        assert within_pairs(swapped, swap=True) == within_pairs(base)
+
+
 class TestCertify:
     @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 4, 3 * np.pi / 8])
     def test_two_qubit_paradox(self, theta):
@@ -258,6 +387,17 @@ class TestCertify:
         wrong = (np.diag([1.0, 0.0]).astype(complex),)
         report = certify(state, protocol, lp=True, candidates=wrong)
         assert report.lp_verdict == "infeasible-relative-to-candidates"
+
+    def test_lp_uses_callers_purity_tolerance(self):
+        # setting 1's outcome 0 has purity 1 - 4e-8: pure at purity=1e-6, so the
+        # LP must take its candidates from the complete pure-state list too
+        phi = (basis_ket(2, 0) + basis_ket(2, 3)) / np.sqrt(2)
+        state = EnsembleState(2, (1 - 1e-8, 1e-8), (phi, basis_ket(2, 1)))
+        tols = Tolerances(purity=1e-6, phase=1e-6)
+        report = certify(state, tensor_protocol("z", "x", n_qubits=2), lp=True, tolerances=tols)
+        assert report.verdict == PARADOX
+        assert report.lp_verdict == "infeasible"
+        assert report.lp_phase1_optimum == pytest.approx(1.0, abs=1e-6)
 
     def test_lp_agreement_on_paradox(self):
         state, _, protocol = two_qubit_setup(np.pi / 3)
