@@ -29,7 +29,6 @@ from .states import (
     DensityMatrix,
     EnsembleState,
     basis_ket,
-    density_of,
     lc4_mixed,
     load_state,
     two_qubit_theta_state,
@@ -147,9 +146,8 @@ def _load_pair(
 def _lp_problem(
     state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, tols: Tolerances
 ) -> tuple[ConditionalStateSet, ConditionalStateSet, lhs_lp.LpProblem, bool]:
-    rho = density_of(state) if isinstance(state, EnsembleState) else state
-    set1 = conditional_states(rho, protocol, 1, tols)
-    set2 = conditional_states(rho, protocol, 2, tols)
+    set1 = conditional_states(state, protocol, 1, tols)
+    set2 = conditional_states(state, protocol, 2, tols)
     problem, relative = lhs_lp.problem_for(set1, set2, tolerances=tols)
     return set1, set2, problem, relative
 

@@ -41,7 +41,7 @@ from .linalg import (
     outer,
     phase_coincidences,
 )
-from .steering import ConditionalStateSet, purity_requirement
+from .steering import ConditionalStateSet, PurityCheck, purity_requirement
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ def candidate_ensemble(
     tol: float = config.PHASE_TOL,
     prob_floor: float = config.PROB_FLOOR,
     purity_tol: float = config.PURITY_TOL,
+    check: PurityCheck | None = None,
 ) -> list[ComplexArray]:
     """Deduplicated normalized conditional states across both settings.
 
@@ -71,9 +72,12 @@ def candidate_ensemble(
     be pure (PreconditionError otherwise); the general mode with a caller
     supplied candidate list has no such restriction.  The principal vectors
     are taken in outcome order, setting 1 first, and one is kept unless
-    1 - |<u|v>| < ``tol`` for a vector u kept before it.
+    1 - |<u|v>| < ``tol`` for a vector u kept before it.  A ``check`` that
+    ``purity_requirement`` already returned for these sets is reused;
+    ``prob_floor`` and ``purity_tol`` then play no part.
     """
-    check = purity_requirement(set1, set2, purity_tol, prob_floor)
+    if check is None:
+        check = purity_requirement(set1, set2, purity_tol, prob_floor)
     if not check.ok:
         raise PreconditionError(
             "a conditional state is mixed; supply an explicit candidate list instead"
@@ -266,6 +270,7 @@ def problem_for(
     set2: ConditionalStateSet,
     candidates: list[ComplexArray] | None = None,
     tolerances: Tolerances | None = None,
+    check: PurityCheck | None = None,
 ) -> tuple[LpProblem, bool]:
     """Build the program with the right candidate source.
 
@@ -273,13 +278,16 @@ def problem_for(
     candidates came from the pure-state completeness argument, in which case
     an infeasible verdict rules out every hidden-state model.  The purity,
     phase and probability-floor thresholds come from ``tolerances``, as in
-    ``certify``.
+    ``certify``; a ``check`` the caller already holds for these sets under
+    the same thresholds saves the purity pass.
     """
     tols = tolerances or Tolerances()
     if candidates is not None:
         return build_lp(set1, set2, candidates), True
     try:
-        pure = candidate_ensemble(set1, set2, tols.phase, tols.prob_floor, tols.purity)
+        pure = candidate_ensemble(
+            set1, set2, tols.phase, tols.prob_floor, tols.purity, check
+        )
     except PreconditionError:
         return build_lp(set1, set2, fallback_candidates(set1, set2, tols.prob_floor)), True
     return build_lp(set1, set2, pure), False

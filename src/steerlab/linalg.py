@@ -41,10 +41,17 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
+def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
+    """Largest entry of |A - A^H| for each matrix A of a (..., d, d) stack."""
+    return np.max(
+        np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0
+    )
+
+
 def is_hermitian(a: npt.ArrayLike, tol: float = config.HERMITICITY_TOL) -> bool:
     a = as_complex(a)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and bool(
-        np.max(np.abs(a - a.conj().T), initial=0.0) <= tol
+        hermiticity_residuals(a) <= tol
     )
 
 
@@ -109,14 +116,19 @@ def hermitian_eig(
     return w, v
 
 
+def purities(stack: ComplexArray) -> npt.NDArray[np.float64]:
+    """``purity`` of each matrix of a (K, d, d) stack."""
+    tr = np.trace(stack, axis1=1, axis2=2)
+    if np.any(np.abs(tr) < 1e-14):
+        raise DegenerateInputError("purity of a (numerically) zero-trace operator is undefined")
+    return np.einsum("kij,kji->k", stack, stack).real / tr.real**2
+
+
 def purity(rho: npt.ArrayLike) -> float:
     """tr(rho_hat^2) for rho_hat = rho / tr(rho); 1 for pure states."""
     rho = as_complex(rho)
     require_square(rho, "purity")
-    tr = np.trace(rho)
-    if abs(tr) < 1e-14:
-        raise DegenerateInputError("purity of a (numerically) zero-trace operator is undefined")
-    return float(np.real(np.trace(rho @ rho)) / np.real(tr) ** 2)
+    return float(purities(rho[None])[0])
 
 
 def numerical_rank(rho: npt.ArrayLike, tol: float = config.RANK_TOL) -> int:
@@ -157,16 +169,38 @@ def phase_coincidences(
 
 
 def canonical_phase(v: npt.ArrayLike) -> ComplexArray:
-    """Rotate a vector's global phase so its largest-magnitude entry is real positive."""
-    v = as_complex(v).ravel()
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if abs(pivot) < 1e-14:
+    """Rotate a vector's global phase so its largest-magnitude entry is real positive.
+
+    A 2-D array is a stack of row vectors, each rotated on its own; any other
+    shape is flattened to one vector.
+    """
+    v = as_complex(v)
+    rows = v if v.ndim == 2 else v.reshape(1, -1)
+    pivots = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    if np.any(np.abs(pivots) < 1e-14):
         raise DegenerateInputError("cannot fix the phase of a zero vector")
-    return v * (abs(pivot) / pivot)
+    # scalar division: numpy's array division rounds differently, and the
+    # phases feed the LP's candidates, whose simplex pivots follow every bit
+    factors = np.array([abs(p) / p for p in pivots], dtype=np.complex128)
+    out = rows * factors[:, None]
+    return out if v.ndim == 2 else out[0]
+
+
+def principal_vectors(
+    stack: ComplexArray, tol: float = config.HERMITICITY_TOL
+) -> ComplexArray:
+    """Top eigenvector of each Hermitian matrix of a (K, d, d) stack, as K phase-fixed rows.
+
+    Raises ValidationError when a matrix is not Hermitian within ``tol``.
+    """
+    if np.any(hermiticity_residuals(stack) > tol):
+        raise ValidationError(f"matrix is not Hermitian within {tol:g}")
+    _, v = np.linalg.eigh(stack)
+    return canonical_phase(v[..., -1])
 
 
 def principal_vector(rho: npt.ArrayLike) -> ComplexArray:
     """Top (largest-eigenvalue) eigenvector of a Hermitian matrix, phase-fixed."""
-    w, v = hermitian_eig(rho)
-    return canonical_phase(v[:, -1])
+    rho = as_complex(rho)
+    require_square(rho, "principal_vector")
+    return principal_vectors(rho[None])[0]

@@ -5,7 +5,13 @@ unnormalized conditional states are
 
     rho_a^k = tr_A[(P_a^k (x) 1) rho],
 
-whose traces are the outcome probabilities.  Summing the traces over both
+whose traces are the outcome probabilities.  For an ensemble
+sum_alpha p_alpha |psi_alpha><psi_alpha| they come straight from the
+amplitudes, with each psi_alpha reshaped to a d_A x d_B matrix Psi_alpha:
+
+    rho_a^k = sum_alpha p_alpha Psi_alpha^T (P_a^k)^T Psi_alpha^*,
+
+so the 2^N x 2^N density operator is never built.  Summing the traces over both
 complete settings always gives 2.  A local-hidden-state explanation forces the
 same total down to tr(rho_B) = 1 whenever two structural requirements hold:
 every nonzero-probability conditional state is pure, and no conditional state
@@ -31,16 +37,16 @@ from .errors import (
 from .linalg import (
     ComplexArray,
     as_complex,
-    is_hermitian,
+    hermiticity_residuals,
     numerical_rank,
     outer,
     partial_trace,
     phase_coincidences,
-    principal_vector,
-    purity,
+    principal_vectors,
+    purities,
 )
 from .measurements import MeasurementSetting, SteeringProtocol, same_family
-from .states import DensityMatrix, EnsembleState, density_of
+from .states import DensityMatrix, EnsembleState
 
 PARADOX = "PARADOX"
 NO_PARADOX_PURITY = "NO_PARADOX_PURITY"
@@ -89,37 +95,69 @@ class ConditionalStateSet:
 
     def validate(self, rho_b: ComplexArray, tols: Tolerances | None = None) -> None:
         tols = tols or Tolerances()
-        for label, op in zip(self.outcomes, self.operators):
-            if not is_hermitian(op, tols.hermiticity):
-                raise ValidationError(f"conditional state {label!r} is not Hermitian")
-            if np.min(np.linalg.eigvalsh(op)) < -tols.hermiticity:
-                raise ValidationError(f"conditional state {label!r} is not PSD")
+        stack = np.array(self.operators)
+        not_hermitian = hermiticity_residuals(stack) > tols.hermiticity
+        not_psd = np.linalg.eigvalsh(stack)[:, 0] < -tols.hermiticity
+        bad = np.flatnonzero(not_hermitian | not_psd)
+        if bad.size:
+            i = bad[0]
+            flaw = "Hermitian" if not_hermitian[i] else "PSD"
+            raise ValidationError(f"conditional state {self.outcomes[i]!r} is not {flaw}")
         if abs(float(np.sum(self.probabilities)) - 1.0) > tols.marginal:
             raise ValidationError("outcome probabilities do not sum to 1")
         if np.linalg.norm(self.total() - rho_b) > tols.marginal:
             raise ValidationError("conditional states do not sum to Bob's marginal")
 
 
-def bob_marginal(rho: DensityMatrix, alice_qubits: int) -> ComplexArray:
-    """Bob's reduced state: Alice's qubits traced out."""
-    if not 1 <= alice_qubits < rho.n_qubits:
+def _amplitudes(state: EnsembleState, alice_qubits: int) -> ComplexArray:
+    """The terms sqrt(p_alpha) psi_alpha as d_A x d_B matrices, stacked on axis 0.
+
+    Raises ValidationError unless the trace sum_alpha p_alpha ||psi_alpha||^2
+    of the ensemble's density operator is 1 within the weight tolerance, as
+    a DensityMatrix requires of its trace.
+    """
+    vectors = np.array(state.vectors)
+    weights = np.array(state.weights)
+    trace = float(weights @ np.einsum("ti,ti->t", vectors.conj(), vectors).real)
+    if abs(trace - 1.0) > config.WEIGHT_TOL:
+        raise ValidationError(f"ensemble trace {trace!r} is not 1")
+    d_b = 2 ** (state.n_qubits - alice_qubits)
+    return (np.sqrt(weights)[:, None] * vectors).reshape(state.n_terms, -1, d_b)
+
+
+def bob_marginal(state: EnsembleState | DensityMatrix, alice_qubits: int) -> ComplexArray:
+    """Bob's reduced state: Alice's qubits traced out.
+
+    For an ensemble this is sum_alpha p_alpha Psi_alpha^T Psi_alpha^*, one
+    product over the stacked amplitudes.
+    """
+    if not 1 <= alice_qubits < state.n_qubits:
         raise DimensionError(
-            f"alice_qubits must lie in [1, {rho.n_qubits - 1}], got {alice_qubits}"
+            f"alice_qubits must lie in [1, {state.n_qubits - 1}], got {alice_qubits}"
         )
-    return partial_trace(rho.matrix, rho.n_qubits, range(alice_qubits))
+    if isinstance(state, EnsembleState):
+        phi = _amplitudes(state, alice_qubits)
+        phi = phi.reshape(-1, phi.shape[-1])
+        return phi.T @ phi.conj()
+    return partial_trace(state.matrix, state.n_qubits, range(alice_qubits))
 
 
 def conditional_states(
-    rho: DensityMatrix,
+    state: EnsembleState | DensityMatrix,
     protocol: SteeringProtocol,
     which: int,
     tols: Tolerances | None = None,
 ) -> ConditionalStateSet:
-    """Bob's conditional states for setting ``which`` (1 or 2) of the protocol."""
+    """Bob's conditional states for setting ``which`` (1 or 2) of the protocol.
+
+    An ensemble is contracted from its amplitudes, for every outcome at once
+    and for projectors of any rank; a density matrix is contracted one
+    outcome at a time.
+    """
     if which not in (1, 2):
         raise DimensionError(f"which must be 1 or 2, got {which}")
     m = protocol.alice_qubits
-    n = rho.n_qubits
+    n = state.n_qubits
     if protocol.n_qubits is not None and protocol.n_qubits != n:
         raise DimensionError(
             f"protocol is bound to n={protocol.n_qubits} but the state has n={n}"
@@ -128,10 +166,18 @@ def conditional_states(
         raise DimensionError(f"alice_qubits={m} leaves Bob empty for n={n}")
     setting = protocol.settings[which - 1]
     d_a, d_b = 2**m, 2 ** (n - m)
-    r = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    operators = tuple(
-        np.einsum("tc,cjtl->jl", p, r) for p in setting.projectors
-    )
+    if isinstance(state, EnsembleState):
+        phi = _amplitudes(state, m)
+        k = setting.n_outcomes
+        # branches[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T branches[a, alpha]
+        # over alpha is one product with the terms stacked along the rows
+        branches = np.array(setting.projectors).swapaxes(1, 2)[:, None] @ phi.conj()
+        operators = tuple(phi.reshape(-1, d_b).T @ branches.reshape(k, -1, d_b))
+    else:
+        r = state.matrix.reshape(d_a, d_b, d_a, d_b)
+        operators = tuple(
+            np.einsum("tc,cjtl->jl", p, r) for p in setting.projectors
+        )
     out = ConditionalStateSet(
         setting_index=which,
         setting_label=setting.label,
@@ -139,7 +185,7 @@ def conditional_states(
         outcomes=setting.outcomes,
         operators=operators,
     )
-    out.validate(bob_marginal(rho, m), tols)
+    out.validate(bob_marginal(state, m), tols)
     return out
 
 
@@ -248,28 +294,28 @@ def purity_requirement(
     """
     records: list[OutcomeRecord] = []
     excluded: list[tuple[int, str]] = []
-    counted: tuple[list[str], list[str]] = ([], [])
-    operators: list[ComplexArray] = []
-    ok = True
+    counted: list[tuple[str, ...]] = []
+    stacks: list[ComplexArray] = []
     for cs in (set1, set2):
-        for label, op in zip(cs.outcomes, cs.operators):
-            p = float(np.trace(op).real)
-            if p <= prob_floor:
-                records.append(OutcomeRecord(cs.setting_index, label, p, None))
+        stack = np.array(cs.operators)
+        probabilities = np.trace(stack, axis1=1, axis2=2).real
+        keep = probabilities > prob_floor
+        q = np.zeros(len(stack))
+        q[keep] = purities(stack[keep])
+        for label, p, kept, q_a in zip(cs.outcomes, probabilities, keep, q):
+            records.append(
+                OutcomeRecord(cs.setting_index, label, float(p), float(q_a) if kept else None)
+            )
+            if not kept:
                 excluded.append((cs.setting_index, label))
-                continue
-            q = purity(op)
-            records.append(OutcomeRecord(cs.setting_index, label, p, q))
-            counted[cs.setting_index - 1].append(label)
-            operators.append(op)
-            if abs(q - 1.0) >= tol:
-                ok = False
+        counted.append(tuple(label for label, kept in zip(cs.outcomes, keep) if kept))
+        stacks.append(stack[keep])
+    ok = not any(r.purity is not None and abs(r.purity - 1.0) >= tol for r in records)
     labels: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     vectors = None
     if ok:
-        labels = (tuple(counted[0]), tuple(counted[1]))
-        dim = set1.operators[0].shape[0]
-        vectors = np.array([principal_vector(op) for op in operators]).reshape(-1, dim)
+        labels = (counted[0], counted[1])
+        vectors = principal_vectors(np.concatenate(stacks))
     return PurityCheck(
         ok=ok, records=tuple(records), excluded=tuple(excluded), labels=labels, vectors=vectors
     )
@@ -455,14 +501,12 @@ def certify(
     tols = tolerances or Tolerances()
     if isinstance(state, EnsembleState):
         decomposition = DECOMPOSITION_GIVEN
-        rho = density_of(state)
     elif isinstance(state, DensityMatrix):
         decomposition = DECOMPOSITION_EIGEN
-        rho = state
     else:
         raise ValidationError(f"cannot certify a {type(state).__name__}")
-    set1 = conditional_states(rho, protocol, 1, tols)
-    set2 = conditional_states(rho, protocol, 2, tols)
+    set1 = conditional_states(state, protocol, 1, tols)
+    set2 = conditional_states(state, protocol, 2, tols)
     quantum = float(np.sum(set1.probabilities) + np.sum(set2.probabilities))
     check = purity_requirement(set1, set2, tol=tols.purity, prob_floor=tols.prob_floor)
 
@@ -497,7 +541,7 @@ def certify(
 
     from . import lhs_lp
 
-    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tols)
+    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tols, check)
     result = lhs_lp.solve_feasibility(problem, tol=tols.lp_feasibility)
     if result.feasible:
         lp_verdict = "feasible"

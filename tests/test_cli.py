@@ -129,6 +129,23 @@ class TestCheck:
         assert r.returncode == 2
 
 
+class TestAmplitudeInput:
+    def test_check_dump_lp_and_lhs_build_no_density(self, files, tmp_path, monkeypatch, capsys):
+        from steerlab import DensityMatrix, cli
+
+        def dense_build(*args, **kwargs):
+            raise AssertionError("the CLI built the dense density operator")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", dense_build)
+        dump = tmp_path / "lp.json"
+        assert cli.main(["check", "--state", files["tq.json"], "--protocol", files["zx.json"],
+                         "--lp", "--dump-lp", str(dump)]) == 0
+        assert json.loads(dump.read_text())["relative"] is False
+        assert "lhs-lp: infeasible" in capsys.readouterr().out
+        assert cli.main(["lhs", "--state", files["lc4.json"], "--protocol", files["zzyx.json"]]) == 0
+        assert capsys.readouterr().out.startswith("lhs-lp: infeasible")
+
+
 class TestLhs:
     def test_feasible_mixture(self, files):
         r = run_cli("lhs", "--state", files["mix.json"], "--protocol", files["zx.json"],

@@ -17,6 +17,8 @@ from steerlab.linalg import (
     partial_trace,
     phase_equal,
     principal_vector,
+    principal_vectors,
+    purities,
     purity,
 )
 
@@ -127,6 +129,41 @@ class TestEigenPurityRank:
         idx = np.argmax(np.abs(w))
         assert w[idx].imag == pytest.approx(0.0, abs=1e-12)
         assert w[idx].real > 0
+
+
+class TestStacks:
+    """The stack helpers against their one-matrix counterparts, matrix by matrix."""
+
+    def stack(self, seed, k=6, dim=8):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+        return g @ g.conj().swapaxes(1, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_principal_vectors_bitwise(self, seed):
+        stack = self.stack(seed)
+        want = np.array([principal_vector(a) for a in stack])
+        np.testing.assert_array_equal(principal_vectors(stack), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonical_phase_rows_bitwise(self, seed):
+        rows = self.stack(seed)[:, 0]
+        want = np.array([canonical_phase(r) for r in rows])
+        np.testing.assert_array_equal(canonical_phase(rows), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_purities(self, seed):
+        stack = self.stack(seed)
+        np.testing.assert_allclose(purities(stack), [purity(a) for a in stack], rtol=1e-14)
+
+    def test_empty_stack(self):
+        assert principal_vectors(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)
+        assert purities(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+
+    def test_principal_vectors_reject_non_hermitian(self):
+        stack = np.array([np.eye(2), [[0, 1], [0, 0]]], dtype=complex)
+        with pytest.raises(ValidationError):
+            principal_vectors(stack)
 
 
 class TestPhaseEquality:

@@ -13,10 +13,14 @@ from conftest import (
     pairwise_duplicates,
     random_protocol,
 )
+import steerlab.states
+import steerlab.steering
 from steerlab import (
     NO_PARADOX_CROSS_DUPLICATE,
     NO_PARADOX_PURITY,
     PARADOX,
+    ConditionalStateSet,
+    DensityMatrix,
     DimensionError,
     EnsembleState,
     MeasurementSetting,
@@ -24,6 +28,7 @@ from steerlab import (
     SteeringProtocol,
     Tolerances,
     UnsupportedSettingError,
+    ValidationError,
     basis_ket,
     bob_marginal,
     candidate_ensemble,
@@ -141,6 +146,126 @@ class TestConditionalStates:
         _, rho, protocol = two_qubit_setup(0.8)
         sset = conditional_states(rho, protocol, 1)
         sset.validate(bob_marginal(rho, 1))
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ((0, 1, 2), "'b' is not PSD"),
+            ((0, 2, 1), "'b' is not Hermitian"),
+            ((0, 3, 1), "'b' is not Hermitian"),
+        ],
+    )
+    def test_validate_names_first_failing_outcome(self, order, message):
+        ops = (
+            np.diag([0.5, 0.0]).astype(complex),
+            np.diag([0.5, -1e-3]).astype(complex),
+            np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex),
+            np.array([[0.5, 1e-3], [0.0, -1e-3]], dtype=complex),  # fails both
+        )
+        ops = tuple(ops[i] for i in order)
+        sset = ConditionalStateSet(1, "s", 1, ("a", "b", "c"), ops)
+        with pytest.raises(ValidationError, match=message):
+            sset.validate(sum(ops))
+
+
+def haar_ensemble(n, terms, seed):
+    """Dirichlet mixture of independent (non-orthogonal) Haar vectors."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(terms))
+    vectors = tuple(random_pure(n, seed * 31 + t) for t in range(terms))
+    return EnsembleState(n, tuple(weights / np.sum(weights)), vectors)
+
+
+def coarse_protocol():
+    """Rank-2 setting {diag(1,1,0,0), diag(0,0,1,1)} against yx on four qubits."""
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    coarse = MeasurementSetting(
+        label="coarse", m_qubits=2, outcomes=("a", "b"), projectors=(p, np.eye(4) - p)
+    )
+    return SteeringProtocol(2, coarse, tensor_setting("yx"), 4)
+
+
+def assert_same_report(got, want):
+    """Verdict and ledger agree; floats to 1e-10.  The decomposition label is not compared."""
+    a, b = got.to_json_dict(), want.to_json_dict()
+    for key in ("quantum_trace_sum", "lp_phase1_optimum"):
+        assert a.pop(key) == pytest.approx(b.pop(key), abs=1e-10)
+    for ra, rb in zip(a.pop("per_outcome"), b.pop("per_outcome"), strict=True):
+        assert (ra["setting"], ra["outcome"]) == (rb["setting"], rb["outcome"])
+        assert ra["probability"] == pytest.approx(rb["probability"], abs=1e-10)
+        assert (ra["purity"] is None) == (rb["purity"] is None)
+        if ra["purity"] is not None:
+            assert ra["purity"] == pytest.approx(rb["purity"], abs=1e-10)
+    a.pop("decomposition_used"), b.pop("decomposition_used")
+    assert a == b
+
+
+class TestAmplitudePath:
+    """Ensemble input, contracted from its amplitudes, against the dense path."""
+
+    def check_against_dense(self, state, protocol):
+        rho = density_of(state)
+        m = protocol.alice_qubits
+        np.testing.assert_allclose(bob_marginal(state, m), bob_marginal(rho, m), atol=1e-14)
+        for which in (1, 2):
+            native = conditional_states(state, protocol, which)
+            dense = conditional_states(rho, protocol, which)
+            assert native.outcomes == dense.outcomes
+            for i, p in enumerate(protocol.settings[which - 1].projectors):
+                want = brute_conditional(rho.matrix, p, state.n_qubits, m)
+                np.testing.assert_allclose(native.operators[i], dense.operators[i], atol=1e-14)
+                np.testing.assert_allclose(native.operators[i], want, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, m, terms", [(2, 1, 1), (3, 1, 3), (3, 2, 2), (4, 2, 4), (5, 3, 3)])
+    def test_haar_ensembles(self, n, m, terms, seed):
+        state, protocol = haar_ensemble(n, terms, seed), random_protocol(m, seed)
+        self.check_against_dense(state, protocol)
+        assert_same_report(certify(state, protocol), certify(density_of(state), protocol))
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 4, 1.2])
+    def test_lc4_mixed(self, theta):
+        state, protocol = lc4_mixed(theta), tensor_protocol("zz", "yx", n_qubits=4)
+        self.check_against_dense(state, protocol)
+        report = certify(state, protocol, lp=True)
+        assert report.verdict == PARADOX
+        assert_same_report(report, certify(density_of(state), protocol, lp=True))
+
+    def test_coarse_rank2_setting(self):
+        state, protocol = lc4_mixed(0.5), coarse_protocol()
+        self.check_against_dense(state, protocol)
+        assert_same_report(certify(state, protocol), certify(density_of(state), protocol))
+
+    def test_unit_trace_still_enforced(self):
+        # each check passes on its own (weights sum to 1 + 8e-11, norms are
+        # 1 + 9e-11), but the density operator's trace is 1 + 2.6e-10
+        phi = (basis_ket(2, 0) + basis_ket(2, 3)) / np.sqrt(2)
+        scale = 1 + 9e-11
+        state = EnsembleState(
+            2, (0.5 + 4e-11, 0.5 + 4e-11), (scale * phi, scale * basis_ket(2, 1))
+        )
+        protocol = tensor_protocol("z", "x", n_qubits=2)
+        with pytest.raises(ValidationError, match="trace"):
+            certify(state, protocol)
+        with pytest.raises(ValidationError, match="trace"):
+            conditional_states(state, protocol, 2)
+        with pytest.raises(ValidationError, match="trace"):
+            density_of(state)
+
+    @pytest.mark.parametrize("lp", [False, True])
+    def test_certify_builds_no_density(self, lp, monkeypatch):
+        def dense_build(*args, **kwargs):
+            raise AssertionError("certify built the dense density operator")
+
+        monkeypatch.setattr(steerlab.steering, "density_of", dense_build, raising=False)
+        monkeypatch.setattr(steerlab.states, "density_of", dense_build)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", dense_build)
+        for state, protocol in (
+            (two_qubit_theta_state(0.7), tensor_protocol("z", "x", n_qubits=2)),
+            (lc4_mixed(0.6), tensor_protocol("zz", "yx", n_qubits=4)),
+        ):
+            report = certify(state, protocol, lp=lp)
+            assert report.verdict == PARADOX
+            assert report.lp_verdict == ("infeasible" if lp else None)
 
 
 class TestCollapseDecomposition:
@@ -398,6 +523,23 @@ class TestCertify:
         assert report.verdict == PARADOX
         assert report.lp_verdict == "infeasible"
         assert report.lp_phase1_optimum == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("lp", [False, True])
+    def test_one_evidence_pass(self, lp, monkeypatch):
+        # the LP takes its candidates from certify's purity check instead of
+        # computing the principal vectors again
+        computed = []
+        principal_vectors = steerlab.steering.principal_vectors
+
+        def counting(stack, *args, **kwargs):
+            computed.append(len(stack))
+            return principal_vectors(stack, *args, **kwargs)
+
+        monkeypatch.setattr(steerlab.steering, "principal_vectors", counting)
+        state, _, protocol = two_qubit_setup(np.pi / 4)
+        report = certify(state, protocol, lp=lp)
+        assert report.verdict == PARADOX
+        assert computed == [4]
 
     def test_lp_agreement_on_paradox(self):
         state, _, protocol = two_qubit_setup(np.pi / 3)
