@@ -10,6 +10,13 @@ from .errors import ValidationError
 # matrix / vector checks
 HERMITICITY_TOL = 1e-10
 WEIGHT_TOL = 1e-10
+# projective settings: Hermitian, idempotent, orthogonal, complete, unit-trace
+# rank-1 projectors, orthonormal family vectors, projector-set equality
+SETTING_TOL = 1e-10
+# entrywise gap between |v><v| and the projector a stored vector stands for
+SETTING_VECTOR_TOL = 1e-9
+# a collapsed branch with a smaller norm is empty
+COLLAPSE_FLOOR = 1e-13
 
 # classification thresholds
 PURITY_TOL = 1e-8
@@ -21,6 +28,11 @@ RANK_TOL = 1e-9
 # feasibility solver
 LP_FEASIBILITY_TOL = 1e-9
 LP_MAX_ITERATIONS = 10**6
+# candidate members: Hermitian and unit trace, and the Frobenius distance
+# under which two fallback candidates count as one
+CANDIDATE_TOL = 1e-8
+# a member with a smaller weight takes the uniform response
+LP_WEIGHT_FLOOR = 1e-12
 
 DEFAULT_MAX_DIM = 4096
 

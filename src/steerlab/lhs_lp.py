@@ -21,6 +21,7 @@ verdict and the returned vertex are bit-deterministic for identical inputs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +37,11 @@ from .errors import (
 )
 from .linalg import (
     ComplexArray,
-    as_complex,
-    is_hermitian,
+    hermiticity_residuals,
     outer,
+    outers,
     phase_coincidences,
+    stacked,
 )
 from .steering import ConditionalStateSet, PurityCheck, purity_requirement
 
@@ -53,7 +55,7 @@ class LhsModel:
     """
 
     member_weights: tuple[float, ...]
-    member_states: tuple[ComplexArray, ...] = field(repr=False)
+    member_states: ComplexArray = field(repr=False)  # (members, d_B, d_B)
     responses: tuple[np.ndarray, np.ndarray] = field(repr=False)
     outcome_labels: tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -65,8 +67,8 @@ def candidate_ensemble(
     prob_floor: float = config.PROB_FLOOR,
     purity_tol: float = config.PURITY_TOL,
     check: PurityCheck | None = None,
-) -> list[ComplexArray]:
-    """Deduplicated normalized conditional states across both settings.
+) -> ComplexArray:
+    """Deduplicated normalized conditional states across both settings, as one array.
 
     Zero-probability outcomes contribute nothing.  Every surviving state must
     be pure (PreconditionError otherwise); the general mode with a caller
@@ -87,15 +89,15 @@ def candidate_ensemble(
     for i in range(len(hits)):
         if not hits[kept, i].any():
             kept.append(i)
-    return [outer(check.vectors[i]) for i in kept]
+    return outers(check.vectors[kept])
 
 
 def fallback_candidates(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
     prob_floor: float = config.PROB_FLOOR,
-) -> list[ComplexArray]:
-    """Default candidate list for the relative mode with mixed conditionals.
+) -> ComplexArray:
+    """Default candidates for the relative mode with mixed conditionals, as one array.
 
     The deduplicated normalized conditional states (pure or not) plus the
     eigenprojectors of Bob's marginal.
@@ -103,12 +105,11 @@ def fallback_candidates(
     candidates: list[ComplexArray] = []
 
     def push(mat: ComplexArray) -> None:
-        if not any(np.linalg.norm(mat - c) <= 1e-8 for c in candidates):
+        if not any(np.linalg.norm(mat - c) <= config.CANDIDATE_TOL for c in candidates):
             candidates.append(mat)
 
     for cs in (set1, set2):
-        for op in cs.operators:
-            p = float(np.trace(op).real)
+        for op, p in zip(cs.operators, cs.probabilities):
             if p > prob_floor:
                 push(op / p)
     rho_b = set1.total()
@@ -116,7 +117,7 @@ def fallback_candidates(
     for i in range(len(w)):
         if w[i] > config.RANK_TOL:
             push(outer(v[:, i]))
-    return candidates
+    return np.array(candidates)
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class LpProblem:
     n_members: int
     n_outcomes: tuple[int, int]
     outcome_labels: tuple[tuple[str, ...], tuple[str, ...]]
-    candidates: tuple[ComplexArray, ...] = field(repr=False)
+    candidates: ComplexArray = field(repr=False)  # (n_members, d_B, d_B)
     matching_rows: tuple[int, int]
     coupling_rows: tuple[int, int]
     normalization_row: int
@@ -195,7 +196,7 @@ class LpProblem:
 def build_lp(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
-    candidates: list[ComplexArray],
+    candidates: Sequence[ComplexArray] | ComplexArray,
 ) -> LpProblem:
     """Assemble the feasibility program for the given candidate members.
 
@@ -203,54 +204,48 @@ def build_lp(
     settings (matching), one coupling row per member and setting, and the
     single weight-normalization row.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise ValidationError("candidate list is empty")
-    cands = [as_complex(c) for c in candidates]
-    dim = set1.operators[0].shape[0]
-    if set2.operators[0].shape[0] != dim:
+    dim = set1.operators.shape[1]
+    if set2.operators.shape[1] != dim:
         raise DimensionError("the two conditional sets live on different Bob dimensions")
-    for i, c in enumerate(cands):
-        if c.shape != (dim, dim):
-            raise DimensionError(f"candidate {i} has shape {c.shape}, expected {(dim, dim)}")
-        if not is_hermitian(c, 1e-8):
-            raise ValidationError(f"candidate {i} is not Hermitian")
-        if abs(np.trace(c).real - 1.0) > 1e-8:
-            raise ValidationError(f"candidate {i} does not have unit trace")
-    n1, n2 = set1.operators.__len__(), set2.operators.__len__()
+    cands = stacked(candidates, (dim, dim), "candidate")
+    not_hermitian = hermiticity_residuals(cands) > config.CANDIDATE_TOL
+    not_unit = np.abs(np.trace(cands, axis1=1, axis2=2).real - 1.0) > config.CANDIDATE_TOL
+    bad = np.flatnonzero(not_hermitian | not_unit)
+    if bad.size:
+        i = bad[0]
+        flaw = "is not Hermitian" if not_hermitian[i] else "does not have unit trace"
+        raise ValidationError(f"candidate {i} {flaw}")
+    n1, n2 = len(set1.operators), len(set2.operators)
+    n_out = n1 + n2
     k = len(cands)
-    n_vars = k * (n1 + n2) + k
-    n_matching = 2 * dim * dim * (n1 + n2)
+    n_w = k * n_out  # the w block; one weight column per member follows it
+    entries = 2 * dim * dim  # Re and Im of every Bob matrix entry
+    n_matching = entries * n_out
     n_rows = n_matching + 2 * k + 1
-    a = np.zeros((n_rows, n_vars))
+    a = np.zeros((n_rows, n_w + k))
     b = np.zeros(n_rows)
+    members = np.arange(k)
+    outcomes = np.arange(n_out)  # both settings, setting 1 first
 
-    def w_col(member: int, which: int, outcome: int) -> int:
-        offset = 0 if which == 1 else n1
-        return member * (n1 + n2) + offset + outcome
+    # matching row (o, r, c, part) holds part(cand[r, c]) in column w(xi, o)
+    # of every member xi, and part(rho_o[r, c]) in b
+    parts = np.stack([cands.real, cands.imag], axis=-1).reshape(k, entries)
+    w_cols = members * n_out + outcomes[:, None]
+    a[:n_matching].reshape(n_out, entries, -1)[outcomes[:, None], :, w_cols] = parts
+    ops = np.concatenate([set1.operators, set2.operators])
+    b[:n_matching] = np.stack([ops.real, ops.imag], axis=-1).ravel()
+    matching_rows = (0, n_matching)
 
-    row = 0
-    for which, cs in ((1, set1), (2, set2)):
-        for a_idx, op in enumerate(cs.operators):
-            for r in range(dim):
-                for c in range(dim):
-                    for part in (np.real, np.imag):
-                        for xi, cand in enumerate(cands):
-                            a[row, w_col(xi, which, a_idx)] = float(part(cand[r, c]))
-                        b[row] = float(part(op[r, c]))
-                        row += 1
-    matching_rows = (0, row)
-    coupling_start = row
-    for xi in range(k):
-        for which, n_out in ((1, n1), (2, n2)):
-            for a_idx in range(n_out):
-                a[row, w_col(xi, which, a_idx)] = 1.0
-            a[row, k * (n1 + n2) + xi] = -1.0
-            row += 1
-    coupling_rows = (coupling_start, row)
-    for xi in range(k):
-        a[row, k * (n1 + n2) + xi] = 1.0
-    b[row] = 1.0
-    normalization_row = row
+    # coupling row (xi, k): sum_a w_xi(a|k) - p_xi = 0
+    coupling_rows = (n_matching, n_matching + 2 * k)
+    setting_of = np.repeat([0, 1], [n1, n2])
+    a[n_matching + 2 * members[:, None] + setting_of, w_cols.T] = 1.0
+    a[n_matching + np.arange(2 * k), n_w + members.repeat(2)] = -1.0
+    normalization_row = n_rows - 1
+    a[normalization_row, n_w:] = 1.0
+    b[normalization_row] = 1.0
 
     return LpProblem(
         a_eq=a,
@@ -258,7 +253,7 @@ def build_lp(
         n_members=k,
         n_outcomes=(n1, n2),
         outcome_labels=(set1.outcomes, set2.outcomes),
-        candidates=tuple(cands),
+        candidates=cands,
         matching_rows=matching_rows,
         coupling_rows=coupling_rows,
         normalization_row=normalization_row,
@@ -393,7 +388,7 @@ def solve_feasibility(
     for xi in range(k):
         for which, n_out in ((1, n1), (2, n2)):
             table = responses[which - 1]
-            if weights[xi] > 1e-12:
+            if weights[xi] > config.LP_WEIGHT_FLOOR:
                 for a_idx in range(n_out):
                     table[xi, a_idx] = max(0.0, x[problem.w_index(xi, which, a_idx)]) / weights[xi]
             else:

@@ -7,7 +7,7 @@ computational-basis index.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -26,11 +26,28 @@ def as_complex(a: npt.ArrayLike) -> ComplexArray:
     return out
 
 
+def stacked(items: Sequence[npt.ArrayLike], shape: tuple[int, ...], what: str) -> ComplexArray:
+    """Arrays of one shape as one complex (K, *shape) array.
+
+    Raises DimensionError naming the first item of another shape, before any
+    entry is read.
+    """
+    for i, item in enumerate(items):
+        if np.shape(item) != shape:
+            raise DimensionError(f"{what} {i} has shape {np.shape(item)}, expected {shape}")
+    return as_complex(items).reshape(-1, *shape)
+
+
 def outer(u: npt.ArrayLike, v: npt.ArrayLike | None = None) -> ComplexArray:
     """|u><v| as a matrix; v defaults to u."""
     u = as_complex(u).ravel()
     v = u if v is None else as_complex(v).ravel()
     return np.outer(u, v.conj())
+
+
+def outers(rows: ComplexArray) -> ComplexArray:
+    """|v><v| for each row v of a (K, d) array, as one (K, d, d) array."""
+    return rows[:, :, None] * rows[:, None, :].conj()
 
 
 def n_qubits_of(dim: int) -> int:

@@ -33,12 +33,12 @@ from .errors import (
 from .linalg import (
     ComplexArray,
     as_complex,
-    canonical_phase,
-    hermitian_eig,
-    is_hermitian,
+    hermiticity_residuals,
     n_qubits_of,
-    outer,
+    outers,
     phase_equal,
+    principal_vectors,
+    stacked,
 )
 
 _PAULI_BASES = {
@@ -97,9 +97,11 @@ class BellLikeBasis:
             raise DimensionError(
                 f"family has {len(flat)} vectors, expected {dim} for {m} qubits"
             )
-        gram = np.array([[np.vdot(a, b) for b in flat] for a in flat])
-        if np.max(np.abs(gram - np.eye(dim))) > 1e-10:
-            raise ValidationError("family vectors are not orthonormal within 1e-10")
+        flat = np.array(flat)
+        if np.max(np.abs(flat.conj() @ flat.T - np.eye(dim))) > config.SETTING_TOL:
+            raise ValidationError(
+                f"family vectors are not orthonormal within {config.SETTING_TOL:g}"
+            )
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "pairs", pairs)
 
@@ -139,68 +141,60 @@ def same_family(a: BellLikeBasis, b: BellLikeBasis, tol: float = config.PHASE_TO
 class MeasurementSetting:
     """Complete projective measurement on Alice's M qubits.
 
-    Invariants, checked on construction: projectors are Hermitian and
-    idempotent within 1e-10, pairwise orthogonal, sum to the identity within
-    1e-10, and outcome labels are unique M-bit strings.  ``vectors`` is kept
-    for rank-1 settings (all constructors in this module produce those) and
-    preserves the constructor's sign conventions.
+    ``projectors`` is one (K, d, d) array and ``vectors`` one (K, d) array or
+    None; the first axis of both follows ``outcomes``.  Invariants, checked on
+    construction: projectors are Hermitian and idempotent within 1e-10,
+    pairwise orthogonal, sum to the identity within 1e-10, and outcome labels
+    are unique M-bit strings.  ``vectors`` is kept for rank-1 settings (all
+    constructors in this module produce those) and preserves the
+    constructor's sign conventions.
     """
 
     label: str
     m_qubits: int
     outcomes: tuple[str, ...]
-    projectors: tuple[ComplexArray, ...] = field(repr=False)
-    vectors: tuple[ComplexArray, ...] | None = field(default=None, repr=False)
+    projectors: ComplexArray = field(repr=False)
+    vectors: ComplexArray | None = field(default=None, repr=False)
     bell_like: BellLikeBasis | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         dim = 2**self.m_qubits
-        projectors = tuple(as_complex(p) for p in self.projectors)
-        if not projectors:
+        tol = config.SETTING_TOL
+        if len(self.projectors) == 0:
             raise ValidationError("setting needs at least one projector")
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for i, p in enumerate(projectors):
-            if p.shape != (dim, dim):
-                raise DimensionError(
-                    f"projector {i} has shape {p.shape}, expected {(dim, dim)}"
-                )
-            if not is_hermitian(p, 1e-10):
-                raise ValidationError(f"projector {i} is not Hermitian within 1e-10")
-            if np.max(np.abs(p @ p - p)) > 1e-10:
-                raise ValidationError(f"projector {i} is not idempotent within 1e-10")
-            total += p
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                if np.max(np.abs(projectors[i] @ projectors[j])) > 1e-10:
-                    raise ValidationError(f"projectors {i} and {j} are not orthogonal")
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-            raise ValidationError("projectors do not sum to the identity within 1e-10")
+        stack = stacked(self.projectors, (dim, dim), "projector")
+        not_hermitian = hermiticity_residuals(stack) > tol
+        not_idempotent = np.max(np.abs(stack @ stack - stack), axis=(1, 2)) > tol
+        bad = np.flatnonzero(not_hermitian | not_idempotent)
+        if bad.size:
+            i = bad[0]
+            flaw = "Hermitian" if not_hermitian[i] else "idempotent"
+            raise ValidationError(f"projector {i} is not {flaw} within {tol:g}")
+        for i in range(len(stack) - 1):
+            clash = np.flatnonzero(np.max(np.abs(stack[i] @ stack[i + 1 :]), axis=(1, 2)) > tol)
+            if clash.size:
+                raise ValidationError(f"projectors {i} and {i + 1 + clash[0]} are not orthogonal")
+        if np.max(np.abs(stack.sum(0) - np.eye(dim))) > tol:
+            raise ValidationError(f"projectors do not sum to the identity within {tol:g}")
         outcomes = tuple(str(o) for o in self.outcomes)
-        if len(outcomes) != len(projectors):
+        if len(outcomes) != len(stack):
             raise ValidationError("outcome labels and projectors differ in count")
         if len(set(outcomes)) != len(outcomes):
             raise ValidationError("outcome labels are not unique")
         vectors = self.vectors
         if vectors is None:
-            extracted = []
-            for p in projectors:
-                w, v = hermitian_eig(p)
-                if abs(np.trace(p).real - 1.0) > 1e-10:
-                    extracted = None
-                    break
-                extracted.append(canonical_phase(v[:, -1]))
-            vectors = tuple(extracted) if extracted is not None else None
+            if np.all(np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0) <= tol):
+                vectors = principal_vectors(stack)
         else:
-            vectors = tuple(as_complex(v).ravel() for v in vectors)
-            if len(vectors) != len(projectors):
+            if len(vectors) != len(stack):
                 raise ValidationError("vectors and projectors differ in count")
-            for i, (v, p) in enumerate(zip(vectors, projectors)):
-                if v.shape != (dim,):
-                    raise DimensionError(f"vector {i} has shape {v.shape}, expected {(dim,)}")
-                if np.max(np.abs(outer(v) - p)) > 1e-9:
-                    raise ValidationError(f"vector {i} does not generate projector {i}")
+            vectors = stacked([np.ravel(v) for v in vectors], (dim,), "vector")
+            gap = np.max(np.abs(outers(vectors) - stack), axis=(1, 2))
+            bad = np.flatnonzero(gap > config.SETTING_VECTOR_TOL)
+            if bad.size:
+                raise ValidationError(f"vector {bad[0]} does not generate projector {bad[0]}")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "projectors", stack)
         object.__setattr__(self, "vectors", vectors)
 
     @property
@@ -211,12 +205,27 @@ class MeasurementSetting:
     def dim(self) -> int:
         return 2**self.m_qubits
 
-    def rank1_vectors(self) -> tuple[ComplexArray, ...]:
+    def rank1_vectors(self) -> ComplexArray:
         if self.vectors is None:
             raise UnsupportedSettingError(
                 f"setting {self.label!r} has projectors of rank > 1; no basis vectors exist"
             )
         return self.vectors
+
+
+def _rank1_setting(
+    label: str, vectors: ComplexArray, bell_like: BellLikeBasis | None = None
+) -> MeasurementSetting:
+    """Setting whose outcome i, the M-bit string of i, projects onto row i of ``vectors``."""
+    m_qubits = n_qubits_of(len(vectors))
+    return MeasurementSetting(
+        label=label,
+        m_qubits=m_qubits,
+        outcomes=tuple(bitstring(i, m_qubits) for i in range(len(vectors))),
+        projectors=outers(vectors),
+        vectors=vectors,
+        bell_like=bell_like,
+    )
 
 
 def tensor_setting(axes: str | Sequence[str]) -> MeasurementSetting:
@@ -237,13 +246,7 @@ def tensor_setting(axes: str | Sequence[str]) -> MeasurementSetting:
         for q, bit in enumerate(bits):
             v = np.kron(v, bases[q][int(bit)])
         vectors.append(v)
-    return MeasurementSetting(
-        label=axes,
-        m_qubits=m,
-        outcomes=tuple(bitstring(i, m) for i in range(2**m)),
-        projectors=tuple(outer(v) for v in vectors),
-        vectors=tuple(vectors),
-    )
+    return _rank1_setting(axes, np.array(vectors))
 
 
 def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
@@ -259,27 +262,14 @@ def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
     made of cos/sin multiples of the identity, block by block.
     """
     c, s = np.cos(basis.beta), np.sin(basis.beta)
-    plus_vectors = [c * p + s * m for p, m in basis.pairs]
-    minus_vectors = [s * p - c * m for p, m in basis.pairs]
-    vectors = plus_vectors + minus_vectors
-    m_qubits = basis.m_qubits
-    return MeasurementSetting(
-        label=f"bell_like(beta={basis.beta:.6g})",
-        m_qubits=m_qubits,
-        outcomes=tuple(bitstring(i, m_qubits) for i in range(2**m_qubits)),
-        projectors=tuple(outer(v) for v in vectors),
-        vectors=tuple(vectors),
-        bell_like=basis,
-    )
+    plus, minus = np.array(basis.pairs).swapaxes(0, 1)
+    vectors = np.concatenate([c * plus + s * minus, s * plus - c * minus])
+    return _rank1_setting(f"bell_like(beta={basis.beta:.6g})", vectors, basis)
 
 
 def completeness_check(setting: MeasurementSetting) -> float:
     """Frobenius distance of sum of projectors from the identity."""
-    dim = setting.dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for p in setting.projectors:
-        total += p
-    return float(np.linalg.norm(total - np.eye(dim)))
+    return float(np.linalg.norm(setting.projectors.sum(0) - np.eye(setting.dim)))
 
 
 def transformation_matrix(
@@ -292,25 +282,26 @@ def transformation_matrix(
     """
     if setting_1.m_qubits != setting_2.m_qubits:
         raise DimensionError("settings act on different qubit counts")
-    v1 = setting_1.rank1_vectors()
-    v2 = setting_2.rank1_vectors()
-    return np.array([[np.vdot(b, a) for a in v1] for b in v2], dtype=np.complex128)
+    return setting_2.rank1_vectors().conj() @ setting_1.rank1_vectors().T
 
 
 def settings_equal(
-    a: MeasurementSetting, b: MeasurementSetting, tol: float = 1e-10
+    a: MeasurementSetting, b: MeasurementSetting, tol: float = config.SETTING_TOL
 ) -> bool:
-    """Whether two settings have the same projector set (labels ignored)."""
+    """Whether two settings have the same projector set (labels ignored).
+
+    Each projector of ``a`` takes the first still unmatched projector of ``b``
+    within ``tol``, entrywise.
+    """
     if a.m_qubits != b.m_qubits or a.n_outcomes != b.n_outcomes:
         return False
-    unmatched = list(b.projectors)
+    unmatched = np.ones(b.n_outcomes, dtype=bool)
     for p in a.projectors:
-        for i, q in enumerate(unmatched):
-            if np.max(np.abs(p - q)) <= tol:
-                del unmatched[i]
-                break
-        else:
+        close = np.max(np.abs(b.projectors - p), axis=(1, 2)) <= tol
+        match = np.flatnonzero(unmatched & close)
+        if match.size == 0:
             return False
+        unmatched[match[0]] = False
     return True
 
 
@@ -372,14 +363,7 @@ def random_rank1_setting(
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    vectors = tuple(q[:, i].copy() for i in range(dim))
-    return MeasurementSetting(
-        label=label,
-        m_qubits=m_qubits,
-        outcomes=tuple(bitstring(i, m_qubits) for i in range(dim)),
-        projectors=tuple(outer(v) for v in vectors),
-        vectors=vectors,
-    )
+    return _rank1_setting(label, q.T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +402,12 @@ def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
         count = len(parsed)
         if count < 2 or count & (count - 1):
             raise ParseError(f"{count} vectors cannot form a complete qubit setting", f"{prefix}vectors")
-        m = n_qubits_of(count)
         if any(v.shape[0] != count for v in parsed):
             raise ParseError(f"vectors must each have {count} amplitudes", f"{prefix}vectors")
         norms = [np.linalg.norm(v) for v in parsed]
         if any(abs(n - 1.0) > 1e-8 for n in norms):
             raise ParseError("vectors must be unit norm", f"{prefix}vectors")
-        return MeasurementSetting(
-            label="projectors",
-            m_qubits=m,
-            outcomes=tuple(bitstring(i, m) for i in range(count)),
-            projectors=tuple(outer(v) for v in parsed),
-            vectors=tuple(parsed),
-        )
+        return _rank1_setting("projectors", np.array(parsed))
     if kind == "bell_like":
         if "beta" not in root:
             raise ParseError("missing required key", f"{prefix}beta")

@@ -60,44 +60,40 @@ DECOMPOSITION_EIGEN = "eigen"
 class ConditionalStateSet:
     """Bob's unnormalized conditional states for one setting.
 
-    Operators follow the setting's outcome order; probabilities are the
-    traces.  ``validate`` checks hermiticity, positivity, unit total
-    probability and the non-signalling identity sum_a rho_a = rho_B.
+    ``operators`` is one (K, d_B, d_B) array whose first axis follows the
+    setting's outcome order; probabilities are the traces.  ``validate``
+    checks hermiticity, positivity, unit total probability and the
+    non-signalling identity sum_a rho_a = rho_B.
     """
 
     setting_index: int
     setting_label: str
     bob_qubits: int
     outcomes: tuple[str, ...]
-    operators: tuple[ComplexArray, ...] = field(repr=False)
+    operators: ComplexArray = field(repr=False)
 
     def __post_init__(self) -> None:
-        operators = tuple(as_complex(op) for op in self.operators)
         dim = 2**self.bob_qubits
-        if len(operators) != len(self.outcomes):
+        if len(self.operators) != len(self.outcomes):
             raise ValidationError("outcome labels and operators differ in count")
-        for op in operators:
-            if op.shape != (dim, dim):
+        for op in self.operators:
+            if np.shape(op) != (dim, dim):
                 raise DimensionError(
-                    f"conditional operator has shape {op.shape}, expected {(dim, dim)}"
+                    f"conditional operator has shape {np.shape(op)}, expected {(dim, dim)}"
                 )
-        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "operators", as_complex(self.operators).reshape(-1, dim, dim))
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.array([float(np.trace(op).real) for op in self.operators])
+        return np.trace(self.operators, axis1=1, axis2=2).real
 
     def total(self) -> ComplexArray:
-        out = np.zeros_like(self.operators[0])
-        for op in self.operators:
-            out = out + op
-        return out
+        return self.operators.sum(0)
 
     def validate(self, rho_b: ComplexArray, tols: Tolerances | None = None) -> None:
         tols = tols or Tolerances()
-        stack = np.array(self.operators)
-        not_hermitian = hermiticity_residuals(stack) > tols.hermiticity
-        not_psd = np.linalg.eigvalsh(stack)[:, 0] < -tols.hermiticity
+        not_hermitian = hermiticity_residuals(self.operators) > tols.hermiticity
+        not_psd = np.linalg.eigvalsh(self.operators)[:, 0] < -tols.hermiticity
         bad = np.flatnonzero(not_hermitian | not_psd)
         if bad.size:
             i = bad[0]
@@ -171,13 +167,11 @@ def conditional_states(
         k = setting.n_outcomes
         # branches[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T branches[a, alpha]
         # over alpha is one product with the terms stacked along the rows
-        branches = np.array(setting.projectors).swapaxes(1, 2)[:, None] @ phi.conj()
-        operators = tuple(phi.reshape(-1, d_b).T @ branches.reshape(k, -1, d_b))
+        branches = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
+        operators = phi.reshape(-1, d_b).T @ branches.reshape(k, -1, d_b)
     else:
         r = state.matrix.reshape(d_a, d_b, d_a, d_b)
-        operators = tuple(
-            np.einsum("tc,cjtl->jl", p, r) for p in setting.projectors
-        )
+        operators = np.array([np.einsum("tc,cjtl->jl", p, r) for p in setting.projectors])
     out = ConditionalStateSet(
         setting_index=which,
         setting_label=setting.label,
@@ -228,23 +222,20 @@ def collapse_decomposition(
         raise DimensionError(
             f"alice_qubits must lie in [1, {ensemble.n_qubits - 1}], got {alice_qubits}"
         )
-    u = setting.rank1_vectors()
+    u_conj = setting.rank1_vectors().conj()
     d_a = 2**alice_qubits
     d_b = 2 ** (ensemble.n_qubits - alice_qubits)
     coefficients = np.zeros((ensemble.n_terms, setting.n_outcomes), dtype=np.complex128)
     vectors: list[tuple[ComplexArray | None, ...]] = []
     for a, psi in enumerate(ensemble.vectors):
-        block = psi.reshape(d_a, d_b)
-        row: list[ComplexArray | None] = []
-        for o, u_o in enumerate(u):
-            proj = u_o.conj() @ block
-            norm = float(np.linalg.norm(proj))
-            if norm < 1e-13:
-                row.append(None)
-            else:
-                coefficients[a, o] = norm
-                row.append(proj / norm)
-        vectors.append(tuple(row))
+        # row o is the branch <u_o| (x) 1 applied to psi
+        branches = u_conj @ psi.reshape(d_a, d_b)
+        norms = np.linalg.norm(branches, axis=1)
+        filled = norms >= config.COLLAPSE_FLOOR
+        coefficients[a, filled] = norms[filled]
+        vectors.append(
+            tuple(b / n if f else None for b, n, f in zip(branches, norms, filled))
+        )
     return CollapseDecomposition(
         setting_label=setting.label,
         outcomes=setting.outcomes,
@@ -297,11 +288,10 @@ def purity_requirement(
     counted: list[tuple[str, ...]] = []
     stacks: list[ComplexArray] = []
     for cs in (set1, set2):
-        stack = np.array(cs.operators)
-        probabilities = np.trace(stack, axis1=1, axis2=2).real
+        probabilities = cs.probabilities
         keep = probabilities > prob_floor
-        q = np.zeros(len(stack))
-        q[keep] = purities(stack[keep])
+        q = np.zeros(len(keep))
+        q[keep] = purities(cs.operators[keep])
         for label, p, kept, q_a in zip(cs.outcomes, probabilities, keep, q):
             records.append(
                 OutcomeRecord(cs.setting_index, label, float(p), float(q_a) if kept else None)
@@ -309,7 +299,7 @@ def purity_requirement(
             if not kept:
                 excluded.append((cs.setting_index, label))
         counted.append(tuple(label for label, kept in zip(cs.outcomes, keep) if kept))
-        stacks.append(stack[keep])
+        stacks.append(cs.operators[keep])
     ok = not any(r.purity is not None and abs(r.purity - 1.0) >= tol for r in records)
     labels: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     vectors = None

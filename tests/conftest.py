@@ -72,6 +72,38 @@ def pairwise_candidates(set1, set2, tols=Tolerances()):
     return [outer(v) for v in kept]
 
 
+def loop_lp(set1, set2, candidates):
+    """(a_eq, b_eq) of the feasibility program, one entry at a time.
+
+    Reference for ``build_lp``'s array assembly: same row and column layout,
+    filled by nested loops over outcomes, entries, parts and members.
+    """
+    n1, n2 = len(set1.operators), len(set2.operators)
+    k, dim = len(candidates), set1.operators[0].shape[0]
+    n_matching = 2 * dim * dim * (n1 + n2)
+    a = np.zeros((n_matching + 2 * k + 1, k * (n1 + n2) + k))
+    b = np.zeros(len(a))
+    row = 0
+    for offset, cs in ((0, set1), (n1, set2)):
+        for o, op in enumerate(cs.operators):
+            for r in range(dim):
+                for c in range(dim):
+                    for part in (np.real, np.imag):
+                        for xi, cand in enumerate(candidates):
+                            a[row, xi * (n1 + n2) + offset + o] = float(part(cand[r, c]))
+                        b[row] = float(part(op[r, c]))
+                        row += 1
+    for xi in range(k):
+        for offset, n_out in ((0, n1), (n1, n2)):
+            for o in range(n_out):
+                a[row, xi * (n1 + n2) + offset + o] = 1.0
+            a[row, k * (n1 + n2) + xi] = -1.0
+            row += 1
+    a[row, k * (n1 + n2) :] = 1.0
+    b[row] = 1.0
+    return a, b
+
+
 def random_protocol(m_qubits, seed):
     rng = np.random.default_rng([seed, 17])
     s1 = random_rank1_setting(m_qubits, rng, label="s1")

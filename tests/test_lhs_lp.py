@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_protocol
+from conftest import loop_lp, random_protocol
 from steerlab import (
     EnsembleState,
     PreconditionError,
@@ -106,6 +106,30 @@ class TestProblemAssembly:
         assert res["matching"] < 1e-12
         assert res["coupling"] < 1e-12
         assert res["normalization"] < 1e-12
+
+    @pytest.mark.parametrize(
+        "kind", ["two-qubit", "lc4", "fallback", "rank2-m2", "given"]
+    )
+    def test_matches_loop_reference(self, kind):
+        """The array assembly writes the loop reference's floats, bit for bit."""
+        if kind == "two-qubit":
+            s1, s2 = two_qubit_sets(np.pi / 5)
+        elif kind == "lc4":
+            s1, s2 = sets_for(lc4_mixed(0.4), tensor_protocol("zz", "yx", n_qubits=4))
+        elif kind == "fallback":
+            s1, s2 = sets_for(random_mixed(3, 2, 5), random_protocol(1, 5))
+        elif kind == "rank2-m2":
+            s1, s2 = sets_for(random_mixed(4, 2, 8), random_protocol(2, 8))
+        else:
+            s1, s2 = two_qubit_sets()
+        if kind == "given":
+            candidates = [np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2]
+        else:
+            candidates = problem_for(s1, s2)[0].candidates
+        problem = build_lp(s1, s2, candidates)
+        a, b = loop_lp(s1, s2, candidates)
+        assert problem.a_eq.tobytes() == a.tobytes()
+        assert problem.b_eq.tobytes() == b.tobytes()
 
     def test_rejects_bad_candidate(self):
         s1, s2 = two_qubit_sets()

@@ -14,6 +14,7 @@ from steerlab.linalg import (
     n_qubits_of,
     numerical_rank,
     outer,
+    outers,
     partial_trace,
     phase_equal,
     principal_vector,
@@ -150,6 +151,12 @@ class TestStacks:
         rows = self.stack(seed)[:, 0]
         want = np.array([canonical_phase(r) for r in rows])
         np.testing.assert_array_equal(canonical_phase(rows), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outers_bitwise(self, seed):
+        rows = self.stack(seed)[:, 0]
+        want = np.array([outer(r) for r in rows])
+        assert outers(rows).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_purities(self, seed):

@@ -29,7 +29,7 @@ from steerlab import (
     tensor_setting,
     transformation_matrix,
 )
-from steerlab.linalg import outer, phase_equal
+from steerlab.linalg import canonical_phase, hermitian_eig, outer, phase_equal
 
 
 class TestPauliAndTensor:
@@ -77,20 +77,88 @@ class TestPauliAndTensor:
 
     def test_rejects_non_idempotent(self):
         m = np.diag([0.5, 0.5]).astype(complex)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^projector 0 is not idempotent within 1e-10$"):
             MeasurementSetting(label="bad", m_qubits=1, outcomes=("a", "b"),
                                projectors=(m, np.eye(2) - m))
 
     def test_rejects_incomplete(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="^projectors do not sum to the identity within 1e-10$"
+        ):
             MeasurementSetting(label="bad", m_qubits=1, outcomes=("a",), projectors=(p,))
 
     def test_rejects_duplicate_outcome_labels(self):
         s = tensor_setting("z")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^outcome labels are not unique$"):
             MeasurementSetting(label="bad", m_qubits=1, outcomes=("0", "0"),
                                projectors=s.projectors)
+
+
+Z0 = np.diag([1.0, 0.0]).astype(complex)
+Z1 = np.diag([0.0, 1.0]).astype(complex)
+OBLIQUE = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # idempotent, not Hermitian
+E4 = np.eye(4, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "m, projectors, vectors, error, message",
+    [
+        pytest.param(1, (), None, ValidationError, "setting needs at least one projector",
+                     id="empty"),
+        pytest.param(1, (OBLIQUE, E4[:2, :2] - OBLIQUE), None, ValidationError,
+                     "projector 0 is not Hermitian within 1e-10", id="non-hermitian"),
+        # a projector failing both checks is named for the Hermitian one
+        pytest.param(1, (Z0, np.array([[0.5, 1.0], [0.0, 0.5]])), None, ValidationError,
+                     "projector 1 is not Hermitian within 1e-10", id="hermitian-first"),
+        # the first failing projector is named, whichever check it fails
+        pytest.param(1, (np.diag([0.5, 0.5]), OBLIQUE), None, ValidationError,
+                     "projector 0 is not idempotent within 1e-10", id="first-failing"),
+        pytest.param(1, (Z0, outer(np.array([1.0, 1.0]) / np.sqrt(2))), None, ValidationError,
+                     "projectors 0 and 1 are not orthogonal", id="non-orthogonal"),
+        pytest.param(2, (outer(E4[0]), outer(E4[1]), outer((E4[0] + E4[1]) / np.sqrt(2)),
+                         outer(E4[3])), None, ValidationError,
+                     "projectors 0 and 2 are not orthogonal", id="first-non-orthogonal-pair"),
+        pytest.param(1, (Z0, E4), None, DimensionError,
+                     "projector 1 has shape (4, 4), expected (2, 2)", id="projector-shape"),
+        pytest.param(2, (np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])), None,
+                     ValidationError, "outcome labels and projectors differ in count",
+                     id="label-count"),
+        pytest.param(1, (Z0, Z1), ([1.0, 0.0],), ValidationError,
+                     "vectors and projectors differ in count", id="vector-count"),
+        pytest.param(1, (Z0, Z1), ([1.0, 0.0], [0.0, 1.0, 0.0]), DimensionError,
+                     "vector 1 has shape (3,), expected (2,)", id="vector-shape"),
+        pytest.param(1, (Z0, Z1), ([0.0, 1.0], [1.0, 0.0]), ValidationError,
+                     "vector 0 does not generate projector 0", id="vector-mismatch"),
+        pytest.param(1, (Z0, Z1), ([1.0, 0.0], [0.0, 1.0j * (1 + 1e-8)]), ValidationError,
+                     "vector 1 does not generate projector 1", id="vector-norm"),
+    ],
+)
+def test_setting_rejections(m, projectors, vectors, error, message):
+    outcomes = ("0", "1") if m == 1 else ("00", "01", "10", "11")
+    with pytest.raises(error) as err:
+        MeasurementSetting(label="bad", m_qubits=m, outcomes=outcomes,
+                           projectors=projectors, vectors=vectors)
+    assert str(err.value) == message
+
+
+def test_shapes_checked_before_values():
+    """Every shape is checked before any projector's values."""
+    with pytest.raises(DimensionError, match=r"^projector 1 has shape \(4, 4\), expected \(2, 2\)$"):
+        MeasurementSetting(label="bad", m_qubits=1, outcomes=("0", "1"),
+                           projectors=(OBLIQUE, E4))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [tensor_setting("zz"), random_rank1_setting(3, np.random.default_rng(3))],
+    ids=["zz", "random3"],
+)
+def test_extracted_vectors_bitwise(setting):
+    """Vectors taken from bare projectors are those of the one-projector extraction, bit for bit."""
+    bare = MeasurementSetting("bare", setting.m_qubits, setting.outcomes, setting.projectors)
+    want = [canonical_phase(hermitian_eig(p)[1][:, -1]) for p in setting.projectors]
+    assert np.array(bare.vectors).tobytes() == np.array(want).tobytes()
 
 
 class TestBellLike:

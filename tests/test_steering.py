@@ -137,6 +137,19 @@ class TestConditionalStates:
             total = conditional_states(rho, protocol, which).total()
             np.testing.assert_allclose(total, marginal, atol=1e-10)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_reductions_match_loops(self, seed):
+        """Probabilities and total read off the stack are the per-operator loops' bits."""
+        state, protocol = haar_ensemble(4, 3, seed), random_protocol(2, seed)
+        for which in (1, 2):
+            cs = conditional_states(state, protocol, which)
+            total = np.zeros_like(cs.operators[0])
+            for op in cs.operators:
+                total = total + op
+            traces = np.array([float(np.trace(op).real) for op in cs.operators])
+            assert cs.total().tobytes() == total.tobytes()
+            assert cs.probabilities.tobytes() == traces.tobytes()
+
     def test_dimension_mismatch_rejected(self):
         rho = density_of(two_qubit_theta_state(0.5))
         with pytest.raises(DimensionError):
