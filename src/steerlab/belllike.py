@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .errors import DimensionError, ValidationError
 from .linalg import ComplexArray, as_complex, phase_equal
 from .measurements import BellLikeBasis, computational_family
@@ -69,7 +70,7 @@ class TwoTermForm:
         for alpha, ((sp, sm), slot) in enumerate(zip(self.coefficients, self.slots)):
             if not 0 <= slot < n_slots:
                 raise DimensionError(f"component {alpha} names slot {slot}, family has {n_slots}")
-            if abs(abs(sp) ** 2 + abs(sm) ** 2 - 1.0) > 1e-10:
+            if abs(abs(sp) ** 2 + abs(sm) ** 2 - 1.0) > config.NORM_TOL:
                 raise ValidationError(
                     f"component {alpha} coefficients are not normalized"
                 )
@@ -107,7 +108,7 @@ def two_term_extract(
     ensemble: EnsembleState,
     family: BellLikeBasis | Sequence[tuple[ComplexArray, ComplexArray]],
     alice_qubits: int,
-    support_tol: float = 1e-10,
+    support_tol: float = config.SUPPORT_TOL,
 ) -> TwoTermExtraction:
     """Try to rewrite every component in the one-slot two-term shape.
 
@@ -181,7 +182,7 @@ def two_term_extract(
     return TwoTermExtraction(form=form, violations=())
 
 
-def no_shared_component_check(form: TwoTermForm, tol: float = 1e-8) -> bool:
+def no_shared_component_check(form: TwoTermForm, tol: float = config.PHASE_TOL) -> bool:
     """True when no two components of the form coincide up to a global phase.
 
     Forms produced by two_term_extract pass by construction (their slots are

@@ -9,7 +9,16 @@ from .errors import ValidationError
 
 # matrix / vector checks
 HERMITICITY_TOL = 1e-10
+# ensemble weights sum to 1, a density operator has unit trace
 WEIGHT_TOL = 1e-10
+# state vectors and two-term coefficient pairs have unit norm
+NORM_TOL = 1e-10
+# a density operator's smallest eigenvalue may dip this far below 0
+PSD_TOL = 1e-9
+# unit norm of the basis vectors in a measurement file
+PARSED_NORM_TOL = 1e-8
+# a trace, a norm or a largest entry below this counts as zero
+ZERO_FLOOR = 1e-14
 # projective settings: Hermitian, idempotent, orthogonal, complete, unit-trace
 # rank-1 projectors, orthonormal family vectors, projector-set equality
 SETTING_TOL = 1e-10
@@ -17,6 +26,8 @@ SETTING_TOL = 1e-10
 SETTING_VECTOR_TOL = 1e-9
 # a collapsed branch with a smaller norm is empty
 COLLAPSE_FLOOR = 1e-13
+# a two-term slot with a smaller squared mass is absent
+SUPPORT_TOL = 1e-10
 
 # classification thresholds
 PURITY_TOL = 1e-8
@@ -28,6 +39,8 @@ RANK_TOL = 1e-9
 # feasibility solver
 LP_FEASIBILITY_TOL = 1e-9
 LP_MAX_ITERATIONS = 10**6
+# simplex: smallest reduced cost that enters, smallest column entry that pivots
+LP_PIVOT_TOL = 1e-11
 # candidate members: Hermitian and unit trace, and the Frobenius distance
 # under which two fallback candidates count as one
 CANDIDATE_TOL = 1e-8

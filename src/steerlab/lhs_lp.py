@@ -305,7 +305,11 @@ def _phase1_simplex(
 
     Returns (x, optimum, iterations).  Deterministic: the entering variable is
     the lowest eligible index, ties in the ratio test break toward the lowest
-    basic index.
+    basic index.  Each pivot clears the entering column with one rank-1
+    update of the whole tableau, t -= f t[leave_row] with f the column and
+    f[leave_row] = 0, written through a scratch buffer of the tableau's size
+    that is allocated once per solve.  Every entry is one multiply and one
+    subtract, as in row-by-row elimination, so the pivots are the same.
     """
     m, n = a.shape
     a = a.copy()
@@ -319,38 +323,36 @@ def _phase1_simplex(
     t[:, :n] = a
     t[:, n : n + m] = np.eye(m)
     t[:, -1] = b
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     # reduced costs for min sum(artificials): structural columns start at
     # -(column sum), artificials at 0; objective starts at sum(b)
     cost = np.zeros(n + m + 1)
     cost[:n] = -np.sum(a, axis=0)
     cost[-1] = -float(np.sum(b))
 
-    pivot_tol = 1e-11
+    factors = np.empty(m)
+    step = np.empty_like(t)
     iterations = 0
     while True:
-        eligible = np.flatnonzero(cost[: n + m] < -pivot_tol)
+        eligible = np.flatnonzero(cost[: n + m] < -config.LP_PIVOT_TOL)
         if eligible.size == 0:
             break
         entering = int(eligible[0])
         col = t[:, entering]
-        rows = np.flatnonzero(col > pivot_tol)
+        rows = np.flatnonzero(col > config.LP_PIVOT_TOL)
         if rows.size == 0:
             # the phase-1 objective is bounded below by 0, so an unbounded
             # direction cannot occur; guard anyway
             raise SolverLimitError("phase-1 simplex found an unbounded direction")
         ratios = t[rows, -1] / col[rows]
-        best = float(np.min(ratios))
         # Bland tie-break: smallest basic variable index among minimal ratios
-        leave_row = min(
-            (int(i) for i, r in zip(rows, ratios) if r == best),
-            key=lambda i: basis[i],
-        )
-        pivot = t[leave_row, entering]
-        t[leave_row] /= pivot
-        for i in range(m):
-            if i != leave_row and abs(t[i, entering]) > 0.0:
-                t[i] -= t[i, entering] * t[leave_row]
+        tied = rows[ratios == ratios.min()]
+        leave_row = int(tied[np.argmin(basis[tied])])
+        t[leave_row] /= t[leave_row, entering]
+        factors[:] = col
+        factors[leave_row] = 0.0
+        np.multiply(factors[:, None], t[leave_row], out=step)
+        t -= step
         cost -= cost[entering] * t[leave_row]
         basis[leave_row] = entering
         iterations += 1
@@ -361,8 +363,7 @@ def _phase1_simplex(
 
     optimum = -float(cost[-1])
     x = np.zeros(n + m)
-    for i, var in enumerate(basis):
-        x[var] = t[i, -1]
+    x[basis] = t[:, -1]
     return x[:n], optimum, iterations
 
 

@@ -26,6 +26,13 @@ def as_complex(a: npt.ArrayLike) -> ComplexArray:
     return out
 
 
+def read_only_copy(a: ComplexArray) -> ComplexArray:
+    """A copy that cannot be written, for arrays a validated container keeps."""
+    out = a.copy()
+    out.setflags(write=False)
+    return out
+
+
 def stacked(items: Sequence[npt.ArrayLike], shape: tuple[int, ...], what: str) -> ComplexArray:
     """Arrays of one shape as one complex (K, *shape) array.
 
@@ -136,7 +143,7 @@ def hermitian_eig(
 def purities(stack: ComplexArray) -> npt.NDArray[np.float64]:
     """``purity`` of each matrix of a (K, d, d) stack."""
     tr = np.trace(stack, axis1=1, axis2=2)
-    if np.any(np.abs(tr) < 1e-14):
+    if np.any(np.abs(tr) < config.ZERO_FLOOR):
         raise DegenerateInputError("purity of a (numerically) zero-trace operator is undefined")
     return np.einsum("kij,kji->k", stack, stack).real / tr.real**2
 
@@ -168,7 +175,7 @@ def phase_equal(u: npt.ArrayLike, v: npt.ArrayLike, tol: float = config.PHASE_TO
     if u.shape != v.shape:
         raise DimensionError(f"phase_equal got shapes {u.shape} and {v.shape}")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < 1e-14 or nv < 1e-14:
+    if nu < config.ZERO_FLOOR or nv < config.ZERO_FLOOR:
         raise DegenerateInputError("phase comparison with a zero vector is undefined")
     return bool(1.0 - abs(np.vdot(u, v)) / (nu * nv) < tol)
 
@@ -194,7 +201,7 @@ def canonical_phase(v: npt.ArrayLike) -> ComplexArray:
     v = as_complex(v)
     rows = v if v.ndim == 2 else v.reshape(1, -1)
     pivots = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
-    if np.any(np.abs(pivots) < 1e-14):
+    if np.any(np.abs(pivots) < config.ZERO_FLOOR):
         raise DegenerateInputError("cannot fix the phase of a zero vector")
     # scalar division: numpy's array division rounds differently, and the
     # phases feed the LP's candidates, whose simplex pivots follow every bit

@@ -38,6 +38,7 @@ from .linalg import (
     outers,
     phase_equal,
     principal_vectors,
+    read_only_copy,
     stacked,
 )
 
@@ -142,12 +143,12 @@ class MeasurementSetting:
     """Complete projective measurement on Alice's M qubits.
 
     ``projectors`` is one (K, d, d) array and ``vectors`` one (K, d) array or
-    None; the first axis of both follows ``outcomes``.  Invariants, checked on
-    construction: projectors are Hermitian and idempotent within 1e-10,
-    pairwise orthogonal, sum to the identity within 1e-10, and outcome labels
-    are unique M-bit strings.  ``vectors`` is kept for rank-1 settings (all
-    constructors in this module produce those) and preserves the
-    constructor's sign conventions.
+    None; the first axis of both follows ``outcomes``, and both are read-only
+    copies of the inputs.  Invariants, checked on construction: projectors
+    are Hermitian and idempotent within 1e-10, pairwise orthogonal, sum to
+    the identity within 1e-10, and outcome labels are unique M-bit strings.
+    ``vectors`` is kept for rank-1 settings (all constructors in this module
+    produce those) and preserves the constructor's sign conventions.
     """
 
     label: str
@@ -194,8 +195,8 @@ class MeasurementSetting:
             if bad.size:
                 raise ValidationError(f"vector {bad[0]} does not generate projector {bad[0]}")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "projectors", stack)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "projectors", read_only_copy(stack))
+        object.__setattr__(self, "vectors", None if vectors is None else read_only_copy(vectors))
 
     @property
     def n_outcomes(self) -> int:
@@ -405,7 +406,7 @@ def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
         if any(v.shape[0] != count for v in parsed):
             raise ParseError(f"vectors must each have {count} amplitudes", f"{prefix}vectors")
         norms = [np.linalg.norm(v) for v in parsed]
-        if any(abs(n - 1.0) > 1e-8 for n in norms):
+        if any(abs(n - 1.0) > config.PARSED_NORM_TOL for n in norms):
             raise ParseError("vectors must be unit norm", f"{prefix}vectors")
         return _rank1_setting("projectors", np.array(parsed))
     if kind == "bell_like":

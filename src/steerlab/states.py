@@ -75,7 +75,7 @@ class EnsembleState:
                 raise DimensionError(
                     f"ensemble vector {i} has {v.shape[0]} amplitudes, expected {dim}"
                 )
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            if abs(np.linalg.norm(v) - 1.0) > config.NORM_TOL:
                 raise ValidationError(f"ensemble vector {i} is not normalized")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vectors", vectors)
@@ -110,10 +110,11 @@ class DensityMatrix:
             )
         if not is_hermitian(m, config.HERMITICITY_TOL):
             raise ValidationError("density matrix is not Hermitian within 1e-10")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-9:
+        if np.min(np.linalg.eigvalsh(m)) < -config.PSD_TOL:
             raise ValidationError("density matrix is not positive semidefinite within 1e-9")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise ValidationError(f"density matrix trace {np.trace(m)!r} is not 1")
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > config.WEIGHT_TOL or abs(trace.imag) > config.WEIGHT_TOL:
+            raise ValidationError(f"density matrix trace {trace!r} is not 1")
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -44,6 +44,7 @@ from .linalg import (
     phase_coincidences,
     principal_vectors,
     purities,
+    read_only_copy,
 )
 from .measurements import MeasurementSetting, SteeringProtocol, same_family
 from .states import DensityMatrix, EnsembleState
@@ -60,10 +61,10 @@ DECOMPOSITION_EIGEN = "eigen"
 class ConditionalStateSet:
     """Bob's unnormalized conditional states for one setting.
 
-    ``operators`` is one (K, d_B, d_B) array whose first axis follows the
-    setting's outcome order; probabilities are the traces.  ``validate``
-    checks hermiticity, positivity, unit total probability and the
-    non-signalling identity sum_a rho_a = rho_B.
+    ``operators`` is one read-only (K, d_B, d_B) array, a copy of the input,
+    whose first axis follows the setting's outcome order; probabilities are
+    the traces.  ``validate`` checks hermiticity, positivity, unit total
+    probability and the non-signalling identity sum_a rho_a = rho_B.
     """
 
     setting_index: int
@@ -81,7 +82,8 @@ class ConditionalStateSet:
                 raise DimensionError(
                     f"conditional operator has shape {np.shape(op)}, expected {(dim, dim)}"
                 )
-        object.__setattr__(self, "operators", as_complex(self.operators).reshape(-1, dim, dim))
+        operators = as_complex(self.operators).reshape(-1, dim, dim)
+        object.__setattr__(self, "operators", read_only_copy(operators))
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -470,6 +472,12 @@ class ParadoxReport:
                 )
             else:
                 lines.append(f"lhs-lp: {self.lp_verdict}")
+            if self.verdict == PARADOX and self.lp_verdict == "feasible":
+                # the one combination the 2 = 1 argument rules out
+                lines.append(
+                    "warning: LP oracle found a hidden-state model although the "
+                    "structural verdict is PARADOX"
+                )
         return "\n".join(lines) + "\n"
 
 

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from steerlab import (
+    SolverLimitError,
     SteeringProtocol,
     Tolerances,
     random_rank1_setting,
     settings_equal,
     tensor_protocol,
 )
+from steerlab import config
 from steerlab.linalg import outer, phase_equal, principal_vector
 
 
@@ -102,6 +104,62 @@ def loop_lp(set1, set2, candidates):
     a[row, k * (n1 + n2) :] = 1.0
     b[row] = 1.0
     return a, b
+
+
+def loop_simplex(a, b, max_iter):
+    """Phase-1 simplex with Bland's rule, eliminating one tableau row at a time.
+
+    Reference for ``lhs_lp._phase1_simplex``'s rank-1 update: same tableau,
+    same pivot rule and tolerance, same return value and errors; rows whose
+    entering-column entry is zero are skipped.
+    """
+    m, n = a.shape
+    a = a.copy()
+    b = b.copy()
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    t = np.zeros((m, n + m + 1))
+    t[:, :n] = a
+    t[:, n : n + m] = np.eye(m)
+    t[:, -1] = b
+    basis = list(range(n, n + m))
+    cost = np.zeros(n + m + 1)
+    cost[:n] = -np.sum(a, axis=0)
+    cost[-1] = -float(np.sum(b))
+    iterations = 0
+    while True:
+        eligible = np.flatnonzero(cost[: n + m] < -config.LP_PIVOT_TOL)
+        if eligible.size == 0:
+            break
+        entering = int(eligible[0])
+        col = t[:, entering]
+        rows = np.flatnonzero(col > config.LP_PIVOT_TOL)
+        if rows.size == 0:
+            raise SolverLimitError("phase-1 simplex found an unbounded direction")
+        ratios = t[rows, -1] / col[rows]
+        best = float(np.min(ratios))
+        leave_row = min(
+            (int(i) for i, r in zip(rows, ratios) if r == best),
+            key=lambda i: basis[i],
+        )
+        pivot = t[leave_row, entering]
+        t[leave_row] /= pivot
+        for i in range(m):
+            if i != leave_row and abs(t[i, entering]) > 0.0:
+                t[i] -= t[i, entering] * t[leave_row]
+        cost -= cost[entering] * t[leave_row]
+        basis[leave_row] = entering
+        iterations += 1
+        if iterations >= max_iter:
+            raise SolverLimitError(
+                f"phase-1 simplex exceeded {max_iter} iterations without converging"
+            )
+    optimum = -float(cost[-1])
+    x = np.zeros(n + m)
+    for i, var in enumerate(basis):
+        x[var] = t[i, -1]
+    return x[:n], optimum, iterations
 
 
 def random_protocol(m_qubits, seed):

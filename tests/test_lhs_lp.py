@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_lp, random_protocol
+from conftest import loop_lp, loop_simplex, random_protocol
 from steerlab import (
     EnsembleState,
     PreconditionError,
@@ -25,6 +25,8 @@ from steerlab import (
     two_qubit_theta_state,
     verify_model,
 )
+from steerlab import config
+from steerlab.lhs_lp import _phase1_simplex
 
 
 def sets_for(state, protocol):
@@ -213,3 +215,82 @@ class TestSolver:
         np.testing.assert_allclose(np.sum(model.member_weights), 1.0, atol=1e-9)
         for table in model.responses:
             np.testing.assert_allclose(np.sum(table, axis=1), 1.0, atol=1e-9)
+
+
+def _random_n4(rank, seed):
+    return sets_for(random_mixed(4, rank, seed), random_protocol(2, seed))
+
+
+# The LP instances of this file and of test_acceptance.py, by kind, and random
+# n=4/M=2 ones that finish within 600 pivots under the default budget.
+SIMPLEX_CASES = {
+    **{
+        f"paradox-two-qubit-{k}": (lambda k=k: two_qubit_sets(k * np.pi / 24))
+        for k in (3, 4, 5, 6, 8, 9)
+    },
+    **{
+        f"paradox-lc4-{name}": (
+            lambda theta=theta: sets_for(
+                lc4_mixed(theta), tensor_protocol("zz", "yx", n_qubits=4)
+            )
+        )
+        for name, theta in (
+            ("pi/6", np.pi / 6), ("pi/4", np.pi / 4), ("pi/3", np.pi / 3), ("0.4", 0.4)
+        )
+    },
+    "feasible-product": lambda: sets_for(
+        EnsembleState(2, (1.0,), (basis_ket(2, 0),)), tensor_protocol("z", "x", n_qubits=2)
+    ),
+    "feasible-mixture": lambda: sets_for(
+        EnsembleState(2, (0.5, 0.5), (basis_ket(2, 0), basis_ket(2, 3))),
+        tensor_protocol("z", "x", n_qubits=2),
+    ),
+    "fallback-n3": lambda: sets_for(random_mixed(3, 2, 5), random_protocol(1, 5)),
+    "fallback-n2-rank2": lambda: sets_for(random_mixed(2, 2, 11), random_protocol(1, 11)),
+    "haar-n2-9990": lambda: sets_for(random_mixed(2, 1, 9990), random_protocol(1, 9990)),
+    **{f"haar-n4-{seed}": (lambda seed=seed: _random_n4(1, seed)) for seed in range(6)},
+    **{f"rank2-n4-{seed}": (lambda seed=seed: _random_n4(2, seed)) for seed in (1, 2, 6, 10)},
+}
+
+
+def _simplex_outcome(solve, problem, max_iter):
+    """What a solve returns, as bytes, or the message it raised."""
+    try:
+        x, optimum, iterations = solve(problem.a_eq, problem.b_eq, max_iter)
+    except SolverLimitError as exc:
+        return str(exc)
+    return x.tobytes(), np.float64(optimum).tobytes(), iterations
+
+
+class TestSimplexDifferential:
+    """The rank-1 pivot update takes the row loop's pivot path, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(SIMPLEX_CASES))
+    def test_matches_loop_reference(self, case):
+        s1, s2 = SIMPLEX_CASES[case]()
+        problem, _ = problem_for(s1, s2)
+        budget = config.LP_MAX_ITERATIONS
+        expected = _simplex_outcome(loop_simplex, problem, budget)
+        assert _simplex_outcome(_phase1_simplex, problem, budget) == expected
+        # a budget of half the pivots stops the solve midway
+        cut = max(1, expected[2] // 2)
+        expected = _simplex_outcome(loop_simplex, problem, cut)
+        assert isinstance(expected, str)
+        assert _simplex_outcome(_phase1_simplex, problem, cut) == expected
+
+    def test_given_candidates(self):
+        s1, s2 = two_qubit_sets()
+        problem = build_lp(s1, s2, [np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2])
+        budget = config.LP_MAX_ITERATIONS
+        assert _simplex_outcome(_phase1_simplex, problem, budget) == _simplex_outcome(
+            loop_simplex, problem, budget
+        )
+
+    @pytest.mark.parametrize("seed", [0, 4, 8])
+    def test_stalled_solve_stops_alike(self, seed):
+        """Rank-2 relative-mode instances that run past the pivot budget."""
+        problem, relative = problem_for(*_random_n4(2, seed))
+        assert relative
+        expected = _simplex_outcome(loop_simplex, problem, 300)
+        assert expected == "phase-1 simplex exceeded 300 iterations without converging"
+        assert _simplex_outcome(_phase1_simplex, problem, 300) == expected

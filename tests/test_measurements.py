@@ -320,3 +320,21 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError) as err:
             load_protocol(doc)
         assert "setting_2" in str(err.value)
+
+
+@pytest.mark.parametrize("with_vectors", [True, False], ids=["vectors", "bare"])
+def test_setting_keeps_its_own_read_only_arrays(with_vectors):
+    """Writing into the caller's arrays does not reach the setting, nor can the setting be written."""
+    source = tensor_setting("z")
+    projectors = np.array(source.projectors)
+    vectors = np.array(source.vectors) if with_vectors else None
+    setting = MeasurementSetting("z", 1, ("0", "1"), projectors, vectors)
+    kept = setting.projectors.tobytes(), setting.vectors.tobytes()
+    projectors[0, 0, 0] = 5
+    if with_vectors:
+        vectors[0, 0] = 5
+    assert (setting.projectors.tobytes(), setting.vectors.tobytes()) == kept
+    with pytest.raises(ValueError, match="read-only"):
+        setting.projectors[0, 0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        setting.vectors[0, 0] = 5

@@ -1,6 +1,7 @@
 """Conditional states, the two requirements, verdicts and report rendering."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ class TestConditionalStates:
         _, rho, protocol = two_qubit_setup(0.8)
         sset = conditional_states(rho, protocol, 1)
         sset.validate(bob_marginal(rho, 1))
+
+    def test_operators_are_a_read_only_copy(self):
+        ops = np.array([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])], dtype=complex)
+        sset = ConditionalStateSet(1, "s", 1, ("a", "b"), ops)
+        kept = sset.operators.tobytes()
+        ops[0, 0, 0] = 5
+        assert sset.operators.tobytes() == kept
+        with pytest.raises(ValueError, match="read-only"):
+            sset.operators[0, 0, 0] = 5
 
     @pytest.mark.parametrize(
         "order, message",
@@ -594,6 +604,26 @@ class TestReportRendering:
         mix = EnsembleState(2, (0.5, 0.5), (basis_ket(2, 0), basis_ket(2, 3)))
         text = certify(mix, tensor_protocol("z", "x", n_qubits=2)).to_text()
         assert "lhs=not-forced" in text
+
+    def test_warns_when_lp_contradicts_paradox(self):
+        state, _, protocol = two_qubit_setup(np.pi / 4)
+        report = certify(state, protocol, lp=True)
+        warning = (
+            "warning: LP oracle found a hidden-state model although the structural "
+            "verdict is PARADOX\n"
+        )
+        assert report.verdict == PARADOX and report.lp_verdict == "infeasible"
+        assert warning not in report.to_text()
+        clash = replace(report, lp_verdict="feasible")
+        assert clash.to_text() == report.to_text().replace(
+            "lhs-lp: infeasible", "lhs-lp: feasible"
+        ) + warning
+        assert json.dumps(clash.to_json_dict(), sort_keys=True) == json.dumps(
+            report.to_json_dict(), sort_keys=True
+        ).replace('"infeasible"', '"feasible"')
+        # a feasible LP beside any other verdict is no contradiction
+        for verdict in (NO_PARADOX_PURITY, NO_PARADOX_CROSS_DUPLICATE):
+            assert warning not in replace(clash, verdict=verdict).to_text()
 
     def test_json_dict_shape(self):
         state, _, protocol = two_qubit_setup(np.pi / 4)
