@@ -41,6 +41,7 @@ from .linalg import (
     outer,
     outers,
     phase_coincidences,
+    read_only_copy,
     stacked,
 )
 from .steering import ConditionalStateSet, PurityCheck, purity_requirement
@@ -134,7 +135,7 @@ class LpProblem:
     n_members: int
     n_outcomes: tuple[int, int]
     outcome_labels: tuple[tuple[str, ...], tuple[str, ...]]
-    candidates: ComplexArray = field(repr=False)  # (n_members, d_B, d_B)
+    candidates: ComplexArray = field(repr=False)  # (n_members, d_B, d_B), read-only
     matching_rows: tuple[int, int]
     coupling_rows: tuple[int, int]
     normalization_row: int
@@ -209,7 +210,7 @@ def build_lp(
     dim = set1.operators.shape[1]
     if set2.operators.shape[1] != dim:
         raise DimensionError("the two conditional sets live on different Bob dimensions")
-    cands = stacked(candidates, (dim, dim), "candidate")
+    cands = read_only_copy(stacked(candidates, (dim, dim), "candidate"))
     not_hermitian = hermiticity_residuals(cands) > config.CANDIDATE_TOL
     not_unit = np.abs(np.trace(cands, axis1=1, axis2=2).real - 1.0) > config.CANDIDATE_TOL
     bad = np.flatnonzero(not_hermitian | not_unit)

@@ -221,10 +221,3 @@ def principal_vectors(
         raise ValidationError(f"matrix is not Hermitian within {tol:g}")
     _, v = np.linalg.eigh(stack)
     return canonical_phase(v[..., -1])
-
-
-def principal_vector(rho: npt.ArrayLike) -> ComplexArray:
-    """Top (largest-eigenvalue) eigenvector of a Hermitian matrix, phase-fixed."""
-    rho = as_complex(rho)
-    require_square(rho, "principal_vector")
-    return principal_vectors(rho[None])[0]

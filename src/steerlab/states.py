@@ -33,6 +33,7 @@ from .linalg import (
     hermitian_eig,
     is_hermitian,
     outer,
+    read_only_copy,
 )
 
 
@@ -46,7 +47,7 @@ class EnsembleState:
 
     Invariants, checked on construction: every weight is positive, the weights
     sum to one within 1e-10, and every vector is unit norm on 2**n_qubits
-    amplitudes.
+    amplitudes.  ``vectors`` holds read-only copies of the inputs.
     """
 
     n_qubits: int
@@ -62,7 +63,7 @@ class EnsembleState:
                 f"{config.max_dim()}"
             )
         weights = tuple(float(w) for w in self.weights)
-        vectors = tuple(as_complex(v).ravel() for v in self.vectors)
+        vectors = tuple(read_only_copy(as_complex(v).ravel()) for v in self.vectors)
         if len(weights) == 0 or len(weights) != len(vectors):
             raise ValidationError("ensemble needs matching, non-empty weights and vectors")
         if any(w <= 0.0 for w in weights):
@@ -90,7 +91,9 @@ class DensityMatrix:
     """Validated density operator on n qubits.
 
     Invariants: Hermitian within 1e-10, positive semidefinite within 1e-9,
-    unit trace within 1e-10.
+    unit trace within 1e-10.  The PSD test asks whether matrix + 1e-9 * I
+    has a Cholesky factor, which holds exactly when no eigenvalue lies below
+    -1e-9; it reads only the lower triangle, so Hermiticity is checked first.
     """
 
     n_qubits: int
@@ -110,8 +113,16 @@ class DensityMatrix:
             )
         if not is_hermitian(m, config.HERMITICITY_TOL):
             raise ValidationError("density matrix is not Hermitian within 1e-10")
-        if np.min(np.linalg.eigvalsh(m)) < -config.PSD_TOL:
-            raise ValidationError("density matrix is not positive semidefinite within 1e-9")
+        # shift one copy in place: m + PSD_TOL * eye(dim) would hold two more
+        # 2^N x 2^N arrays at once
+        shifted = m.copy()
+        shifted.ravel()[:: dim + 1] += config.PSD_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise ValidationError(
+                "density matrix is not positive semidefinite within 1e-9"
+            ) from None
         trace = np.trace(m)
         if abs(trace.real - 1.0) > config.WEIGHT_TOL or abs(trace.imag) > config.WEIGHT_TOL:
             raise ValidationError(f"density matrix trace {trace!r} is not 1")

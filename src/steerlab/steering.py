@@ -148,9 +148,9 @@ def conditional_states(
 ) -> ConditionalStateSet:
     """Bob's conditional states for setting ``which`` (1 or 2) of the protocol.
 
-    An ensemble is contracted from its amplitudes, for every outcome at once
-    and for projectors of any rank; a density matrix is contracted one
-    outcome at a time.
+    Both inputs are contracted for every outcome at once and for projectors
+    of any rank: an ensemble from its amplitudes, a density matrix in one
+    product of the flattened projector stack with the reordered matrix.
     """
     if which not in (1, 2):
         raise DimensionError(f"which must be 1 or 2, got {which}")
@@ -164,16 +164,20 @@ def conditional_states(
         raise DimensionError(f"alice_qubits={m} leaves Bob empty for n={n}")
     setting = protocol.settings[which - 1]
     d_a, d_b = 2**m, 2 ** (n - m)
+    k = setting.n_outcomes
     if isinstance(state, EnsembleState):
         phi = _amplitudes(state, m)
-        k = setting.n_outcomes
         # branches[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T branches[a, alpha]
         # over alpha is one product with the terms stacked along the rows
         branches = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
         operators = phi.reshape(-1, d_b).T @ branches.reshape(k, -1, d_b)
     else:
-        r = state.matrix.reshape(d_a, d_b, d_a, d_b)
-        operators = np.array([np.einsum("tc,cjtl->jl", p, r) for p in setting.projectors])
+        # rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)]: with rho's axes
+        # ordered (t, c, j, l), all outcomes are one product over (t, c)
+        r = state.matrix.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3)
+        operators = (
+            setting.projectors.reshape(k, d_a * d_a) @ r.reshape(d_a * d_a, d_b * d_b)
+        ).reshape(k, d_b, d_b)
     out = ConditionalStateSet(
         setting_index=which,
         setting_label=setting.label,

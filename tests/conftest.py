@@ -18,7 +18,13 @@ from steerlab import (
     tensor_protocol,
 )
 from steerlab import config
-from steerlab.linalg import outer, phase_equal, principal_vector
+from steerlab.linalg import (
+    as_complex,
+    outer,
+    phase_equal,
+    principal_vectors,
+    require_square,
+)
 
 
 def brute_conditional(rho, projector, n_qubits, alice_qubits):
@@ -34,6 +40,28 @@ def brute_conditional(rho, projector, n_qubits, alice_qubits):
     for t in range(d_a):
         out += big[t * d_b : (t + 1) * d_b, t * d_b : (t + 1) * d_b]
     return out
+
+
+def loop_conditional(rho, projectors, n_qubits, alice_qubits):
+    """Bob's unnormalized conditional states, one einsum per outcome.
+
+    Reference for ``conditional_states``' single product on density input:
+    rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)].
+    """
+    d_a = 2**alice_qubits
+    d_b = 2 ** (n_qubits - alice_qubits)
+    r = rho.reshape(d_a, d_b, d_a, d_b)
+    return np.array([np.einsum("tc,cjtl->jl", p, r) for p in projectors])
+
+
+def principal_vector(rho):
+    """Top (largest-eigenvalue) eigenvector of a Hermitian matrix, phase-fixed.
+
+    Reference for ``linalg.principal_vectors``, one matrix at a time.
+    """
+    rho = as_complex(rho)
+    require_square(rho, "principal_vector")
+    return principal_vectors(rho[None])[0]
 
 
 def _counted_vectors(cs, tols):

@@ -140,6 +140,22 @@ class TestProblemAssembly:
         with pytest.raises(ValidationError):
             build_lp(s1, s2, [np.diag([2.0, 0.0]).astype(complex)])
 
+    def test_candidates_are_a_read_only_copy(self):
+        """Writing into the caller's candidates reaches neither the program nor its model."""
+        s1, s2 = sets_for(
+            EnsembleState(2, (1.0,), (basis_ket(2, 0),)), tensor_protocol("z", "x", n_qubits=2)
+        )
+        source = np.array(candidate_ensemble(s1, s2))
+        problem = build_lp(s1, s2, source)
+        model = solve_feasibility(problem).model
+        kept = problem.candidates.tobytes()
+        source[0, 0, 0] = 9
+        assert problem.candidates.tobytes() == kept
+        assert model.member_states.tobytes() == kept
+        for stored in (problem.candidates, model.member_states):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0, 0] = 9
+
     def test_json_dump_shape(self):
         import json
 

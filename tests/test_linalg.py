@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import principal_vector
 from steerlab import DegenerateInputError, DimensionError, ValidationError
 from steerlab.linalg import (
     as_complex,
@@ -17,7 +18,6 @@ from steerlab.linalg import (
     outers,
     partial_trace,
     phase_equal,
-    principal_vector,
     principal_vectors,
     purities,
     purity,

@@ -25,6 +25,8 @@ from steerlab import (
     save_state,
     two_qubit_theta_state,
 )
+from steerlab import config
+from steerlab.linalg import is_hermitian
 
 
 class TestContainers:
@@ -62,6 +64,14 @@ class TestContainers:
         d = DensityMatrix(1, np.diag([0.25, 0.75]).astype(complex))
         assert d.dim == 2
 
+    def test_ensemble_keeps_its_own_read_only_vectors(self):
+        source = np.array([basis_ket(2, 0)])
+        ens = EnsembleState(2, (1.0,), (source[0],))
+        source[0, 0] = 7
+        np.testing.assert_array_equal(ens.vectors[0], basis_ket(2, 0))
+        with pytest.raises(ValueError, match="read-only"):
+            ens.vectors[0][0] = 7
+
     def test_basis_ket(self):
         v = basis_ket(2, 0b10)
         assert v[2] == 1.0
@@ -74,6 +84,53 @@ class TestContainers:
             EnsembleState(3, (1.0,), (basis_ket(3, 0),))
         with pytest.raises(DimensionError):
             DensityMatrix(3, np.eye(8) / 8)
+
+
+def boundary_density(n, rank, lam_min):
+    """Exactly Hermitian operator with `rank` positive eigenvalues and one at `lam_min`.
+
+    The eigenvalues sum to 1, every other eigenvalue is 0, and the eigenvectors
+    are Haar-random orthonormal columns.
+    """
+    rng = np.random.default_rng([n, rank])
+    dim = 2**n
+    g = rng.standard_normal((dim, rank + 1)) + 1j * rng.standard_normal((dim, rank + 1))
+    v, _ = np.linalg.qr(g)
+    positive = rng.dirichlet(np.ones(rank)) * (1.0 - lam_min)
+    m = (v * np.append(positive, lam_min)) @ v.conj().T
+    return (m + m.conj().T) / 2
+
+
+BOUNDARY_CASES = [
+    (n, rank, shift)
+    for n in (1, 3, 5, 9)
+    for rank in range(1, 5)
+    if rank < 2**n
+    for shift in (-1e-2, 1e-2, -1e-3, 1e-3)
+]
+
+
+class TestPsdBoundary:
+    """Inputs whose smallest eigenvalue sits just either side of -PSD_TOL."""
+
+    @pytest.mark.parametrize("n, rank, shift", BOUNDARY_CASES)
+    def test_boundary(self, n, rank, shift):
+        lam_min = -config.PSD_TOL * (1.0 + shift)
+        m = boundary_density(n, rank, lam_min)
+        assert is_hermitian(m, 0.0)
+        assert abs(np.trace(m) - 1.0) < 1e-14
+        # the fixture is on the side it claims
+        assert abs(np.linalg.eigvalsh(m)[0] - lam_min) < 1e-3 * config.PSD_TOL / 10
+        if shift > 0:
+            with pytest.raises(ValidationError, match="not positive semidefinite within 1e-9"):
+                DensityMatrix(n, m)
+        else:
+            np.testing.assert_array_equal(DensityMatrix(n, m).matrix, m)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_accepts_large_valid_inputs(self, rank):
+        rho = density_of(random_mixed(9, rank, seed=rank))
+        np.testing.assert_array_equal(DensityMatrix(9, rho.matrix).matrix, rho.matrix)
 
 
 class TestThetaFamilies:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_conditional,
+    loop_conditional,
     pairwise_candidates,
     pairwise_duplicates,
     random_protocol,
@@ -43,6 +44,7 @@ from steerlab import (
     purity_requirement,
     random_mixed,
     random_pure,
+    random_rank1_setting,
     rank_bound_check,
     tensor_protocol,
     tensor_setting,
@@ -220,6 +222,30 @@ def assert_same_report(got, want):
             assert ra["purity"] == pytest.approx(rb["purity"], abs=1e-10)
     a.pop("decomposition_used"), b.pop("decomposition_used")
     assert a == b
+
+
+def coarse_haar_setting(m_qubits, seed):
+    """Rank-2 projectors: the Haar basis vectors of a random setting, summed in pairs."""
+    fine = random_rank1_setting(m_qubits, np.random.default_rng([seed, 5]))
+    pairs = fine.projectors.reshape(-1, 2, 2**m_qubits, 2**m_qubits).sum(1)
+    labels = tuple(f"c{i}" for i in range(len(pairs)))
+    return MeasurementSetting(label="coarse", m_qubits=m_qubits, outcomes=labels, projectors=pairs)
+
+
+class TestDensityContraction:
+    """Density input, contracted in one product, against the per-outcome einsum loop."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 7) for m in range(1, n)])
+    def test_matches_einsum_loop(self, n, m, seed):
+        rho = density_of(random_mixed(n, 1 + seed, seed + 10 * n + m))
+        protocol = random_protocol(m, seed)
+        if m >= 2:
+            protocol = replace(protocol, setting_2=coarse_haar_setting(m, seed))
+        for which, setting in ((1, protocol.setting_1), (2, protocol.setting_2)):
+            got = conditional_states(rho, protocol, which).operators
+            want = loop_conditional(rho.matrix, setting.projectors, n, m)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 class TestAmplitudePath:
