@@ -87,10 +87,6 @@ class TwoTermForm:
         eta_p, eta_m = self.bob_pairs[alpha]
         return sp * np.kron(plus, eta_p) + sm * np.kron(minus, eta_m)
 
-    def to_ensemble(self) -> EnsembleState:
-        vectors = tuple(self.component_vector(a) for a in range(self.n_components))
-        return EnsembleState(self.n_qubits, self.weights, vectors)
-
 
 @dataclass(frozen=True)
 class TwoTermExtraction:

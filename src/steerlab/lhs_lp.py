@@ -153,28 +153,6 @@ class LpProblem:
         n1, n2 = self.n_outcomes
         return self.n_members * (n1 + n2) + member
 
-    def pack(self, weights: np.ndarray, responses: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Variable vector for an explicit assignment (for residual analysis)."""
-        x = np.zeros(self.n_variables)
-        for xi in range(self.n_members):
-            for which in (1, 2):
-                table = responses[which - 1]
-                for a in range(self.n_outcomes[which - 1]):
-                    x[self.w_index(xi, which, a)] = table[xi, a] * weights[xi]
-            x[self.weight_index(xi)] = weights[xi]
-        return x
-
-    def residuals(self, x: np.ndarray) -> dict[str, float]:
-        """Max absolute violation per row group for a candidate solution."""
-        r = self.a_eq @ x - self.b_eq
-        m0, m1 = self.matching_rows
-        c0, c1 = self.coupling_rows
-        return {
-            "matching": float(np.max(np.abs(r[m0:m1]), initial=0.0)),
-            "coupling": float(np.max(np.abs(r[c0:c1]), initial=0.0)),
-            "normalization": float(abs(r[self.normalization_row])),
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "n_members": self.n_members,

@@ -21,7 +21,7 @@ ComplexArray = npt.NDArray[np.complex128]
 def as_complex(a: npt.ArrayLike) -> ComplexArray:
     """Coerce to a complex128 array, rejecting non-finite entries."""
     out = np.asarray(a, dtype=np.complex128)
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+    if not np.isfinite(out).all():
         raise ValidationError("array contains non-finite entries")
     return out
 

@@ -114,10 +114,6 @@ class BellLikeBasis:
     def n_slots(self) -> int:
         return len(self.pairs)
 
-    def with_beta(self, beta: float) -> BellLikeBasis:
-        """Same family at a different angle."""
-        return BellLikeBasis(beta, self.pairs, self.family_label)
-
 
 def computational_family(m_qubits: int) -> tuple[tuple[ComplexArray, ComplexArray], ...]:
     """Computational basis paired consecutively: (|0..0>,|0..1>), (|0..10>,|0..11>), ..."""

@@ -31,7 +31,7 @@ from .linalg import (
     as_complex,
     canonical_phase,
     hermitian_eig,
-    is_hermitian,
+    hermiticity_residuals,
     outer,
     read_only_copy,
 )
@@ -111,7 +111,7 @@ class DensityMatrix:
                 f"{self.n_qubits} qubits exceed the configured dimension cap "
                 f"{config.max_dim()}"
             )
-        if not is_hermitian(m, config.HERMITICITY_TOL):
+        if hermiticity_residuals(m) > config.HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
         # shift one copy in place: m + PSD_TOL * eye(dim) would hold two more
         # 2^N x 2^N arrays at once

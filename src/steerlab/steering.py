@@ -11,7 +11,13 @@ amplitudes, with each psi_alpha reshaped to a d_A x d_B matrix Psi_alpha:
 
     rho_a^k = sum_alpha p_alpha Psi_alpha^T (P_a^k)^T Psi_alpha^*,
 
-so the 2^N x 2^N density operator is never built.  Summing the traces over both
+so the 2^N x 2^N density operator is never built.  Under a rank-1 setting
+with basis vectors u_a this is rho_a = W_a W_a^H, whose columns are the
+branches w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a).  The T x T Gram
+matrix G_a = W_a^H W_a has the same nonzero eigenvalues as rho_a, so with
+fewer terms than Bob's dimension the PSD test, the purity
+tr(G_a^2) / tr(G_a)^2 and the principal vector W_a g / ||W_a g|| (g the top
+eigenvector of G_a) are all read from it.  Summing the traces over both
 complete settings always gives 2.  A local-hidden-state explanation forces the
 same total down to tr(rho_B) = 1 whenever two structural requirements hold:
 every nonzero-probability conditional state is pure, and no conditional state
@@ -37,9 +43,9 @@ from .errors import (
 from .linalg import (
     ComplexArray,
     as_complex,
+    canonical_phase,
     hermiticity_residuals,
     numerical_rank,
-    outer,
     partial_trace,
     phase_coincidences,
     principal_vectors,
@@ -65,6 +71,13 @@ class ConditionalStateSet:
     whose first axis follows the setting's outcome order; probabilities are
     the traces.  ``validate`` checks hermiticity, positivity, unit total
     probability and the non-signalling identity sum_a rho_a = rho_B.
+
+    ``branches`` is None or a read-only (K, T, d_B) array whose row
+    (a, alpha) is the branch w_{a,alpha}, so that rho_a = sum_alpha
+    w w^H.  Only ``conditional_states`` sets it, together with the operators
+    it builds from it; the PSD test, purities and principal vectors then
+    come from the T x T Gram stack, and hermiticity and the marginal from
+    the operators.
     """
 
     setting_index: int
@@ -72,6 +85,7 @@ class ConditionalStateSet:
     bob_qubits: int
     outcomes: tuple[str, ...]
     operators: ComplexArray = field(repr=False)
+    branches: ComplexArray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = 2**self.bob_qubits
@@ -92,10 +106,41 @@ class ConditionalStateSet:
     def total(self) -> ComplexArray:
         return self.operators.sum(0)
 
+    def _evidence_stack(self) -> ComplexArray:
+        """The operators, or the Gram stack G_a = W_a^H W_a when branches are kept."""
+        if self.branches is None:
+            return self.operators
+        return self.branches.conj() @ self.branches.swapaxes(1, 2)
+
+    def purities(self, keep: np.ndarray) -> np.ndarray:
+        """Purity of the states that ``keep`` selects: tr(G^2) / tr(G)^2 with branches."""
+        return purities(self._evidence_stack()[keep])
+
+    def principal_vectors(self, keep: np.ndarray) -> ComplexArray:
+        """Unit, phase-fixed principal vectors of the states that ``keep`` selects.
+
+        With branches, the vector is W_a g / ||W_a g|| for g the top
+        eigenvector of G_a, and w / ||w|| without an eigensolver when T = 1.
+        """
+        if self.branches is None:
+            return principal_vectors(self.operators[keep])
+        w = self.branches[keep]
+        if w.shape[1] > 1:
+            _, g = np.linalg.eigh(self._evidence_stack()[keep])
+            w = g[:, None, :, -1] @ w
+        top = w[:, 0]
+        return canonical_phase(top / np.linalg.norm(top, axis=1)[:, None])
+
     def validate(self, rho_b: ComplexArray, tols: Tolerances | None = None) -> None:
         tols = tols or Tolerances()
         not_hermitian = hermiticity_residuals(self.operators) > tols.hermiticity
-        not_psd = np.linalg.eigvalsh(self.operators)[:, 0] < -tols.hermiticity
+        # G_a has rho_a's nonzero eigenvalues, and rho_a's others are zero
+        stack = self._evidence_stack()
+        if stack.shape[-1] == 1:
+            lowest = stack[:, 0, 0].real
+        else:
+            lowest = np.linalg.eigvalsh(stack)[:, 0]
+        not_psd = lowest < -tols.hermiticity
         bad = np.flatnonzero(not_hermitian | not_psd)
         if bad.size:
             i = bad[0]
@@ -148,9 +193,15 @@ def conditional_states(
 ) -> ConditionalStateSet:
     """Bob's conditional states for setting ``which`` (1 or 2) of the protocol.
 
-    Both inputs are contracted for every outcome at once and for projectors
-    of any rank: an ensemble from its amplitudes, a density matrix in one
-    product of the flattened projector stack with the reordered matrix.
+    Both inputs are contracted for every outcome at once.  An ensemble under
+    a setting with basis vectors u_a gives the branches
+    w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a) in one product, and
+    rho_a = W_a W_a^H from them; with fewer terms T than Bob's dimension the
+    set keeps the branches, so its evidence comes from the T x T Gram
+    matrices W_a^H W_a, which share rho_a's nonzero eigenvalues.  Other
+    ensembles are contracted with the projector stack, and a density matrix
+    in one product of the flattened projector stack with the reordered
+    matrix.
     """
     if which not in (1, 2):
         raise DimensionError(f"which must be 1 or 2, got {which}")
@@ -165,12 +216,25 @@ def conditional_states(
     setting = protocol.settings[which - 1]
     d_a, d_b = 2**m, 2 ** (n - m)
     k = setting.n_outcomes
+    branches = None
     if isinstance(state, EnsembleState):
         phi = _amplitudes(state, m)
-        # branches[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T branches[a, alpha]
-        # over alpha is one product with the terms stacked along the rows
-        branches = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
-        operators = phi.reshape(-1, d_b).T @ branches.reshape(k, -1, d_b)
+        terms = state.n_terms
+        if setting.vectors is not None:
+            # branches[a, alpha] = sum_t conj(u_a[t]) Phi_alpha[t]: one product over t
+            branches = (
+                setting.vectors.conj() @ phi.swapaxes(0, 1).reshape(d_a, terms * d_b)
+            ).reshape(k, terms, d_b)
+            operators = branches.swapaxes(1, 2) @ branches.conj()
+        else:
+            # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
+            # projected[a, alpha] over alpha is one product with the terms
+            # stacked along the rows
+            projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
+            operators = phi.reshape(-1, d_b).T @ projected.reshape(k, -1, d_b)
+        if terms >= d_b:
+            # rho_a's own eigenproblem is no larger than the Gram matrix's
+            branches = None
     else:
         # rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)]: with rho's axes
         # ordered (t, c, j, l), all outcomes are one product over (t, c)
@@ -185,6 +249,8 @@ def conditional_states(
         outcomes=setting.outcomes,
         operators=operators,
     )
+    if branches is not None:
+        object.__setattr__(out, "branches", read_only_copy(branches))
     out.validate(bob_marginal(state, m), tols)
     return out
 
@@ -204,16 +270,6 @@ class CollapseDecomposition:
     weights: tuple[float, ...]
     coefficients: np.ndarray = field(repr=False)  # (n_terms, n_outcomes) complex
     vectors: tuple[tuple[ComplexArray | None, ...], ...] = field(repr=False)
-
-    def reconstruct(self, outcome_index: int) -> ComplexArray:
-        """Sum_alpha p_alpha |c|^2 |v><v| for one outcome; equals rho_a."""
-        vecs = [term[outcome_index] for term in self.vectors]
-        dim = next((v.shape[0] for v in vecs if v is not None), 1)
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for p, c_row, v in zip(self.weights, self.coefficients, vecs):
-            if v is not None:
-                out += p * abs(c_row[outcome_index]) ** 2 * outer(v)
-        return out
 
 
 def collapse_decomposition(
@@ -287,17 +343,21 @@ def purity_requirement(
     """Whether every nonzero-probability conditional state is pure.
 
     Outcomes with probability at or below ``prob_floor`` are excluded from the
-    check and listed separately.
+    check and listed separately.  Each set supplies its own evidence: a set
+    that keeps branches W_a reads the purity tr(G_a^2) / tr(G_a)^2 and the
+    principal vector from the Gram matrix G_a = W_a^H W_a, which has the
+    nonzero eigenvalues of rho_a = W_a W_a^H; any other set reads them from
+    its operators.
     """
     records: list[OutcomeRecord] = []
     excluded: list[tuple[int, str]] = []
     counted: list[tuple[str, ...]] = []
-    stacks: list[ComplexArray] = []
+    kept_masks: list[np.ndarray] = []
     for cs in (set1, set2):
         probabilities = cs.probabilities
         keep = probabilities > prob_floor
         q = np.zeros(len(keep))
-        q[keep] = purities(cs.operators[keep])
+        q[keep] = cs.purities(keep)
         for label, p, kept, q_a in zip(cs.outcomes, probabilities, keep, q):
             records.append(
                 OutcomeRecord(cs.setting_index, label, float(p), float(q_a) if kept else None)
@@ -305,13 +365,15 @@ def purity_requirement(
             if not kept:
                 excluded.append((cs.setting_index, label))
         counted.append(tuple(label for label, kept in zip(cs.outcomes, keep) if kept))
-        stacks.append(cs.operators[keep])
+        kept_masks.append(keep)
     ok = not any(r.purity is not None and abs(r.purity - 1.0) >= tol for r in records)
     labels: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
     vectors = None
     if ok:
         labels = (counted[0], counted[1])
-        vectors = principal_vectors(np.concatenate(stacks))
+        vectors = np.concatenate(
+            [cs.principal_vectors(keep) for cs, keep in zip((set1, set2), kept_masks)]
+        )
     return PurityCheck(
         ok=ok, records=tuple(records), excluded=tuple(excluded), labels=labels, vectors=vectors
     )

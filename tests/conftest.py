@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from steerlab import (
+    BellLikeBasis,
+    EnsembleState,
     SolverLimitError,
     SteeringProtocol,
     Tolerances,
@@ -188,6 +190,52 @@ def loop_simplex(a, b, max_iter):
     for i, var in enumerate(basis):
         x[var] = t[i, -1]
     return x[:n], optimum, iterations
+
+
+def pack(problem, weights, responses):
+    """Variable vector of an LpProblem for an explicit model assignment."""
+    x = np.zeros(problem.n_variables)
+    for xi in range(problem.n_members):
+        for which in (1, 2):
+            table = responses[which - 1]
+            for a in range(problem.n_outcomes[which - 1]):
+                x[problem.w_index(xi, which, a)] = table[xi, a] * weights[xi]
+        x[problem.weight_index(xi)] = weights[xi]
+    return x
+
+
+def lp_residuals(problem, x):
+    """Max absolute violation of an LpProblem per row group for a candidate solution."""
+    r = problem.a_eq @ x - problem.b_eq
+    m0, m1 = problem.matching_rows
+    c0, c1 = problem.coupling_rows
+    return {
+        "matching": float(np.max(np.abs(r[m0:m1]), initial=0.0)),
+        "coupling": float(np.max(np.abs(r[c0:c1]), initial=0.0)),
+        "normalization": float(abs(r[problem.normalization_row])),
+    }
+
+
+def reconstruct(decomposition, outcome_index):
+    """sum_alpha p_alpha |c|^2 |v><v| of a CollapseDecomposition for one outcome; equals rho_a."""
+    vecs = [term[outcome_index] for term in decomposition.vectors]
+    dim = next((v.shape[0] for v in vecs if v is not None), 1)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for p, c_row, v in zip(decomposition.weights, decomposition.coefficients, vecs):
+        if v is not None:
+            out += p * abs(c_row[outcome_index]) ** 2 * outer(v)
+    return out
+
+
+def form_ensemble(form):
+    """The EnsembleState a TwoTermForm describes, one vector per component."""
+    vectors = tuple(form.component_vector(a) for a in range(form.n_components))
+    return EnsembleState(form.n_qubits, form.weights, vectors)
+
+
+def with_beta(basis, beta):
+    """The same BellLikeBasis family at a different angle."""
+    return BellLikeBasis(beta, basis.pairs, basis.family_label)
 
 
 def random_protocol(m_qubits, seed):

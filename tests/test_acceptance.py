@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_protocol
+from conftest import random_protocol, reconstruct
 from steerlab import (
     BellLikeBasis,
     EnsembleState,
@@ -213,7 +213,7 @@ def test_criterion_7_property_suite():
         dec = collapse_decomposition(state, protocol.setting_1, 1)
         sset = conditional_states(rho, protocol, 1)
         for o in range(len(sset.operators)):
-            assert np.max(np.abs(dec.reconstruct(o) - sset.operators[o])) < 1e-9
+            assert np.max(np.abs(reconstruct(dec, o) - sset.operators[o])) < 1e-9
 
     # phase-equality invariances
     rng = np.random.default_rng(321)

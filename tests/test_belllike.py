@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import form_ensemble
 from steerlab import (
     BellLikeBasis,
     DimensionError,
@@ -113,7 +114,7 @@ class TestTwoTermExtract:
         ext = two_term_extract(ens, computational_family(2), alice_qubits=2)
         assert ext.ok
         np.testing.assert_allclose(
-            density_of(ext.form.to_ensemble()).matrix,
+            density_of(form_ensemble(ext.form)).matrix,
             density_of(ens).matrix,
             atol=1e-10,
         )

@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_lp, loop_simplex, random_protocol
+from conftest import loop_lp, loop_simplex, lp_residuals, pack, random_protocol
 from steerlab import (
     EnsembleState,
     PreconditionError,
@@ -103,8 +103,8 @@ class TestProblemAssembly:
             np.array([[1.0, 0.0], [0.0, 1.0]]),  # z outcomes follow the member
             np.array([[0.5, 0.5], [0.5, 0.5]]),  # x outcomes are coin flips
         )
-        x = problem.pack(weights, responses)
-        res = problem.residuals(x)
+        x = pack(problem, weights, responses)
+        res = lp_residuals(problem, x)
         assert res["matching"] < 1e-12
         assert res["coupling"] < 1e-12
         assert res["normalization"] < 1e-12

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_beta
 from steerlab import (
     BellLikeBasis,
     DimensionError,
@@ -200,7 +201,7 @@ class TestBellLike:
 
     def test_with_beta(self):
         b = BellLikeBasis(0.2, computational_family(1), family_label="computational")
-        b2 = b.with_beta(1.0)
+        b2 = with_beta(b, 1.0)
         assert b2.beta == 1.0
         assert b2.family_label == "computational"
 

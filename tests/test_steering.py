@@ -14,6 +14,7 @@ from conftest import (
     pairwise_candidates,
     pairwise_duplicates,
     random_protocol,
+    reconstruct,
 )
 import steerlab.states
 import steerlab.steering
@@ -50,7 +51,7 @@ from steerlab import (
     tensor_setting,
     two_qubit_theta_state,
 )
-from steerlab.linalg import outer, phase_equal, purity
+from steerlab.linalg import outer, phase_equal, principal_vectors, purities, purity
 
 
 def two_qubit_setup(theta):
@@ -317,6 +318,94 @@ class TestAmplitudePath:
             assert report.lp_verdict == ("infeasible" if lp else None)
 
 
+def operator_twin(cs):
+    """The same conditional states without branches, so evidence comes from the operators."""
+    return ConditionalStateSet(
+        cs.setting_index, cs.setting_label, cs.bob_qubits, cs.outcomes, cs.operators
+    )
+
+
+def branch_cases():
+    for n in range(2, 7):
+        for m in range(1, n):
+            d_b = 2 ** (n - m)
+            for terms in sorted({1, 2, d_b - 1, d_b + 3}):
+                yield n, m, terms
+
+
+class TestBranchEvidence:
+    """Evidence from the branches' Gram matrices against evidence from the operators."""
+
+    @pytest.mark.parametrize("n, m, terms", list(branch_cases()))
+    def test_matches_operator_evidence(self, n, m, terms):
+        seed = 100 * n + 10 * m + terms
+        state, protocol = haar_ensemble(n, terms, seed), random_protocol(m, seed)
+        sets = [conditional_states(state, protocol, which) for which in (1, 2)]
+        twins = [operator_twin(cs) for cs in sets]
+        rho_b = bob_marginal(state, m)
+        for cs, twin in zip(sets, twins):
+            assert (cs.branches is not None) == (terms < 2 ** (n - m))
+            # the PSD decision: both paths accept the same states
+            cs.validate(rho_b)
+            twin.validate(rho_b)
+            keep = cs.probabilities > Tolerances().prob_floor
+            np.testing.assert_allclose(
+                cs.purities(keep), purities(cs.operators[keep]), rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                cs.principal_vectors(keep),
+                principal_vectors(cs.operators[keep]),
+                rtol=0,
+                atol=1e-10,
+            )
+        got, want = purity_requirement(*sets), purity_requirement(*twins)
+        assert (got.ok, got.labels, got.excluded) == (want.ok, want.labels, want.excluded)
+        for a, b in zip(got.records, want.records, strict=True):
+            assert (a.setting, a.outcome, a.purity is None) == (b.setting, b.outcome, b.purity is None)
+            if a.purity is not None:
+                assert a.purity == pytest.approx(b.purity, abs=1e-12)
+        report, dense = certify(state, protocol), certify(density_of(state), protocol)
+        assert report.verdict == dense.verdict
+        assert report.cross_setting_duplicates == dense.cross_setting_duplicates
+        assert report.within_setting_duplicates == dense.within_setting_duplicates
+        assert report.excluded_outcomes == dense.excluded_outcomes
+        assert_same_report(report, dense)
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 7) for m in range(1, n)])
+    def test_product_state_duplicates(self, n, m):
+        # every conditional state is Bob's factor: cross and within duplicates
+        psi = np.kron(random_pure(m, n), random_pure(n - m, m))
+        state, protocol = EnsembleState(n, (1.0,), (psi,)), random_protocol(m, n + m)
+        report, dense = certify(state, protocol), certify(density_of(state), protocol)
+        assert report.verdict == dense.verdict == NO_PARADOX_CROSS_DUPLICATE
+        assert report.cross_setting_duplicates == dense.cross_setting_duplicates
+        assert report.within_setting_duplicates == dense.within_setting_duplicates
+        assert_same_report(report, dense)
+
+    def test_excluded_outcomes(self):
+        # |0> on Alice's side: the z setting's outcome 1 has probability 0
+        psi = np.kron(basis_ket(1, 0), random_pure(2, 7))
+        state, protocol = EnsembleState(3, (1.0,), (psi,)), tensor_protocol("z", "x", n_qubits=3)
+        report, dense = certify(state, protocol), certify(density_of(state), protocol)
+        assert report.excluded_outcomes == dense.excluded_outcomes == ((1, "1"),)
+        assert_same_report(report, dense)
+
+    def test_branches_are_read_only(self):
+        state, protocol = haar_ensemble(4, 2, 3), random_protocol(2, 3)
+        cs = conditional_states(state, protocol, 1)
+        assert cs.branches.shape == (4, 2, 4)
+        with pytest.raises(ValueError):
+            cs.branches[0, 0, 0] = 1.0
+        with pytest.raises(TypeError):
+            ConditionalStateSet(1, "s", 2, cs.outcomes, cs.operators, cs.branches)
+
+    def test_rank2_setting_keeps_operator_path(self):
+        state, protocol = lc4_mixed(0.5), coarse_protocol()
+        assert conditional_states(state, protocol, 1).branches is None
+        assert conditional_states(state, protocol, 2).branches is not None
+        assert conditional_states(density_of(state), protocol, 2).branches is None
+
+
 class TestCollapseDecomposition:
     def test_two_qubit_z_slots(self):
         theta = np.pi / 5
@@ -360,7 +449,7 @@ class TestCollapseDecomposition:
         dec = collapse_decomposition(state, protocol.setting_1, 1)
         sset = conditional_states(rho, protocol, 1)
         for o in range(len(sset.operators)):
-            np.testing.assert_allclose(dec.reconstruct(o), sset.operators[o], atol=1e-10)
+            np.testing.assert_allclose(reconstruct(dec, o), sset.operators[o], atol=1e-10)
 
 
 class TestRequirements:
@@ -576,19 +665,20 @@ class TestCertify:
     @pytest.mark.parametrize("lp", [False, True])
     def test_one_evidence_pass(self, lp, monkeypatch):
         # the LP takes its candidates from certify's purity check instead of
-        # computing the principal vectors again
+        # computing the principal vectors again: each set yields them once,
+        # whichever evidence path (branches or operators) it takes
         computed = []
-        principal_vectors = steerlab.steering.principal_vectors
+        principal_vectors = ConditionalStateSet.principal_vectors
 
-        def counting(stack, *args, **kwargs):
-            computed.append(len(stack))
-            return principal_vectors(stack, *args, **kwargs)
+        def counting(self, keep):
+            computed.append((self.setting_index, int(np.sum(keep))))
+            return principal_vectors(self, keep)
 
-        monkeypatch.setattr(steerlab.steering, "principal_vectors", counting)
+        monkeypatch.setattr(ConditionalStateSet, "principal_vectors", counting)
         state, _, protocol = two_qubit_setup(np.pi / 4)
         report = certify(state, protocol, lp=lp)
         assert report.verdict == PARADOX
-        assert computed == [4]
+        assert computed == [(1, 2), (2, 2)]
 
     def test_lp_agreement_on_paradox(self):
         state, _, protocol = two_qubit_setup(np.pi / 3)
