@@ -144,7 +144,10 @@ class MeasurementSetting:
     are Hermitian and idempotent within 1e-10, pairwise orthogonal, sum to
     the identity within 1e-10, and outcome labels are unique M-bit strings.
     ``vectors`` is kept for rank-1 settings (all constructors in this module
-    produce those) and preserves the constructor's sign conventions.
+    produce those) and preserves the constructor's sign conventions; given
+    vectors must generate their projectors within 1e-9 and their outer
+    products must sum to the identity within 1e-10, because ensemble input
+    is contracted with the vectors.
     """
 
     label: str
@@ -186,10 +189,13 @@ class MeasurementSetting:
             if len(vectors) != len(stack):
                 raise ValidationError("vectors and projectors differ in count")
             vectors = stacked([np.ravel(v) for v in vectors], (dim,), "vector")
-            gap = np.max(np.abs(outers(vectors) - stack), axis=(1, 2))
+            rank1 = outers(vectors)
+            gap = np.max(np.abs(rank1 - stack), axis=(1, 2))
             bad = np.flatnonzero(gap > config.SETTING_VECTOR_TOL)
             if bad.size:
                 raise ValidationError(f"vector {bad[0]} does not generate projector {bad[0]}")
+            if np.max(np.abs(rank1.sum(0) - np.eye(dim))) > tol:
+                raise ValidationError(f"vectors do not resolve the identity within {tol:g}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "projectors", read_only_copy(stack))
         object.__setattr__(self, "vectors", None if vectors is None else read_only_copy(vectors))

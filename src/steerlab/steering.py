@@ -14,10 +14,9 @@ amplitudes, with each psi_alpha reshaped to a d_A x d_B matrix Psi_alpha:
 so the 2^N x 2^N density operator is never built.  Under a rank-1 setting
 with basis vectors u_a this is rho_a = W_a W_a^H, whose columns are the
 branches w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a).  The T x T Gram
-matrix G_a = W_a^H W_a has the same nonzero eigenvalues as rho_a, so with
-fewer terms than Bob's dimension the PSD test, the purity
-tr(G_a^2) / tr(G_a)^2 and the principal vector W_a g / ||W_a g|| (g the top
-eigenvector of G_a) are all read from it.  Summing the traces over both
+matrix G_a = W_a^H W_a has the same nonzero eigenvalues as rho_a, so the PSD
+test, the purity tr(G_a^2) / tr(G_a)^2 and the principal vector
+W_a g / ||W_a g|| (g the top eigenvector of G_a) are all read from it.  Summing the traces over both
 complete settings always gives 2.  A local-hidden-state explanation forces the
 same total down to tr(rho_B) = 1 whenever two structural requirements hold:
 every nonzero-probability conditional state is pure, and no conditional state
@@ -29,6 +28,7 @@ the full per-outcome evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +76,8 @@ class ConditionalStateSet:
     (a, alpha) is the branch w_{a,alpha}, so that rho_a = sum_alpha
     w w^H.  Only ``conditional_states`` sets it, together with the operators
     it builds from it; the PSD test, purities and principal vectors then
-    come from the T x T Gram stack, and hermiticity and the marginal from
-    the operators.
+    come from the T x T Gram stack G_a = W_a^H W_a, formed once, and
+    hermiticity and the marginal from the operators.
     """
 
     setting_index: int
@@ -106,6 +106,7 @@ class ConditionalStateSet:
     def total(self) -> ComplexArray:
         return self.operators.sum(0)
 
+    @cached_property
     def _evidence_stack(self) -> ComplexArray:
         """The operators, or the Gram stack G_a = W_a^H W_a when branches are kept."""
         if self.branches is None:
@@ -114,33 +115,25 @@ class ConditionalStateSet:
 
     def purities(self, keep: np.ndarray) -> np.ndarray:
         """Purity of the states that ``keep`` selects: tr(G^2) / tr(G)^2 with branches."""
-        return purities(self._evidence_stack()[keep])
+        return purities(self._evidence_stack[keep])
 
     def principal_vectors(self, keep: np.ndarray) -> ComplexArray:
         """Unit, phase-fixed principal vectors of the states that ``keep`` selects.
 
         With branches, the vector is W_a g / ||W_a g|| for g the top
-        eigenvector of G_a, and w / ||w|| without an eigensolver when T = 1.
+        eigenvector of G_a.
         """
         if self.branches is None:
             return principal_vectors(self.operators[keep])
-        w = self.branches[keep]
-        if w.shape[1] > 1:
-            _, g = np.linalg.eigh(self._evidence_stack()[keep])
-            w = g[:, None, :, -1] @ w
-        top = w[:, 0]
+        _, g = np.linalg.eigh(self._evidence_stack[keep])
+        top = (g[:, None, :, -1] @ self.branches[keep])[:, 0]
         return canonical_phase(top / np.linalg.norm(top, axis=1)[:, None])
 
     def validate(self, rho_b: ComplexArray, tols: Tolerances | None = None) -> None:
         tols = tols or Tolerances()
         not_hermitian = hermiticity_residuals(self.operators) > tols.hermiticity
         # G_a has rho_a's nonzero eigenvalues, and rho_a's others are zero
-        stack = self._evidence_stack()
-        if stack.shape[-1] == 1:
-            lowest = stack[:, 0, 0].real
-        else:
-            lowest = np.linalg.eigvalsh(stack)[:, 0]
-        not_psd = lowest < -tols.hermiticity
+        not_psd = np.linalg.eigvalsh(self._evidence_stack)[:, 0] < -tols.hermiticity
         bad = np.flatnonzero(not_hermitian | not_psd)
         if bad.size:
             i = bad[0]
@@ -196,10 +189,9 @@ def conditional_states(
     Both inputs are contracted for every outcome at once.  An ensemble under
     a setting with basis vectors u_a gives the branches
     w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a) in one product, and
-    rho_a = W_a W_a^H from them; with fewer terms T than Bob's dimension the
-    set keeps the branches, so its evidence comes from the T x T Gram
-    matrices W_a^H W_a, which share rho_a's nonzero eigenvalues.  Other
-    ensembles are contracted with the projector stack, and a density matrix
+    rho_a = W_a W_a^H from them; the set keeps the branches, so its evidence
+    comes from the T x T Gram matrices W_a^H W_a, which share rho_a's
+    nonzero eigenvalues.  Other ensembles are contracted with the projector stack, and a density matrix
     in one product of the flattened projector stack with the reordered
     matrix.
     """
@@ -232,9 +224,6 @@ def conditional_states(
             # stacked along the rows
             projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
             operators = phi.reshape(-1, d_b).T @ projected.reshape(k, -1, d_b)
-        if terms >= d_b:
-            # rho_a's own eigenproblem is no larger than the Gram matrix's
-            branches = None
     else:
         # rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)]: with rho's axes
         # ordered (t, c, j, l), all outcomes are one product over (t, c)

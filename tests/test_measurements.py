@@ -133,6 +133,9 @@ E4 = np.eye(4, dtype=complex)
                      "vector 0 does not generate projector 0", id="vector-mismatch"),
         pytest.param(1, (Z0, Z1), ([1.0, 0.0], [0.0, 1.0j * (1 + 1e-8)]), ValidationError,
                      "vector 1 does not generate projector 1", id="vector-norm"),
+        # each vector within 1e-9 of its projector, their outer products off I by 8e-10
+        pytest.param(1, (Z0, Z1), ([1.0, 4e-10], [4e-10, 1.0]), ValidationError,
+                     "vectors do not resolve the identity within 1e-10", id="vector-sum"),
     ],
 )
 def test_setting_rejections(m, projectors, vectors, error, message):

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("run_demos.py", ["--theta-steps", "1"]),
         ("rank_ceiling_experiment.py", ["--seeds", "1", "--sweep-count", "2"]),
-        ("profile_workload.py", ["--ops", "2", "certify"]),
     ],
 )
 def test_script_exits_zero(script, args):

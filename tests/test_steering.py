@@ -37,6 +37,7 @@ from steerlab import (
     candidate_ensemble,
     certify,
     collapse_decomposition,
+    config,
     conditional_states,
     density_of,
     lc4_mixed,
@@ -344,7 +345,7 @@ class TestBranchEvidence:
         twins = [operator_twin(cs) for cs in sets]
         rho_b = bob_marginal(state, m)
         for cs, twin in zip(sets, twins):
-            assert (cs.branches is not None) == (terms < 2 ** (n - m))
+            assert cs.branches.shape == (2**m, terms, 2 ** (n - m))
             # the PSD decision: both paths accept the same states
             cs.validate(rho_b)
             twin.validate(rho_b)
@@ -398,6 +399,54 @@ class TestBranchEvidence:
             cs.branches[0, 0, 0] = 1.0
         with pytest.raises(TypeError):
             ConditionalStateSet(1, "s", 2, cs.outcomes, cs.operators, cs.branches)
+
+    @staticmethod
+    def near_setting(setting, step):
+        """``setting``'s projectors with each vector u_a moved by ``step[a]``, scaled
+        so that the largest entry of |v_a><v_a| - P_a is 0.95 SETTING_VECTOR_TOL."""
+        u = setting.vectors
+        gap = np.max(np.abs(np.einsum("ki,kj->kij", u + step, (u + step).conj()) - setting.projectors))
+        scale = 0.95 * config.SETTING_VECTOR_TOL / gap
+        for _ in range(3):  # the quadratic term: refine the linear estimate
+            v = u + scale * step
+            gap = np.max(np.abs(np.einsum("ki,kj->kij", v, v.conj()) - setting.projectors))
+            scale *= 0.95 * config.SETTING_VECTOR_TOL / gap
+        return MeasurementSetting(
+            label="near", m_qubits=setting.m_qubits, outcomes=setting.outcomes,
+            projectors=setting.projectors, vectors=u + scale * step,
+        )
+
+    @pytest.mark.parametrize("terms", [1, 2, 5])
+    def test_rotated_vectors_certify_like_density(self, terms):
+        # vectors of an exactly rotated basis, within SETTING_VECTOR_TOL of the
+        # projectors: ensemble input (contracted with the vectors) and density
+        # input (with the projectors) give the same report
+        n, m = 6, 4
+        protocol = random_protocol(m, 40 + terms)
+        rng = np.random.default_rng(terms)
+        h = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        w, x = np.linalg.eigh(h + h.conj().T)
+        rotated = protocol.setting_1.vectors @ ((x * np.exp(1e-3j * w)) @ x.conj().T).T
+        near = self.near_setting(protocol.setting_1, rotated - protocol.setting_1.vectors)
+        protocol = replace(protocol, setting_1=near)
+        state = haar_ensemble(n, terms, 50 + terms)
+        report, dense = certify(state, protocol), certify(density_of(state), protocol)
+        assert report.verdict == dense.verdict
+        assert report.cross_setting_duplicates == dense.cross_setting_duplicates
+        assert report.within_setting_duplicates == dense.within_setting_duplicates
+        assert report.excluded_outcomes == dense.excluded_outcomes
+        for a, b in zip(report.per_outcome, dense.per_outcome, strict=True):
+            assert a.probability == pytest.approx(b.probability, abs=1e-8)
+            assert a.purity == pytest.approx(b.purity, abs=1e-8)
+
+    def test_vectors_off_the_identity_rejected(self):
+        # each v_a = u_a + eps u_{a+1} stays within SETTING_VECTOR_TOL of P_a, but
+        # sum_a |v_a><v_a| is off I by about 2.4e-9: contracted with these
+        # vectors, a state whose Alice part is the top eigenvector of that
+        # deviation has outcome probabilities summing to 1 + 2e-9
+        setting = random_protocol(4, 3).setting_1
+        with pytest.raises(ValidationError, match="vectors do not resolve the identity"):
+            self.near_setting(setting, np.roll(setting.vectors, -1, axis=0))
 
     def test_rank2_setting_keeps_operator_path(self):
         state, protocol = lc4_mixed(0.5), coarse_protocol()
