@@ -16,10 +16,11 @@ with basis vectors u_a this is rho_a = W_a W_a^H, whose columns are the
 branches w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a).  The T x T Gram
 matrix G_a = W_a^H W_a has the same nonzero eigenvalues as rho_a, so the PSD
 test, the purity tr(G_a^2) / tr(G_a)^2 and the principal vector
-W_a g / ||W_a g|| (g the top eigenvector of G_a) are all read from it.  Summing the traces over both
-complete settings always gives 2.  A local-hidden-state explanation forces the
-same total down to tr(rho_B) = 1 whenever two structural requirements hold:
-every nonzero-probability conditional state is pure, and no conditional state
+W_a g / ||W_a g|| (g the top eigenvector of G_a) are all read from it.
+Summing the traces over both complete settings always gives 2.  A
+local-hidden-state explanation forces the same total down to tr(rho_B) = 1
+whenever two structural requirements hold: every nonzero-probability
+conditional state is pure, and no conditional state
 of one setting coincides (up to phase) with one of the other setting.  The
 certifier checks exactly those two requirements and reports the verdict with
 the full per-outcome evidence.
@@ -191,9 +192,9 @@ def conditional_states(
     w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a) in one product, and
     rho_a = W_a W_a^H from them; the set keeps the branches, so its evidence
     comes from the T x T Gram matrices W_a^H W_a, which share rho_a's
-    nonzero eigenvalues.  Other ensembles are contracted with the projector stack, and a density matrix
-    in one product of the flattened projector stack with the reordered
-    matrix.
+    nonzero eigenvalues.  Other ensembles are contracted with the projector
+    stack, and a density matrix in one product of the flattened projector
+    stack with the reordered matrix.
     """
     if which not in (1, 2):
         raise DimensionError(f"which must be 1 or 2, got {which}")
