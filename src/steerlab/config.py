@@ -20,7 +20,7 @@ PARSED_NORM_TOL = 1e-8
 # a trace, a norm or a largest entry below this counts as zero
 ZERO_FLOOR = 1e-14
 # projective settings: Hermitian, idempotent, orthogonal, complete, unit-trace
-# rank-1 projectors, orthonormal family vectors, projector-set equality
+# rank-1 projectors, orthonormal basis and family vectors, projector-set equality
 SETTING_TOL = 1e-10
 # entrywise gap between |v><v| and the projector a stored vector stands for
 SETTING_VECTOR_TOL = 1e-9

@@ -355,28 +355,33 @@ def solve_feasibility(
 
     The phase-1 optimum is the infeasibility certificate: a value above
     ``tol`` means no hidden-state assignment exists for these candidates.
+    A vertex whose rows miss ``b_eq`` by more than ``tol`` is not reported
+    as feasible: SolverLimitError names the residual instead.
     """
     x, optimum, iterations = _phase1_simplex(problem.a_eq, problem.b_eq, max_iter)
     if optimum > tol:
         return FeasibilityResult(
             feasible=False, phase1_optimum=optimum, iterations=iterations
         )
-    k = problem.n_members
-    n1, n2 = problem.n_outcomes
-    weights = np.array([max(0.0, x[problem.weight_index(i)]) for i in range(k)])
-    responses = (np.zeros((k, n1)), np.zeros((k, n2)))
-    for xi in range(k):
-        for which, n_out in ((1, n1), (2, n2)):
-            table = responses[which - 1]
-            if weights[xi] > config.LP_WEIGHT_FLOOR:
-                for a_idx in range(n_out):
-                    table[xi, a_idx] = max(0.0, x[problem.w_index(xi, which, a_idx)]) / weights[xi]
-            else:
-                # weightless members never influence the mixture; give them
-                # the uniform response so normalization still holds
-                table[xi, :] = 1.0 / n_out
+    residual = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
+    if residual > tol:
+        raise SolverLimitError(
+            f"phase-1 simplex vertex misses its rows by {residual:.3g} (tolerance {tol:g})"
+        )
+    x = np.where(x > 0.0, x, 0.0)  # as max(0.0, v): negatives and -0.0 become +0.0
+    n_w = problem.weight_index(0)
+    weights = x[n_w:]
+    heavy = (weights > config.LP_WEIGHT_FLOOR)[:, None]
+    w = x[:n_w].reshape(problem.n_members, -1)
+    tables = np.divide(w, weights[:, None], out=np.zeros_like(w), where=heavy)
+    # weightless members never influence the mixture; give them the uniform
+    # response so normalization still holds
+    responses = tuple(
+        np.where(heavy, table, 1.0 / table.shape[1])
+        for table in np.split(tables, [problem.n_outcomes[0]], axis=1)
+    )
     model = LhsModel(
-        member_weights=tuple(float(w) for w in weights),
+        member_weights=tuple(float(v) for v in weights),
         member_states=problem.candidates,
         responses=responses,
         outcome_labels=problem.outcome_labels,
@@ -396,24 +401,17 @@ def verify_model(
     over all of them (Frobenius norm for the matrix-valued ones).
     """
     weights = np.asarray(model.member_weights)
+    states = model.member_states
     worst = abs(float(np.sum(weights)) - 1.0)
-    for table in model.responses:
+    for table, cs in zip(model.responses, (set1, set2)):
         if table.shape[0] != len(weights):
             raise DimensionError("response table does not match the member count")
         worst = max(worst, float(np.max(np.abs(np.sum(table, axis=1) - 1.0))))
-    for which, cs in ((1, set1), (2, set2)):
-        table = model.responses[which - 1]
-        for a_idx, op in enumerate(cs.operators):
-            acc = np.zeros_like(op)
-            for xi, state in enumerate(model.member_states):
-                acc = acc + table[xi, a_idx] * weights[xi] * state
-            worst = max(worst, float(np.linalg.norm(acc - op)))
-    rho_b = set1.total()
-    acc = np.zeros_like(rho_b)
-    for xi, state in enumerate(model.member_states):
-        acc = acc + weights[xi] * state
-    worst = max(worst, float(np.linalg.norm(acc - rho_b)))
-    return worst
+        terms = (table * weights[:, None])[:, :, None, None] * states[:, None]
+        mixtures = terms.sum(axis=0)
+        worst = max(worst, float(np.max(np.linalg.norm(mixtures - cs.operators, axis=(1, 2)))))
+    marginal = (weights[:, None, None] * states).sum(axis=0)
+    return max(worst, float(np.linalg.norm(marginal - set1.total())))
 
 
 __all__ = [

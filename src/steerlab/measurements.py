@@ -140,62 +140,70 @@ class MeasurementSetting:
 
     ``projectors`` is one (K, d, d) array and ``vectors`` one (K, d) array or
     None; the first axis of both follows ``outcomes``, and both are read-only
-    copies of the inputs.  Invariants, checked on construction: projectors
-    are Hermitian and idempotent within 1e-10, pairwise orthogonal, sum to
-    the identity within 1e-10, and outcome labels are unique M-bit strings.
-    ``vectors`` is kept for rank-1 settings (all constructors in this module
-    produce those) and preserves the constructor's sign conventions; given
-    vectors must generate their projectors within 1e-9 and their outer
-    products must sum to the identity within 1e-10, because ensemble input
-    is contracted with the vectors.
+    copies of the inputs.  Outcome labels are unique.  Given ``vectors``
+    define a rank-1 setting and keep the constructor's sign conventions:
+    they must be orthonormal and resolve the identity within 1e-10, and the
+    projectors are derived from them as their outer products, replacing
+    given projectors, which must each lie within 1e-9 of them.  Bare
+    projectors must be Hermitian and idempotent within 1e-10, pairwise
+    orthogonal and sum to the identity within 1e-10; when all have unit
+    trace, their principal vectors become ``vectors``.
     """
 
     label: str
     m_qubits: int
     outcomes: tuple[str, ...]
-    projectors: ComplexArray = field(repr=False)
+    projectors: ComplexArray | None = field(default=None, repr=False)
     vectors: ComplexArray | None = field(default=None, repr=False)
     bell_like: BellLikeBasis | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         dim = 2**self.m_qubits
         tol = config.SETTING_TOL
-        if len(self.projectors) == 0:
-            raise ValidationError("setting needs at least one projector")
-        stack = stacked(self.projectors, (dim, dim), "projector")
-        not_hermitian = hermiticity_residuals(stack) > tol
-        not_idempotent = np.max(np.abs(stack @ stack - stack), axis=(1, 2)) > tol
-        bad = np.flatnonzero(not_hermitian | not_idempotent)
-        if bad.size:
-            i = bad[0]
-            flaw = "Hermitian" if not_hermitian[i] else "idempotent"
-            raise ValidationError(f"projector {i} is not {flaw} within {tol:g}")
-        for i in range(len(stack) - 1):
-            clash = np.flatnonzero(np.max(np.abs(stack[i] @ stack[i + 1 :]), axis=(1, 2)) > tol)
-            if clash.size:
-                raise ValidationError(f"projectors {i} and {i + 1 + clash[0]} are not orthogonal")
-        if np.max(np.abs(stack.sum(0) - np.eye(dim))) > tol:
-            raise ValidationError(f"projectors do not sum to the identity within {tol:g}")
+        vectors = self.vectors
+        if vectors is not None:
+            # sum_a |u_a><u_a| = I and U* U^T = I bound the completeness,
+            # idempotence and orthogonality residuals of the outer products,
+            # which are exactly Hermitian: no projector is checked on its own
+            if self.projectors is not None and len(self.projectors) != len(vectors):
+                raise ValidationError("vectors and projectors differ in count")
+            vectors = stacked([np.ravel(v) for v in vectors], (dim,), "vector")
+            stack = outers(vectors)
+            if self.projectors is not None:
+                given = stacked(self.projectors, (dim, dim), "projector")
+                gap = np.max(np.abs(stack - given), axis=(1, 2))
+                bad = np.flatnonzero(gap > config.SETTING_VECTOR_TOL)
+                if bad.size:
+                    raise ValidationError(f"vector {bad[0]} does not generate projector {bad[0]}")
+            if np.max(np.abs(stack.sum(0) - np.eye(dim))) > tol:
+                raise ValidationError(f"vectors do not resolve the identity within {tol:g}")
+            if np.max(np.abs(vectors.conj() @ vectors.T - np.eye(len(vectors)))) > tol:
+                raise ValidationError(f"vectors are not orthonormal within {tol:g}")
+        else:
+            if self.projectors is None or len(self.projectors) == 0:
+                raise ValidationError("setting needs at least one projector")
+            stack = stacked(self.projectors, (dim, dim), "projector")
+            not_hermitian = hermiticity_residuals(stack) > tol
+            not_idempotent = np.max(np.abs(stack @ stack - stack), axis=(1, 2)) > tol
+            bad = np.flatnonzero(not_hermitian | not_idempotent)
+            if bad.size:
+                i = bad[0]
+                flaw = "Hermitian" if not_hermitian[i] else "idempotent"
+                raise ValidationError(f"projector {i} is not {flaw} within {tol:g}")
+            for i in range(len(stack) - 1):
+                clash = np.flatnonzero(np.max(np.abs(stack[i] @ stack[i + 1 :]), axis=(1, 2)) > tol)
+                if clash.size:
+                    j = i + 1 + clash[0]
+                    raise ValidationError(f"projectors {i} and {j} are not orthogonal")
+            if np.max(np.abs(stack.sum(0) - np.eye(dim))) > tol:
+                raise ValidationError(f"projectors do not sum to the identity within {tol:g}")
+            if np.all(np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0) <= tol):
+                vectors = principal_vectors(stack)
         outcomes = tuple(str(o) for o in self.outcomes)
         if len(outcomes) != len(stack):
             raise ValidationError("outcome labels and projectors differ in count")
         if len(set(outcomes)) != len(outcomes):
             raise ValidationError("outcome labels are not unique")
-        vectors = self.vectors
-        if vectors is None:
-            if np.all(np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0) <= tol):
-                vectors = principal_vectors(stack)
-        else:
-            if len(vectors) != len(stack):
-                raise ValidationError("vectors and projectors differ in count")
-            vectors = stacked([np.ravel(v) for v in vectors], (dim,), "vector")
-            rank1 = outers(vectors)
-            gap = np.max(np.abs(rank1 - stack), axis=(1, 2))
-            bad = np.flatnonzero(gap > config.SETTING_VECTOR_TOL)
-            if bad.size:
-                raise ValidationError(f"vector {bad[0]} does not generate projector {bad[0]}")
-            if np.max(np.abs(rank1.sum(0) - np.eye(dim))) > tol:
-                raise ValidationError(f"vectors do not resolve the identity within {tol:g}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "projectors", read_only_copy(stack))
         object.__setattr__(self, "vectors", None if vectors is None else read_only_copy(vectors))
@@ -225,7 +233,6 @@ def _rank1_setting(
         label=label,
         m_qubits=m_qubits,
         outcomes=tuple(bitstring(i, m_qubits) for i in range(len(vectors))),
-        projectors=outers(vectors),
         vectors=vectors,
         bell_like=bell_like,
     )
@@ -268,11 +275,6 @@ def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
     plus, minus = np.array(basis.pairs).swapaxes(0, 1)
     vectors = np.concatenate([c * plus + s * minus, s * plus - c * minus])
     return _rank1_setting(f"bell_like(beta={basis.beta:.6g})", vectors, basis)
-
-
-def completeness_check(setting: MeasurementSetting) -> float:
-    """Frobenius distance of sum of projectors from the identity."""
-    return float(np.linalg.norm(setting.projectors.sum(0) - np.eye(setting.dim)))
 
 
 def transformation_matrix(
@@ -502,7 +504,6 @@ __all__ = [
     "SteeringProtocol",
     "bell_like_setting",
     "bitstring",
-    "completeness_check",
     "computational_family",
     "load_measurement",
     "load_protocol",

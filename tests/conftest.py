@@ -192,6 +192,52 @@ def loop_simplex(a, b, max_iter):
     return x[:n], optimum, iterations
 
 
+def loop_model_tables(problem, x):
+    """(weights, responses) of a feasible vertex x, one entry at a time.
+
+    Reference for ``solve_feasibility``'s array form: negative entries clip
+    to 0.0, and members at or below the weight floor get the uniform response.
+    """
+    k = problem.n_members
+    n1, n2 = problem.n_outcomes
+    weights = np.array([max(0.0, x[problem.weight_index(i)]) for i in range(k)])
+    responses = (np.zeros((k, n1)), np.zeros((k, n2)))
+    for xi in range(k):
+        for which, n_out in ((1, n1), (2, n2)):
+            table = responses[which - 1]
+            if weights[xi] > config.LP_WEIGHT_FLOOR:
+                for a in range(n_out):
+                    table[xi, a] = max(0.0, x[problem.w_index(xi, which, a)]) / weights[xi]
+            else:
+                table[xi, :] = 1.0 / n_out
+    return weights, responses
+
+
+def loop_verify_model(model, set1, set2):
+    """``verify_model`` with every mixture accumulated member by member in Python."""
+    weights = np.asarray(model.member_weights)
+    worst = abs(float(np.sum(weights)) - 1.0)
+    for table in model.responses:
+        worst = max(worst, float(np.max(np.abs(np.sum(table, axis=1) - 1.0))))
+    for which, cs in ((1, set1), (2, set2)):
+        table = model.responses[which - 1]
+        for a, op in enumerate(cs.operators):
+            acc = np.zeros_like(op)
+            for xi, state in enumerate(model.member_states):
+                acc = acc + table[xi, a] * weights[xi] * state
+            worst = max(worst, float(np.linalg.norm(acc - op)))
+    rho_b = set1.total()
+    acc = np.zeros_like(rho_b)
+    for xi, state in enumerate(model.member_states):
+        acc = acc + weights[xi] * state
+    return max(worst, float(np.linalg.norm(acc - rho_b)))
+
+
+def completeness_gap(setting):
+    """Frobenius distance of a setting's projector sum from the identity."""
+    return float(np.linalg.norm(setting.projectors.sum(0) - np.eye(setting.dim)))
+
+
 def pack(problem, weights, responses):
     """Variable vector of an LpProblem for an explicit model assignment."""
     x = np.zeros(problem.n_variables)

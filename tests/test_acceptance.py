@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_protocol, reconstruct
+from conftest import completeness_gap, random_protocol, reconstruct
 from steerlab import (
     BellLikeBasis,
     EnsembleState,
@@ -24,7 +24,6 @@ from steerlab import (
     bob_marginal,
     certify,
     collapse_decomposition,
-    completeness_check,
     computational_family,
     conditional_states,
     density_of,
@@ -157,7 +156,7 @@ def test_criterion_6_bell_like_completeness_and_transform():
         family = computational_family(m)
         for beta in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
             setting = bell_like_setting(BellLikeBasis(float(beta), family))
-            assert completeness_check(setting) < 1e-12
+            assert completeness_gap(setting) < 1e-12
     rng = np.random.default_rng(77)
     checked = 0
     for m in (1, 2):

@@ -6,9 +6,18 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_lp, loop_simplex, lp_residuals, pack, random_protocol
+from conftest import (
+    loop_lp,
+    loop_model_tables,
+    loop_simplex,
+    loop_verify_model,
+    lp_residuals,
+    pack,
+    random_protocol,
+)
 from steerlab import (
     EnsembleState,
+    LhsModel,
     PreconditionError,
     SolverLimitError,
     basis_ket,
@@ -17,15 +26,18 @@ from steerlab import (
     conditional_states,
     density_of,
     fallback_candidates,
+    SteeringProtocol,
     lc4_mixed,
     problem_for,
     random_mixed,
+    random_pure,
+    random_rank1_setting,
     solve_feasibility,
     tensor_protocol,
     two_qubit_theta_state,
     verify_model,
 )
-from steerlab import config
+from steerlab import config, lhs_lp
 from steerlab.lhs_lp import _phase1_simplex
 
 
@@ -220,6 +232,32 @@ class TestSolver:
         )
         assert result.feasible == lp.success
 
+    def test_vertex_off_its_rows_raises(self):
+        """Benchmark instance lp-oracle (seed 513, index 137), a rank-2 relative-mode LP.
+
+        Its draws are repeated here: the simplex ends at optimum <= tol on a
+        vertex with weights near 1.9e18, and that vertex is not a model.
+        """
+        rng = np.random.default_rng([513, 137])
+        state = random_mixed(4, 2, int(rng.integers(2**62)))
+        s1, s2 = (random_rank1_setting(2, rng) for _ in range(2))
+        problem, relative = problem_for(*sets_for(state, SteeringProtocol(2, s1, s2, 4)))
+        assert relative
+        x, optimum, _ = _phase1_simplex(problem.a_eq, problem.b_eq, 1000)
+        assert optimum <= config.LP_FEASIBILITY_TOL
+        assert np.max(np.abs(problem.a_eq @ x - problem.b_eq)) > 1e18
+        with pytest.raises(SolverLimitError, match=r"^phase-1 simplex vertex misses its rows by 6\.5"):
+            solve_feasibility(problem, max_iter=1000)
+
+    def test_off_row_vertex_is_not_a_model(self, monkeypatch):
+        """A vertex with optimum 0 whose rows miss b_eq by 2e-9 raises instead of a model."""
+        problem, _ = problem_for(*SIMPLEX_CASES["feasible-product"]())
+        x, _, _ = _phase1_simplex(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        scaled = x * (1 + 2e-9)  # the coupling rows still hold, b_eq's largest rows do not
+        monkeypatch.setattr(lhs_lp, "_phase1_simplex", lambda a, b, max_iter: (scaled, 0.0, 6))
+        with pytest.raises(SolverLimitError, match=r"misses its rows by 2e-09 \(tolerance 1e-09\)$"):
+            solve_feasibility(problem)
+
     def test_model_reproduces_members(self):
         s1, s2 = sets_for(
             EnsembleState(2, (0.5, 0.5), (basis_ket(2, 0), basis_ket(2, 3))),
@@ -310,3 +348,68 @@ class TestSimplexDifferential:
         expected = _simplex_outcome(loop_simplex, problem, 300)
         assert expected == "phase-1 simplex exceeded 300 iterations without converging"
         assert _simplex_outcome(_phase1_simplex, problem, 300) == expected
+
+
+def _separable(seed):
+    """Two-term product mixture at n=3, M=1: feasible in relative mode, some members weightless."""
+    a = [random_pure(1, 10 * seed + i) for i in range(2)]
+    b = [random_pure(2, 10 * seed + 5 + i) for i in range(2)]
+    state = EnsembleState(3, (0.4, 0.6), (np.kron(a[0], b[0]), np.kron(a[1], b[1])))
+    return sets_for(state, random_protocol(1, seed))
+
+
+FEASIBLE_CASES = {
+    "feasible-product": SIMPLEX_CASES["feasible-product"],
+    "feasible-mixture": SIMPLEX_CASES["feasible-mixture"],
+    **{f"separable-{k}": (lambda k=k: _separable(k)) for k in range(6)},
+}
+
+
+class TestModelArrays:
+    """The model's tables and ``verify_model`` against their loop references."""
+
+    @pytest.mark.parametrize(
+        "case", ["feasible-product", "feasible-mixture", *(f"separable-{k}" for k in range(6))]
+    )
+    def test_solved_models_match_loop_reference(self, case):
+        s1, s2 = FEASIBLE_CASES[case]()
+        problem, _ = problem_for(s1, s2)
+        result = solve_feasibility(problem)
+        assert result.feasible
+        x, _, _ = _phase1_simplex(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        weights, responses = loop_model_tables(problem, x)
+        model = result.model
+        assert np.array(model.member_weights).tobytes() == weights.tobytes()
+        assert [t.tobytes() for t in model.responses] == [t.tobytes() for t in responses]
+        assert verify_model(model, s1, s2) == pytest.approx(
+            loop_verify_model(model, s1, s2), rel=1e-12, abs=1e-16
+        )
+        if case.startswith("separable"):
+            assert np.any(weights <= config.LP_WEIGHT_FLOOR)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_vertex_matches_loop_reference(self, seed, monkeypatch):
+        """Negative entries, signed zeros and weights on both sides of the floor."""
+        rng = np.random.default_rng([seed, 41])
+        problem, _ = problem_for(*sets_for(random_mixed(3, 2, seed), random_protocol(2, seed)))
+        x = rng.choice([-0.5, -0.0, 0.0, 1e-13, 0.3, 2.0], size=problem.n_variables)
+        x[problem.weight_index(0) :] *= rng.uniform(0.0, 1.0, problem.n_members)
+        weights, responses = loop_model_tables(problem, x)
+        # an infinite tolerance lets any vertex through to the model tables
+        monkeypatch.setattr(lhs_lp, "_phase1_simplex", lambda a, b, max_iter: (x, 0.0, 1))
+        model = solve_feasibility(problem, tol=np.inf).model
+        assert np.array(model.member_weights).tobytes() == weights.tobytes()
+        assert [t.tobytes() for t in model.responses] == [t.tobytes() for t in responses]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_verify_model_matches_loop_reference(self, seed):
+        rng = np.random.default_rng([seed, 43])
+        s1, s2 = sets_for(random_mixed(3, 2, seed), random_protocol(1, seed))
+        problem, _ = problem_for(s1, s2)
+        k = problem.n_members
+        weights = rng.dirichlet(np.ones(k)) * np.where(rng.random(k) < 0.3, 0.0, 1.0)
+        responses = tuple(rng.dirichlet(np.ones(n), size=k) for n in problem.n_outcomes)
+        model = LhsModel(tuple(weights), problem.candidates, responses, problem.outcome_labels)
+        want = loop_verify_model(model, s1, s2)
+        assert want > 1e-3
+        assert verify_model(model, s1, s2) == pytest.approx(want, rel=1e-12)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import with_beta
+from conftest import completeness_gap, loop_conditional, with_beta
+from steerlab import measurements
 from steerlab import (
     BellLikeBasis,
     DimensionError,
@@ -17,11 +18,13 @@ from steerlab import (
     UnsupportedSettingError,
     ValidationError,
     bell_like_setting,
-    completeness_check,
     computational_family,
+    conditional_states,
+    density_of,
     load_measurement,
     load_protocol,
     pauli_axis_basis,
+    random_mixed,
     random_rank1_setting,
     save_measurement,
     save_protocol,
@@ -30,7 +33,7 @@ from steerlab import (
     tensor_setting,
     transformation_matrix,
 )
-from steerlab.linalg import canonical_phase, hermitian_eig, outer, phase_equal
+from steerlab.linalg import canonical_phase, hermitian_eig, outer, outers, phase_equal
 
 
 class TestPauliAndTensor:
@@ -65,7 +68,7 @@ class TestPauliAndTensor:
 
     def test_completeness(self):
         for axes in ("z", "x", "y", "zz", "yx", "xyz"):
-            assert completeness_check(tensor_setting(axes)) < 1e-12
+            assert completeness_gap(tensor_setting(axes)) < 1e-12
 
     def test_rank2_projectors_allowed_but_not_rank1(self):
         p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
@@ -100,6 +103,8 @@ Z0 = np.diag([1.0, 0.0]).astype(complex)
 Z1 = np.diag([0.0, 1.0]).astype(complex)
 OBLIQUE = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # idempotent, not Hermitian
 E4 = np.eye(4, dtype=complex)
+HADAMARD4 = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2
+LONG_ROW_BASIS = HADAMARD4 * np.sqrt([[1 + 3e-10], [1.0], [1.0], [1.0]])
 
 
 @pytest.mark.parametrize(
@@ -136,6 +141,9 @@ E4 = np.eye(4, dtype=complex)
         # each vector within 1e-9 of its projector, their outer products off I by 8e-10
         pytest.param(1, (Z0, Z1), ([1.0, 4e-10], [4e-10, 1.0]), ValidationError,
                      "vectors do not resolve the identity within 1e-10", id="vector-sum"),
+        # row 0 is 3e-10 too long; the outer products miss I by only 7.5e-11
+        pytest.param(2, None, LONG_ROW_BASIS, ValidationError,
+                     "vectors are not orthonormal within 1e-10", id="vector-gram"),
     ],
 )
 def test_setting_rejections(m, projectors, vectors, error, message):
@@ -163,6 +171,76 @@ def test_extracted_vectors_bitwise(setting):
     bare = MeasurementSetting("bare", setting.m_qubits, setting.outcomes, setting.projectors)
     want = [canonical_phase(hermitian_eig(p)[1][:, -1]) for p in setting.projectors]
     assert np.array(bare.vectors).tobytes() == np.array(want).tobytes()
+
+
+def _basis_settings():
+    rng = np.random.default_rng(29)
+    yield from (tensor_setting(axes) for axes in ("z", "yx", "xyz"))
+    yield from (random_rank1_setting(m, rng) for m in (1, 2, 3, 4) for _ in range(3))
+    yield bell_like_setting(BellLikeBasis(0.4, computational_family(3)))
+
+
+class TestBasisSettings:
+    """A setting given by vectors is validated on its basis matrix alone."""
+
+    def test_no_projector_is_checked_on_its_own(self, monkeypatch):
+        """The Hermiticity check, first of the bare-projector checks, never runs."""
+
+        def refuse(stack):
+            raise AssertionError("bare-projector checks ran for a basis setting")
+
+        monkeypatch.setattr(measurements, "hermiticity_residuals", refuse)
+        for s in _basis_settings():
+            MeasurementSetting("u", s.m_qubits, s.outcomes, vectors=s.vectors)
+            MeasurementSetting("u", s.m_qubits, s.outcomes, s.projectors, s.vectors)
+
+    def test_projectors_are_the_outer_products(self):
+        for s in _basis_settings():
+            assert s.projectors.tobytes() == outers(s.vectors).tobytes()
+            bare = MeasurementSetting("p", s.m_qubits, s.outcomes, s.projectors)
+            assert bare.projectors.tobytes() == s.projectors.tobytes()
+
+    def test_accepted_bases_pass_the_projector_checks(self):
+        """Perturbed bases the basis check accepts give projectors the bare path accepts."""
+        rng = np.random.default_rng(31)
+        accepted = rejected = 0
+        for s in _basis_settings():
+            for _ in range(40):
+                delta = 10.0 ** rng.uniform(-12, -9)
+                noise = rng.standard_normal((*s.vectors.shape, 2)) @ [1.0, 1.0j]
+                vectors = s.vectors + delta * noise / np.max(np.abs(noise))
+                try:
+                    u = MeasurementSetting("u", s.m_qubits, s.outcomes, vectors=vectors)
+                except ValidationError:
+                    rejected += 1
+                    continue
+                accepted += 1
+                bare = MeasurementSetting("p", s.m_qubits, s.outcomes, u.projectors)
+                assert bare.projectors.tobytes() == u.projectors.tobytes()
+        assert accepted > 100 and rejected > 100
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_caller_projectors_are_replaced(self, seed):
+        """Caller projectors within 1e-9 of the vectors give way to the vectors' outer products.
+
+        Density input is contracted with the projectors and ensemble input
+        with the vectors, so both measure the same conditional states.
+        """
+        rng = np.random.default_rng([seed, 37])
+        s = random_rank1_setting(2, rng)
+        noise = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+        noise = noise + noise.conj().transpose(0, 2, 1)
+        off = s.projectors + 9e-10 * noise / np.max(np.abs(noise))
+        setting = MeasurementSetting("s", 2, s.outcomes, off, s.vectors)
+        assert setting.projectors.tobytes() == outers(s.vectors).tobytes()
+        protocol = SteeringProtocol(2, setting, tensor_setting("zx"), n_qubits=4)
+        state = random_mixed(4, 2, seed)
+        ensemble = conditional_states(state, protocol, 1).operators
+        density = conditional_states(density_of(state), protocol, 1).operators
+        np.testing.assert_allclose(ensemble, density, rtol=0, atol=1e-14)
+        rho = np.array(density_of(state).matrix)
+        with_caller = loop_conditional(rho, off, 4, 2)
+        assert np.max(np.abs(with_caller - ensemble)) > 1e-11
 
 
 class TestBellLike:
@@ -200,7 +278,7 @@ class TestBellLike:
     @given(st.floats(0.0, np.pi), st.integers(1, 3))
     def test_completeness_property(self, beta, m):
         s = bell_like_setting(BellLikeBasis(beta, computational_family(m)))
-        assert completeness_check(s) < 1e-12
+        assert completeness_gap(s) < 1e-12
 
     def test_with_beta(self):
         b = BellLikeBasis(0.2, computational_family(1), family_label="computational")
@@ -263,7 +341,7 @@ class TestEqualityAndProtocols:
     def test_random_setting_valid_and_deterministic(self):
         a = random_rank1_setting(2, np.random.default_rng(42))
         b = random_rank1_setting(2, np.random.default_rng(42))
-        assert completeness_check(a) < 1e-10
+        assert completeness_gap(a) < 1e-10
         for pa, pb in zip(a.projectors, b.projectors):
             np.testing.assert_array_equal(pa, pb)
 
@@ -326,15 +404,20 @@ class TestJsonRoundTrip:
         assert "setting_2" in str(err.value)
 
 
-@pytest.mark.parametrize("with_vectors", [True, False], ids=["vectors", "bare"])
-def test_setting_keeps_its_own_read_only_arrays(with_vectors):
+@pytest.mark.parametrize(
+    "with_projectors, with_vectors",
+    [(True, True), (True, False), (False, True)],
+    ids=["vectors", "bare", "vectors-only"],
+)
+def test_setting_keeps_its_own_read_only_arrays(with_projectors, with_vectors):
     """Writing into the caller's arrays does not reach the setting, nor can the setting be written."""
     source = tensor_setting("z")
-    projectors = np.array(source.projectors)
+    projectors = np.array(source.projectors) if with_projectors else None
     vectors = np.array(source.vectors) if with_vectors else None
     setting = MeasurementSetting("z", 1, ("0", "1"), projectors, vectors)
     kept = setting.projectors.tobytes(), setting.vectors.tobytes()
-    projectors[0, 0, 0] = 5
+    if with_projectors:
+        projectors[0, 0, 0] = 5
     if with_vectors:
         vectors[0, 0] = 5
     assert (setting.projectors.tobytes(), setting.vectors.tobytes()) == kept
