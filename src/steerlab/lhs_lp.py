@@ -372,8 +372,8 @@ def solve_feasibility(
     n_w = problem.weight_index(0)
     weights = x[n_w:]
     heavy = (weights > config.LP_WEIGHT_FLOOR)[:, None]
-    w = x[:n_w].reshape(problem.n_members, -1)
-    tables = np.divide(w, weights[:, None], out=np.zeros_like(w), where=heavy)
+    w_block = x[:n_w].reshape(problem.n_members, -1)
+    tables = np.divide(w_block, weights[:, None], out=np.zeros_like(w_block), where=heavy)
     # weightless members never influence the mixture; give them the uniform
     # response so normalization still holds
     responses = tuple(
@@ -381,7 +381,7 @@ def solve_feasibility(
         for table in np.split(tables, [problem.n_outcomes[0]], axis=1)
     )
     model = LhsModel(
-        member_weights=tuple(float(v) for v in weights),
+        member_weights=tuple(float(w) for w in weights),
         member_states=problem.candidates,
         responses=responses,
         outcome_labels=problem.outcome_labels,
