@@ -235,11 +235,12 @@ def cmd_lhs(args: argparse.Namespace) -> int:
     if args.dump_lp is not None:
         _write_lp(args.dump_lp, problem, relative)
     result = lhs_lp.solve_feasibility(problem, tol=tols.lp_feasibility)
-    residual = None
+    residual = margin = None
     if result.feasible:
         residual = lhs_lp.verify_model(result.model, set1, set2)
         verdict = "feasible"
     else:
+        margin = lhs_lp.verify_certificate(problem, result.certificate)
         verdict = "infeasible-relative-to-candidates" if relative else "infeasible"
     if args.fmt == "json":
         model_doc = None
@@ -255,23 +256,26 @@ def cmd_lhs(args: argparse.Namespace) -> int:
             {
                 "command": "lhs",
                 "lp_verdict": verdict,
-                "phase1_optimum": result.phase1_optimum,
+                "residual": result.residual,
                 "iterations": result.iterations,
                 "relative": relative,
                 "verify_residual": residual,
+                "certificate_margin": margin,
                 "n_members": problem.n_members,
                 "n_variables": problem.n_variables,
                 "model": model_doc,
             }
         )
     else:
-        print(f"lhs-lp: {verdict} (phase-1 optimum {result.phase1_optimum:.6e})")
+        print(f"lhs-lp: {verdict} (residual {result.residual:.6e})")
         print(f"members: {problem.n_members}  variables: {problem.n_variables}  "
               f"iterations: {result.iterations}")
         if result.feasible:
             for i, w in enumerate(result.model.member_weights):
                 print(f"  member {i}: weight {w:.6f}")
             print(f"verify residual: {residual:.6e}")
+        else:
+            print(f"certificate margin: {margin:.6e}")
     return 0
 
 

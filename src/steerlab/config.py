@@ -15,8 +15,6 @@ WEIGHT_TOL = 1e-10
 NORM_TOL = 1e-10
 # a density operator's smallest eigenvalue may dip this far below 0
 PSD_TOL = 1e-9
-# unit norm of the basis vectors in a measurement file
-PARSED_NORM_TOL = 1e-8
 # a trace, a norm or a largest entry below this counts as zero
 ZERO_FLOOR = 1e-14
 # projective settings: Hermitian, idempotent, orthogonal, complete, unit-trace
@@ -39,8 +37,6 @@ RANK_TOL = 1e-9
 # feasibility solver
 LP_FEASIBILITY_TOL = 1e-9
 LP_MAX_ITERATIONS = 10**6
-# simplex: smallest reduced cost that enters, smallest column entry that pivots
-LP_PIVOT_TOL = 1e-11
 # candidate members: Hermitian and unit trace, and the Frobenius distance
 # under which two fallback candidates count as one
 CANDIDATE_TOL = 1e-8

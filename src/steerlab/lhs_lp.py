@@ -15,8 +15,9 @@ nonnegative.  When every conditional state is pure the candidate member list
 may be restricted, without loss of generality, to the deduplicated conditional
 states themselves: any member contributing to a pure mixture must equal it.
 
-Feasibility is decided by a dense phase-1 simplex with Bland's rule, so the
-verdict and the returned vertex are bit-deterministic for identical inputs.
+Feasibility is decided by nonnegative least squares (Lawson and Hanson 1974,
+ch. 23): a zero residual b - Ax gives the model, and a nonzero one is, by
+Farkas' lemma, a proof that none exists, which ``verify_certificate`` checks.
 """
 
 from __future__ import annotations
@@ -269,81 +270,76 @@ def problem_for(
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of the phase-1 solve: a model or an infeasibility certificate."""
+    """A model, or the residual b_eq - a_eq x as a certificate that none exists.
+
+    ``residual`` is the residual's largest entry in magnitude.
+    """
 
     feasible: bool
-    phase1_optimum: float
+    residual: float
     iterations: int
     model: LhsModel | None = None
+    certificate: np.ndarray | None = field(default=None, repr=False)
 
 
-def _phase1_simplex(
-    a: np.ndarray, b: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, float, int]:
-    """Minimize the artificial mass of Ax = b, x >= 0 with Bland's rule.
+def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
+    """Minimize ||Ax - b|| over x >= 0 by Lawson and Hanson's active-set method.
 
-    Returns (x, optimum, iterations).  Deterministic: the entering variable is
-    the lowest eligible index, ties in the ratio test break toward the lowest
-    basic index.  Each pivot clears the entering column with one rank-1
-    update of the whole tableau, t -= f t[leave_row] with f the column and
-    f[leave_row] = 0, written through a scratch buffer of the tableau's size
-    that is allocated once per solve.  Every entry is one multiply and one
-    subtract, as in row-by-row elimination, so the pivots are the same.
+    Returns (x, iterations), one iteration per passive-set least-squares
+    solve.  An entering variable whose solved value is not positive is
+    passed over (round-off); the dual tolerance is 10 eps ||A||_1 max(m, n).
+    A is first replaced by R of A = QR, and b by Q^T b, which moves the
+    objective by a constant; a tall A keeps only n rows.
     """
     m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # tableau [A | I | b] with the artificial block as the starting basis
-    t = np.zeros((m, n + m + 1))
-    t[:, :n] = a
-    t[:, n : n + m] = np.eye(m)
-    t[:, -1] = b
-    basis = np.arange(n, n + m)
-    # reduced costs for min sum(artificials): structural columns start at
-    # -(column sum), artificials at 0; objective starts at sum(b)
-    cost = np.zeros(n + m + 1)
-    cost[:n] = -np.sum(a, axis=0)
-    cost[-1] = -float(np.sum(b))
-
-    factors = np.empty(m)
-    step = np.empty_like(t)
+    tol = 10 * np.finfo(float).eps * np.linalg.norm(a, 1) * max(m, n)
+    q, a = np.linalg.qr(a)
+    b = q.T @ b
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    dual = a.T @ b
     iterations = 0
-    while True:
-        eligible = np.flatnonzero(cost[: n + m] < -config.LP_PIVOT_TOL)
-        if eligible.size == 0:
-            break
-        entering = int(eligible[0])
-        col = t[:, entering]
-        rows = np.flatnonzero(col > config.LP_PIVOT_TOL)
-        if rows.size == 0:
-            # the phase-1 objective is bounded below by 0, so an unbounded
-            # direction cannot occur; guard anyway
-            raise SolverLimitError("phase-1 simplex found an unbounded direction")
-        ratios = t[rows, -1] / col[rows]
-        # Bland tie-break: smallest basic variable index among minimal ratios
-        tied = rows[ratios == ratios.min()]
-        leave_row = int(tied[np.argmin(basis[tied])])
-        t[leave_row] /= t[leave_row, entering]
-        factors[:] = col
-        factors[leave_row] = 0.0
-        np.multiply(factors[:, None], t[leave_row], out=step)
-        t -= step
-        cost -= cost[entering] * t[leave_row]
-        basis[leave_row] = entering
-        iterations += 1
-        if iterations >= max_iter:
-            raise SolverLimitError(
-                f"phase-1 simplex exceeded {max_iter} iterations without converging"
-            )
 
-    optimum = -float(cost[-1])
-    x = np.zeros(n + m)
-    x[basis] = t[:, -1]
-    return x[:n], optimum, iterations
+    def passive_solution() -> np.ndarray:
+        nonlocal iterations
+        iterations += 1
+        if iterations > max_iter:
+            raise SolverLimitError(f"NNLS exceeded {max_iter} iterations without converging")
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    while not passive.all():
+        entering = int(np.argmax(np.where(passive, -np.inf, dual)))
+        if dual[entering] <= tol:
+            break
+        passive[entering] = True
+        z = passive_solution()
+        if z[entering] <= 0.0:
+            passive[entering] = False
+            dual[entering] = 0.0
+            continue
+        while (cut := passive & (z <= 0.0)).any():
+            x += np.min(x[cut] / (x[cut] - z[cut])) * (z - x)
+            passive &= x > tol
+            z = passive_solution()
+        x = z
+        dual = a.T @ (b - a @ x)
+    return x, iterations
+
+
+def verify_certificate(problem: LpProblem, y: np.ndarray) -> float:
+    """Margin (b^T y - 3 max(0, max A^T y)) / b^T y; positive proves infeasibility.
+
+    Every feasible x has 1^T x = 3 (the weights sum to 1, and each setting's
+    w block to the weights), so b^T y = x^T A^T y <= 3 max(0, max A^T y).
+    The margin is -inf when b^T y <= 0.
+    """
+    gain = float(problem.b_eq @ y)
+    if not gain > 0.0:
+        return -np.inf
+    bound = 3.0 * max(0.0, float(np.max(problem.a_eq.T @ y)))
+    return (gain - bound) / gain
 
 
 def solve_feasibility(
@@ -351,22 +347,24 @@ def solve_feasibility(
     tol: float = config.LP_FEASIBILITY_TOL,
     max_iter: int = config.LP_MAX_ITERATIONS,
 ) -> FeasibilityResult:
-    """Decide the program and, when feasible, return the vertex as an LhsModel.
+    """Decide the program by the residual r = b_eq - a_eq x of its NNLS solution x.
 
-    The phase-1 optimum is the infeasibility certificate: a value above
-    ``tol`` means no hidden-state assignment exists for these candidates.
-    A vertex whose rows miss ``b_eq`` by more than ``tol`` is not reported
-    as feasible: SolverLimitError names the residual instead.
+    max|r| <= ``tol``: feasible, with x as the LhsModel.  Otherwise r is the
+    certificate if ``verify_certificate`` gives it a positive margin; if not,
+    or past ``max_iter`` least-squares solves, SolverLimitError is raised.
     """
-    x, optimum, iterations = _phase1_simplex(problem.a_eq, problem.b_eq, max_iter)
-    if optimum > tol:
-        return FeasibilityResult(
-            feasible=False, phase1_optimum=optimum, iterations=iterations
-        )
-    residual = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
+    x, iterations = _nnls(problem.a_eq, problem.b_eq, max_iter)
+    r = problem.b_eq - problem.a_eq @ x
+    residual = float(np.max(np.abs(r)))
     if residual > tol:
-        raise SolverLimitError(
-            f"phase-1 simplex vertex misses its rows by {residual:.3g} (tolerance {tol:g})"
+        margin = verify_certificate(problem, r)
+        if not margin > 0.0:
+            raise SolverLimitError(
+                f"NNLS residual {residual:.3g} is above the tolerance {tol:g} "
+                f"but certifies nothing (margin {margin:.3g})"
+            )
+        return FeasibilityResult(
+            feasible=False, residual=residual, iterations=iterations, certificate=r
         )
     x = np.where(x > 0.0, x, 0.0)  # as max(0.0, v): negatives and -0.0 become +0.0
     n_w = problem.weight_index(0)
@@ -387,7 +385,7 @@ def solve_feasibility(
         outcome_labels=problem.outcome_labels,
     )
     return FeasibilityResult(
-        feasible=True, phase1_optimum=optimum, iterations=iterations, model=model
+        feasible=True, residual=residual, iterations=iterations, model=model
     )
 
 
@@ -422,5 +420,6 @@ __all__ = [
     "candidate_ensemble",
     "fallback_candidates",
     "solve_feasibility",
+    "verify_certificate",
     "verify_model",
 ]

@@ -204,7 +204,7 @@ def canonical_phase(v: npt.ArrayLike) -> ComplexArray:
     if np.any(np.abs(pivots) < config.ZERO_FLOOR):
         raise DegenerateInputError("cannot fix the phase of a zero vector")
     # scalar division: numpy's array division rounds differently, and the
-    # phases feed the LP's candidates, whose simplex pivots follow every bit
+    # seeded samplers (random_pure, random_mixed) return vectors rotated here
     factors = np.array([abs(p) / p for p in pivots], dtype=np.complex128)
     out = rows * factors[:, None]
     return out if v.ndim == 2 else out[0]

@@ -409,10 +409,10 @@ def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
             raise ParseError(f"{count} vectors cannot form a complete qubit setting", f"{prefix}vectors")
         if any(v.shape[0] != count for v in parsed):
             raise ParseError(f"vectors must each have {count} amplitudes", f"{prefix}vectors")
-        norms = [np.linalg.norm(v) for v in parsed]
-        if any(abs(n - 1.0) > config.PARSED_NORM_TOL for n in norms):
-            raise ParseError("vectors must be unit norm", f"{prefix}vectors")
-        return _rank1_setting("projectors", np.array(parsed))
+        try:
+            return _rank1_setting("projectors", np.array(parsed))
+        except ValidationError as exc:
+            raise ParseError(str(exc), f"{prefix}vectors") from None
     if kind == "bell_like":
         if "beta" not in root:
             raise ParseError("missing required key", f"{prefix}beta")

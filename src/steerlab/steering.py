@@ -461,7 +461,7 @@ class ParadoxReport:
     decomposition_used: str
     setting_labels: tuple[str, str]
     lp_verdict: str | None = None
-    lp_phase1_optimum: float | None = None
+    lp_residual: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -485,7 +485,7 @@ class ParadoxReport:
             "decomposition_used": self.decomposition_used,
             "setting_labels": list(self.setting_labels),
             "lp_verdict": self.lp_verdict,
-            "lp_phase1_optimum": self.lp_phase1_optimum,
+            "lp_residual": self.lp_residual,
         }
 
     def to_text(self) -> str:
@@ -522,10 +522,8 @@ class ParadoxReport:
             )
         lines.append(f"decomposition: {self.decomposition_used}")
         if self.lp_verdict is not None:
-            if self.lp_phase1_optimum is not None:
-                lines.append(
-                    f"lhs-lp: {self.lp_verdict} (phase-1 optimum {self.lp_phase1_optimum:.6e})"
-                )
+            if self.lp_residual is not None:
+                lines.append(f"lhs-lp: {self.lp_verdict} (residual {self.lp_residual:.6e})")
             else:
                 lines.append(f"lhs-lp: {self.lp_verdict}")
             if self.verdict == PARADOX and self.lp_verdict == "feasible":
@@ -548,9 +546,10 @@ def certify(
 
     The verdict is PARADOX exactly when every nonzero-probability conditional
     state is pure and no cross-setting coincidence exists; the 2-vs-1 trace
-    ledger is then forced.  With ``lp=True`` the independent linear-program
-    oracle runs as a cross-check (see lhs_lp); an explicit candidate list
-    switches it to the relative mode.
+    ledger is then forced.  With ``lp=True`` the independent LHS feasibility
+    oracle (lhs_lp, nonnegative least squares) adds its verdict and residual,
+    or raises SolverLimitError; an explicit candidate list switches it to the
+    relative mode.
     """
     tols = tolerances or Tolerances()
     if isinstance(state, EnsembleState):
@@ -601,9 +600,7 @@ def certify(
         lp_verdict = "feasible"
     else:
         lp_verdict = "infeasible-relative-to-candidates" if relative else "infeasible"
-    return replace(
-        report, lp_verdict=lp_verdict, lp_phase1_optimum=result.phase1_optimum
-    )
+    return replace(report, lp_verdict=lp_verdict, lp_residual=result.residual)
 
 
 __all__ = [

@@ -9,6 +9,7 @@ criterion body.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import completeness_gap, random_protocol, reconstruct
 from steerlab import (
@@ -36,6 +37,7 @@ from steerlab import (
     tensor_protocol,
     transformation_matrix,
     two_qubit_theta_state,
+    verify_certificate,
     verify_model,
 )
 from steerlab.linalg import numerical_rank, phase_equal
@@ -89,16 +91,24 @@ def test_criterion_3_lp_oracle_agreement():
     start = time.perf_counter()
     zx = tensor_protocol("z", "x", n_qubits=2)
     zzyx = tensor_protocol("zz", "yx", n_qubits=4)
+    # each paradox instance with the max|b - Ax| of its least-squares solution
     paradox_instances = [
-        _sets(two_qubit_theta_state(theta), zx)
-        for theta in (np.pi / 8, np.pi / 6, np.pi / 4, np.pi / 3, 3 * np.pi / 8)
-    ] + [_sets(lc4_mixed(theta), zzyx) for theta in (np.pi / 6, np.pi / 4, np.pi / 3)]
-    for s1, s2 in paradox_instances:
+        (_sets(two_qubit_theta_state(theta), zx), residual)
+        for theta, residual in (
+            (np.pi / 8, 0.1141011899416362),
+            (np.pi / 6, 0.14955512909979063),
+            (np.pi / 4, 13 / 112),
+            (np.pi / 3, 0.14955512909979057),
+            (3 * np.pi / 8, 0.11410118994163632),
+        )
+    ] + [(_sets(lc4_mixed(theta), zzyx), 7 / 138) for theta in (np.pi / 6, np.pi / 4, np.pi / 3)]
+    for (s1, s2), residual in paradox_instances:
         problem, relative = problem_for(s1, s2)
         assert not relative
         result = solve_feasibility(problem)
         assert not result.feasible
-        assert result.phase1_optimum >= 0.5
+        assert result.residual == pytest.approx(residual, rel=1e-9)
+        assert verify_certificate(problem, result.certificate) > 0.0
     feasible_states = [
         EnsembleState(2, (1.0,), (basis_ket(2, 0),)),
         EnsembleState(2, (0.5, 0.5), (basis_ket(2, 0), basis_ket(2, 3))),
@@ -224,7 +234,7 @@ def test_criterion_7_property_suite():
         w = random_pure(2, seed=19900 + i)
         assert phase_equal(v, w, 1e-8) == phase_equal(w, v, 1e-8)
 
-    # simplex determinism: identical problems give identical runs
+    # solver determinism: identical problems give identical runs
     for i in range(100):
         state = random_mixed(2, 1 + i % 2, 9990 + i)
         s1, s2 = _sets(state, random_protocol(1, 9990 + i))
@@ -233,7 +243,7 @@ def test_criterion_7_property_suite():
         b = solve_feasibility(problem)
         assert a.feasible == b.feasible
         assert a.iterations == b.iterations
-        assert a.phase1_optimum == b.phase1_optimum
+        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -154,11 +154,21 @@ class TestLhs:
         doc = json.loads(r.stdout)
         assert doc["lp_verdict"] == "feasible"
         assert doc["verify_residual"] <= 1e-8
+        assert doc["residual"] <= 1e-9
+        assert doc["certificate_margin"] is None
 
     def test_infeasible_paradox_state(self, files):
         r = run_cli("lhs", "--state", files["tq.json"], "--protocol", files["zx.json"])
         assert r.returncode == 0
-        assert "lhs-lp: infeasible" in r.stdout
+        assert "lhs-lp: infeasible (residual " in r.stdout
+        assert "certificate margin: " in r.stdout
+        r = run_cli("lhs", "--state", files["tq.json"], "--protocol", files["zx.json"],
+                    "--format", "json")
+        doc = json.loads(r.stdout)
+        assert doc["lp_verdict"] == "infeasible"
+        assert doc["residual"] > 0.1
+        assert doc["certificate_margin"] > 1 - 1e-9
+        assert doc["verify_residual"] is None
 
 
 class TestSweep:

@@ -1,4 +1,4 @@
-"""Feasibility program assembly, the phase-1 simplex, and the external solver cross-check."""
+"""Feasibility program assembly, the NNLS decision and its certificate, and external cross-checks."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import (
     loop_lp,
     loop_model_tables,
-    loop_simplex,
     loop_verify_model,
     lp_residuals,
     pack,
@@ -35,10 +34,11 @@ from steerlab import (
     solve_feasibility,
     tensor_protocol,
     two_qubit_theta_state,
+    verify_certificate,
     verify_model,
 )
 from steerlab import config, lhs_lp
-from steerlab.lhs_lp import _phase1_simplex
+from steerlab.lhs_lp import _nnls
 
 
 def sets_for(state, protocol):
@@ -179,17 +179,57 @@ class TestProblemAssembly:
         assert doc["n_variables"] == 20
 
 
+def _random_n4(rank, seed):
+    return sets_for(random_mixed(4, rank, seed), random_protocol(2, seed))
+
+
+def _lp_oracle_instance(seed, index):
+    """The program of benchmark instance lp-oracle (seed, index), its draws repeated.
+
+    The share is index mod 3: 0 is ``haar-pure`` (195) and 2 ``rank2-mixed``
+    (137), each with two Haar-random settings on two qubits.
+    """
+    rng = np.random.default_rng([seed, index])
+    assert index % 3 in (0, 2)
+    if index % 3 == 0:
+        state = EnsembleState(4, (1.0,), (random_pure(4, int(rng.integers(2**62))),))
+    else:
+        state = random_mixed(4, 2, int(rng.integers(2**62)))
+    s1, s2 = (random_rank1_setting(2, rng) for _ in range(2))
+    return problem_for(*sets_for(state, SteeringProtocol(2, s1, s2, 4)))
+
+
+def _highs_feasible(problem):
+    lp = scipy.optimize.linprog(
+        c=np.zeros(problem.n_variables),
+        A_eq=problem.a_eq,
+        b_eq=problem.b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert lp.status in (0, 2), lp.message
+    return lp.status == 0
+
+
 class TestSolver:
     def test_paradox_instances_infeasible(self):
-        for sets in (
-            two_qubit_sets(np.pi / 4),
-            sets_for(lc4_mixed(np.pi / 3), tensor_protocol("zz", "yx", n_qubits=4)),
+        # max|r| and ||r||_2 of each least-squares residual r; 13/112 and 7/138
+        for sets, residual, norm in (
+            (two_qubit_sets(np.pi / 4), 13 / 112, 0.2988071523335984),
+            (
+                sets_for(lc4_mixed(np.pi / 3), tensor_protocol("zz", "yx", n_qubits=4)),
+                7 / 138,
+                0.2252213082307254,
+            ),
         ):
             problem, relative = problem_for(*sets)
             assert not relative
             result = solve_feasibility(problem)
             assert not result.feasible
-            assert result.phase1_optimum >= 0.5
+            assert result.model is None
+            assert result.residual == pytest.approx(residual, rel=1e-9)
+            assert np.linalg.norm(result.certificate) == pytest.approx(norm, rel=1e-9)
+            assert verify_certificate(problem, result.certificate) > 1 - 1e-9
 
     def test_feasible_instances_verify(self):
         for state in (
@@ -200,7 +240,8 @@ class TestSolver:
             problem, _ = problem_for(s1, s2)
             result = solve_feasibility(problem)
             assert result.feasible
-            assert result.phase1_optimum < 1e-9
+            assert result.certificate is None
+            assert result.residual < 1e-9
             assert verify_model(result.model, s1, s2) <= 1e-8
 
     def test_deterministic_runs(self):
@@ -208,11 +249,12 @@ class TestSolver:
         a = solve_feasibility(problem)
         b = solve_feasibility(problem)
         assert a.iterations == b.iterations
-        assert a.phase1_optimum == b.phase1_optimum
+        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+        assert a.certificate.tobytes() == b.certificate.tobytes()
 
     def test_iteration_cap_raises(self):
         problem, _ = problem_for(*two_qubit_sets())
-        with pytest.raises(SolverLimitError):
+        with pytest.raises(SolverLimitError, match="^NNLS exceeded 1 iterations"):
             solve_feasibility(problem, max_iter=1)
 
     @settings(max_examples=40, deadline=None)
@@ -223,40 +265,38 @@ class TestSolver:
         s1, s2 = sets_for(state, protocol)
         problem, _ = problem_for(s1, s2)
         result = solve_feasibility(problem)
-        lp = scipy.optimize.linprog(
-            c=np.zeros(problem.n_variables),
-            A_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-            bounds=(0, None),
-            method="highs",
-        )
-        assert result.feasible == lp.success
+        assert result.feasible == _highs_feasible(problem)
+        if result.feasible:
+            assert verify_model(result.model, s1, s2) <= 1e-8
+        else:
+            assert verify_certificate(problem, result.certificate) > 0.0
 
-    def test_vertex_off_its_rows_raises(self):
-        """Benchmark instance lp-oracle (seed 513, index 137), a rank-2 relative-mode LP.
-
-        Its draws are repeated here: the simplex ends at optimum <= tol on a
-        vertex with weights near 1.9e18, and that vertex is not a model.
-        """
-        rng = np.random.default_rng([513, 137])
-        state = random_mixed(4, 2, int(rng.integers(2**62)))
-        s1, s2 = (random_rank1_setting(2, rng) for _ in range(2))
-        problem, relative = problem_for(*sets_for(state, SteeringProtocol(2, s1, s2, 4)))
-        assert relative
-        x, optimum, _ = _phase1_simplex(problem.a_eq, problem.b_eq, 1000)
-        assert optimum <= config.LP_FEASIBILITY_TOL
-        assert np.max(np.abs(problem.a_eq @ x - problem.b_eq)) > 1e18
-        message = r"^phase-1 simplex vertex misses its rows by 6\.5\de\+19 "
-        with pytest.raises(SolverLimitError, match=message):
-            solve_feasibility(problem, max_iter=1000)
+    @pytest.mark.parametrize(
+        "name", ["rank2-n4-0", "rank2-n4-4", "rank2-n4-8", "lp-oracle-104-195", "lp-oracle-513-137"]
+    )
+    def test_former_stalls_decide(self, name):
+        """Instances the phase-1 simplex could not decide: cycling past its pivot
+        budget, an "unbounded direction", and a vertex off its rows by 6.5e19."""
+        if name.startswith("rank2"):
+            problem, relative = problem_for(*_random_n4(2, int(name.rsplit("-", 1)[1])))
+            assert relative
+        else:
+            seed, index = (int(v) for v in name.split("-")[2:])
+            problem, relative = _lp_oracle_instance(seed, index)
+            assert relative == (index % 3 == 2)
+        result = solve_feasibility(problem, max_iter=1000)
+        assert result.feasible == _highs_feasible(problem)
+        assert not result.feasible
+        assert result.residual > 0.01
+        assert verify_certificate(problem, result.certificate) > 1 - 1e-9
 
     def test_off_row_vertex_is_not_a_model(self, monkeypatch):
-        """A vertex with optimum 0 whose rows miss b_eq by 2e-9 raises instead of a model."""
-        problem, _ = problem_for(*SIMPLEX_CASES["feasible-product"]())
-        x, _, _ = _phase1_simplex(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        """A solution whose rows miss b_eq by 2e-9 certifies nothing, so the solve raises."""
+        problem, _ = problem_for(*LP_CASES["feasible-product"]())
+        x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
         scaled = x * (1 + 2e-9)  # the coupling rows still hold, b_eq's largest rows do not
-        monkeypatch.setattr(lhs_lp, "_phase1_simplex", lambda a, b, max_iter: (scaled, 0.0, 6))
-        message = r"misses its rows by 2e-09 \(tolerance 1e-09\)$"
+        monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (scaled, 6))
+        message = r"^NNLS residual 2e-09 is above the tolerance 1e-09 but certifies nothing"
         with pytest.raises(SolverLimitError, match=message):
             solve_feasibility(problem)
 
@@ -273,13 +313,45 @@ class TestSolver:
             np.testing.assert_allclose(np.sum(table, axis=1), 1.0, atol=1e-9)
 
 
-def _random_n4(rank, seed):
-    return sets_for(random_mixed(4, rank, seed), random_protocol(2, seed))
+class TestCertificate:
+    def test_feasible_point_bounds_every_certificate(self):
+        """b^T y <= 3 max(0, max A^T y) whenever Ax = b, x >= 0, so no y certifies."""
+        s1, s2 = LP_CASES["feasible-mixture"]()
+        problem, _ = problem_for(s1, s2)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            y = rng.normal(size=len(problem.b_eq))
+            assert verify_certificate(problem, y) <= 1e-12
+
+    def test_bound_is_tight(self):
+        """y = 3 (normalization) + 1 (every coupling row) has A^T y = 1 and b^T y = 3.
+
+        The feasible total 1^T x = 3 meets the bound with equality, so the
+        margin is 0: a smaller factor than 3 would certify a feasible program.
+        """
+        problem, _ = problem_for(*LP_CASES["feasible-mixture"]())
+        y = np.zeros(len(problem.b_eq))
+        y[slice(*problem.coupling_rows)] = 1.0
+        y[problem.normalization_row] = 3.0
+        np.testing.assert_array_equal(problem.a_eq.T @ y, 1.0)
+        assert verify_certificate(problem, y) == 0.0
+
+    def test_sign_flipped_certificate_is_rejected(self):
+        problem, _ = problem_for(*two_qubit_sets())
+        y = solve_feasibility(problem).certificate
+        assert verify_certificate(problem, -y) == -np.inf
+        assert verify_certificate(problem, np.zeros_like(y)) == -np.inf
+
+    def test_margin_is_normalized(self):
+        problem, _ = problem_for(*two_qubit_sets())
+        y = solve_feasibility(problem).certificate
+        margin = verify_certificate(problem, y)
+        assert verify_certificate(problem, 1e6 * y) == pytest.approx(margin, rel=1e-12)
 
 
 # The LP instances of this file and of test_acceptance.py, by kind, and random
-# n=4/M=2 ones that finish within 600 pivots under the default budget.
-SIMPLEX_CASES = {
+# n=4/M=2 ones, feasible and not.
+LP_CASES = {
     **{
         f"paradox-two-qubit-{k}": (lambda k=k: two_qubit_sets(k * np.pi / 24))
         for k in (3, 4, 5, 6, 8, 9)
@@ -309,47 +381,45 @@ SIMPLEX_CASES = {
 }
 
 
-def _simplex_outcome(solve, problem, max_iter):
-    """What a solve returns, as bytes, or the message it raised."""
-    try:
-        x, optimum, iterations = solve(problem.a_eq, problem.b_eq, max_iter)
-    except SolverLimitError as exc:
-        return str(exc)
-    return x.tobytes(), np.float64(optimum).tobytes(), iterations
+def _assert_matches_scipy(problem):
+    """``_nnls`` and ``scipy.optimize.nnls`` give the same verdict and residual norm."""
+    x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+    ref, ref_norm = scipy.optimize.nnls(problem.a_eq, problem.b_eq, maxiter=50 * problem.n_variables)
+    r = problem.b_eq - problem.a_eq @ x
+    r_ref = problem.b_eq - problem.a_eq @ ref
+    tol = config.LP_FEASIBILITY_TOL
+    assert (np.max(np.abs(r)) <= tol) == (np.max(np.abs(r_ref)) <= tol)
+    assert np.linalg.norm(r) == pytest.approx(ref_norm, rel=1e-10, abs=1e-12)
+    assert np.all(x >= 0.0)
 
 
-class TestSimplexDifferential:
-    """The rank-1 pivot update takes the row loop's pivot path, bit for bit."""
+class TestNnlsDifferential:
+    """The solver against scipy's compiled Lawson-Hanson NNLS."""
 
-    @pytest.mark.parametrize("case", sorted(SIMPLEX_CASES))
-    def test_matches_loop_reference(self, case):
-        s1, s2 = SIMPLEX_CASES[case]()
-        problem, _ = problem_for(s1, s2)
-        budget = config.LP_MAX_ITERATIONS
-        expected = _simplex_outcome(loop_simplex, problem, budget)
-        assert _simplex_outcome(_phase1_simplex, problem, budget) == expected
-        # a budget of half the pivots stops the solve midway
-        cut = max(1, expected[2] // 2)
-        expected = _simplex_outcome(loop_simplex, problem, cut)
-        assert isinstance(expected, str)
-        assert _simplex_outcome(_phase1_simplex, problem, cut) == expected
+    @pytest.mark.parametrize("case", sorted(LP_CASES))
+    def test_matches_scipy(self, case):
+        _assert_matches_scipy(problem_for(*LP_CASES[case]())[0])
 
     def test_given_candidates(self):
         s1, s2 = two_qubit_sets()
         problem = build_lp(s1, s2, [np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2])
-        budget = config.LP_MAX_ITERATIONS
-        assert _simplex_outcome(_phase1_simplex, problem, budget) == _simplex_outcome(
-            loop_simplex, problem, budget
-        )
+        _assert_matches_scipy(problem)
 
-    @pytest.mark.parametrize("seed", [0, 4, 8])
-    def test_stalled_solve_stops_alike(self, seed):
-        """Rank-2 relative-mode instances that run past the pivot budget."""
-        problem, relative = problem_for(*_random_n4(2, seed))
-        assert relative
-        expected = _simplex_outcome(loop_simplex, problem, 300)
-        assert expected == "phase-1 simplex exceeded 300 iterations without converging"
-        assert _simplex_outcome(_phase1_simplex, problem, 300) == expected
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 2), st.integers(2, 3))
+    def test_matches_scipy_on_random_instances(self, seed, rank, n_qubits):
+        s1, s2 = sets_for(random_mixed(n_qubits, rank, seed), random_protocol(1, seed))
+        _assert_matches_scipy(problem_for(s1, s2)[0])
+
+    def test_wide_program(self):
+        """More columns than rows, so R of A = QR keeps every row: the same answer."""
+        s1, s2 = two_qubit_sets()
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        problem = build_lp(s1, s2, [np.outer(v, v.conj()) for v in vecs])
+        assert problem.a_eq.shape[0] < problem.a_eq.shape[1]
+        _assert_matches_scipy(problem)
 
 
 def _separable(seed):
@@ -361,8 +431,8 @@ def _separable(seed):
 
 
 FEASIBLE_CASES = {
-    "feasible-product": SIMPLEX_CASES["feasible-product"],
-    "feasible-mixture": SIMPLEX_CASES["feasible-mixture"],
+    "feasible-product": LP_CASES["feasible-product"],
+    "feasible-mixture": LP_CASES["feasible-mixture"],
     **{f"separable-{k}": (lambda k=k: _separable(k)) for k in range(6)},
 }
 
@@ -376,7 +446,7 @@ class TestModelArrays:
         problem, _ = problem_for(s1, s2)
         result = solve_feasibility(problem)
         assert result.feasible
-        x, _, _ = _phase1_simplex(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
         weights, responses = loop_model_tables(problem, x)
         model = result.model
         assert np.array(model.member_weights).tobytes() == weights.tobytes()
@@ -396,7 +466,7 @@ class TestModelArrays:
         x[problem.weight_index(0) :] *= rng.uniform(0.0, 1.0, problem.n_members)
         weights, responses = loop_model_tables(problem, x)
         # an infinite tolerance lets any vertex through to the model tables
-        monkeypatch.setattr(lhs_lp, "_phase1_simplex", lambda a, b, max_iter: (x, 0.0, 1))
+        monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (x, 1))
         model = solve_feasibility(problem, tol=np.inf).model
         assert np.array(model.member_weights).tobytes() == weights.tobytes()
         assert [t.tobytes() for t in model.responses] == [t.tobytes() for t in responses]

@@ -397,6 +397,15 @@ class TestJsonRoundTrip:
             load_measurement(doc)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("norm", [1 + 5e-9, 1.1])
+    def test_vectors_the_setting_rejects_name_their_path(self, norm):
+        """Off-norm vectors, 5e-9 (once past the parser) or 0.1, fail at their JSON path."""
+        doc = {"type": "projectors", "vectors": [[[norm, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        with pytest.raises(ParseError, match=r"^setting_1\.vectors: vectors do not resolve"):
+            load_measurement(doc, "setting_1")
+        with pytest.raises(ParseError, match=r"^vectors: vectors do not resolve"):
+            load_measurement(doc)
+
     def test_protocol_parse_error_path(self):
         doc = {"alice_qubits": 1, "setting_1": {"type": "tensor_pauli", "axes": "z"}}
         with pytest.raises(ParseError) as err:

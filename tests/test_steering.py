@@ -214,7 +214,7 @@ def coarse_protocol():
 def assert_same_report(got, want):
     """Verdict and ledger agree; floats to 1e-10.  The decomposition label is not compared."""
     a, b = got.to_json_dict(), want.to_json_dict()
-    for key in ("quantum_trace_sum", "lp_phase1_optimum"):
+    for key in ("quantum_trace_sum", "lp_residual"):
         assert a.pop(key) == pytest.approx(b.pop(key), abs=1e-10)
     for ra, rb in zip(a.pop("per_outcome"), b.pop("per_outcome"), strict=True):
         assert (ra["setting"], ra["outcome"]) == (rb["setting"], rb["outcome"])
@@ -709,7 +709,7 @@ class TestCertify:
         report = certify(state, tensor_protocol("z", "x", n_qubits=2), lp=True, tolerances=tols)
         assert report.verdict == PARADOX
         assert report.lp_verdict == "infeasible"
-        assert report.lp_phase1_optimum == pytest.approx(1.0, abs=1e-6)
+        assert report.lp_residual == pytest.approx(13 / 112, rel=1e-6)
 
     @pytest.mark.parametrize("lp", [False, True])
     def test_one_evidence_pass(self, lp, monkeypatch):
@@ -733,7 +733,7 @@ class TestCertify:
         state, _, protocol = two_qubit_setup(np.pi / 3)
         report = certify(state, protocol, lp=True)
         assert report.lp_verdict == "infeasible"
-        assert report.lp_phase1_optimum >= 0.5
+        assert report.lp_residual == pytest.approx(0.14955512909979063, rel=1e-9)
 
 
 class TestRankBound:
