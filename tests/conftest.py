@@ -135,6 +135,58 @@ def loop_lp(set1, set2, candidates):
     return a, b
 
 
+def loop_nnls(a, b, max_iter):
+    """Lawson and Hanson's NNLS on the full A, with index lists and Python loops.
+
+    Reference for ``lhs_lp._nnls``, which first reduces A to R of A = QR:
+    same dual tolerance and entering rule, the passive set kept as a sorted
+    list and each step-length ratio taken one index at a time.  Returns
+    (x, iterations) or None when max_iter least-squares solves do not finish.
+    """
+    m, n = a.shape
+    tol = 10 * np.finfo(float).eps * np.linalg.norm(a, 1) * max(m, n)
+    x = np.zeros(n)
+    passive = []
+    skipped = set()
+    iterations = 0
+
+    def solve():
+        z = np.zeros(n)
+        if passive:
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    while len(passive) < n:
+        dual = a.T @ (b - a @ x)
+        candidates = [j for j in range(n) if j not in passive and j not in skipped]
+        if not candidates:
+            break
+        entering = max(candidates, key=lambda j: dual[j])
+        if dual[entering] <= tol:
+            break
+        passive = sorted(passive + [entering])
+        iterations += 1
+        if iterations > max_iter:
+            return None
+        z = solve()
+        if z[entering] <= 0.0:
+            passive.remove(entering)
+            skipped.add(entering)
+            continue
+        skipped.clear()
+        while any(z[j] <= 0.0 for j in passive):
+            step = min(x[j] / (x[j] - z[j]) for j in passive if z[j] <= 0.0)
+            for j in range(n):
+                x[j] += step * (z[j] - x[j])
+            passive = [j for j in passive if x[j] > tol]
+            iterations += 1
+            if iterations > max_iter:
+                return None
+            z = solve()
+        x = z
+    return x, iterations
+
+
 def loop_model_tables(problem, x):
     """(weights, responses) of a feasible vertex x, one entry at a time.
 

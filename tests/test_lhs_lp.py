@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     loop_lp,
     loop_model_tables,
+    loop_nnls,
     loop_verify_model,
     lp_residuals,
     pack,
@@ -271,24 +272,33 @@ class TestSolver:
         else:
             assert verify_certificate(problem, result.certificate) > 0.0
 
-    @pytest.mark.parametrize(
-        "name", ["rank2-n4-0", "rank2-n4-4", "rank2-n4-8", "lp-oracle-104-195", "lp-oracle-513-137"]
-    )
-    def test_former_stalls_decide(self, name):
-        """Instances the phase-1 simplex could not decide: cycling past its pivot
-        budget, an "unbounded direction", and a vertex off its rows by 6.5e19."""
-        if name.startswith("rank2"):
-            problem, relative = problem_for(*_random_n4(2, int(name.rsplit("-", 1)[1])))
-            assert relative
-        else:
-            seed, index = (int(v) for v in name.split("-")[2:])
-            problem, relative = _lp_oracle_instance(seed, index)
-            assert relative == (index % 3 == 2)
+    @pytest.mark.parametrize("seed, index", [(104, 195), (513, 137)])
+    def test_former_stalls_decide(self, seed, index):
+        """lp-oracle instances on which the phase-1 simplex found an "unbounded
+        direction" (104, 195) and a vertex off its rows by 6.5e19 (513, 137)."""
+        problem, relative = _lp_oracle_instance(seed, index)
+        assert relative == (index % 3 == 2)
         result = solve_feasibility(problem, max_iter=1000)
         assert result.feasible == _highs_feasible(problem)
         assert not result.feasible
         assert result.residual > 0.01
         assert verify_certificate(problem, result.certificate) > 1 - 1e-9
+
+    def test_vertex_off_its_rows_raises(self, monkeypatch):
+        """A solution far off its rows, as the simplex's vertex with weights near
+        1.9e18 on lp-oracle (513, 137), is neither a model nor a certificate.
+
+        With x = c x* for the least-squares x*, b^T (b - Ax) = (1 - c)||b||^2 +
+        c ||b - Ax*||^2, negative for large c: the solve raises.
+        """
+        problem, relative = _lp_oracle_instance(513, 137)
+        assert relative
+        x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        far = x * 1e18
+        monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (far, 6))
+        message = r"^NNLS residual \d\.\d+e\+\d\d is above .* certifies nothing \(margin -inf\)$"
+        with pytest.raises(SolverLimitError, match=message):
+            solve_feasibility(problem)
 
     def test_off_row_vertex_is_not_a_model(self, monkeypatch):
         """A solution whose rows miss b_eq by 2e-9 certifies nothing, so the solve raises."""
@@ -381,35 +391,64 @@ LP_CASES = {
 }
 
 
-def _assert_matches_scipy(problem):
-    """``_nnls`` and ``scipy.optimize.nnls`` give the same verdict and residual norm."""
+def _assert_matches_references(problem):
+    """``_nnls``, the loop reference and ``scipy.optimize.nnls`` agree.
+
+    Same verdict at the feasibility tolerance, and residual norms within
+    1e-10 relative: the minimum is unique even where the minimizer is not.
+    """
     x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
-    ref, ref_norm = scipy.optimize.nnls(problem.a_eq, problem.b_eq, maxiter=50 * problem.n_variables)
-    r = problem.b_eq - problem.a_eq @ x
-    r_ref = problem.b_eq - problem.a_eq @ ref
+    looped = loop_nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+    assert looped is not None
+    compiled, _ = scipy.optimize.nnls(
+        problem.a_eq, problem.b_eq, maxiter=50 * problem.n_variables
+    )
     tol = config.LP_FEASIBILITY_TOL
-    assert (np.max(np.abs(r)) <= tol) == (np.max(np.abs(r_ref)) <= tol)
-    assert np.linalg.norm(r) == pytest.approx(ref_norm, rel=1e-10, abs=1e-12)
+    r = problem.b_eq - problem.a_eq @ x
+    for ref in (looped[0], compiled):
+        r_ref = problem.b_eq - problem.a_eq @ ref
+        assert (np.max(np.abs(r)) <= tol) == (np.max(np.abs(r_ref)) <= tol)
+        assert np.linalg.norm(r) == pytest.approx(np.linalg.norm(r_ref), rel=1e-10, abs=1e-12)
     assert np.all(x >= 0.0)
 
 
-class TestNnlsDifferential:
-    """The solver against scipy's compiled Lawson-Hanson NNLS."""
+class TestSimplexDifferential:
+    """The solver against a loop Lawson-Hanson and scipy's compiled NNLS.
+
+    The cases, and the class name, are those the deleted phase-1 simplex
+    was checked on against its own row-loop reference.
+    """
 
     @pytest.mark.parametrize("case", sorted(LP_CASES))
-    def test_matches_scipy(self, case):
-        _assert_matches_scipy(problem_for(*LP_CASES[case]())[0])
+    def test_matches_loop_reference(self, case):
+        _assert_matches_references(problem_for(*LP_CASES[case]())[0])
 
     def test_given_candidates(self):
         s1, s2 = two_qubit_sets()
         problem = build_lp(s1, s2, [np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2])
-        _assert_matches_scipy(problem)
+        _assert_matches_references(problem)
+
+    @pytest.mark.parametrize("seed", [0, 4, 8])
+    def test_stalled_solve_stops_alike(self, seed):
+        """Rank-2 relative-mode instances the simplex could not finish in 300 pivots.
+
+        Within that budget the solve stops with HiGHS's verdict and a
+        verified certificate, and agrees with both references.
+        """
+        problem, relative = problem_for(*_random_n4(2, seed))
+        assert relative
+        _assert_matches_references(problem)
+        result = solve_feasibility(problem, max_iter=300)
+        assert result.feasible == _highs_feasible(problem)
+        assert not result.feasible
+        assert result.residual > 0.01
+        assert verify_certificate(problem, result.certificate) > 1 - 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 2), st.integers(2, 3))
-    def test_matches_scipy_on_random_instances(self, seed, rank, n_qubits):
+    def test_matches_on_random_instances(self, seed, rank, n_qubits):
         s1, s2 = sets_for(random_mixed(n_qubits, rank, seed), random_protocol(1, seed))
-        _assert_matches_scipy(problem_for(s1, s2)[0])
+        _assert_matches_references(problem_for(s1, s2)[0])
 
     def test_wide_program(self):
         """More columns than rows, so R of A = QR keeps every row: the same answer."""
@@ -419,7 +458,7 @@ class TestNnlsDifferential:
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         problem = build_lp(s1, s2, [np.outer(v, v.conj()) for v in vecs])
         assert problem.a_eq.shape[0] < problem.a_eq.shape[1]
-        _assert_matches_scipy(problem)
+        _assert_matches_references(problem)
 
 
 def _separable(seed):
