@@ -269,7 +269,7 @@ def add_shared_slot_component(
     psi = np.cos(tau) * np.kron(plus, eta_p) + np.sin(tau) * np.kron(minus, eta_m)
     extra = float(rng.uniform(0.2, 0.4))
     weights = tuple(w * (1.0 - extra) for w in ensemble.weights) + (extra,)
-    return EnsembleState(ensemble.n_qubits, weights, ensemble.vectors + (psi,))
+    return EnsembleState(ensemble.n_qubits, weights, np.vstack([ensemble.vectors, psi]))
 
 
 __all__ = [

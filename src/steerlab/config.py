@@ -60,7 +60,6 @@ class Tolerances:
     phase: float = PHASE_TOL
     prob_floor: float = PROB_FLOOR
     marginal: float = MARGINAL_TOL
-    rank: float = RANK_TOL
     lp_feasibility: float = LP_FEASIBILITY_TOL
 
     def __post_init__(self) -> None:

@@ -39,7 +39,6 @@ from .errors import (
 from .linalg import (
     ComplexArray,
     hermiticity_residuals,
-    outer,
     outers,
     phase_coincidences,
     read_only_copy,
@@ -86,12 +85,7 @@ def candidate_ensemble(
         raise PreconditionError(
             "a conditional state is mixed; supply an explicit candidate list instead"
         )
-    hits = phase_coincidences(check.vectors, tol)
-    kept: list[int] = []
-    for i in range(len(hits)):
-        if not hits[kept, i].any():
-            kept.append(i)
-    return outers(check.vectors[kept])
+    return outers(check.vectors[_first_kept(phase_coincidences(check.vectors, tol))])
 
 
 def fallback_candidates(
@@ -102,24 +96,27 @@ def fallback_candidates(
     """Default candidates for the relative mode with mixed conditionals, as one array.
 
     The deduplicated normalized conditional states (pure or not) plus the
-    eigenprojectors of Bob's marginal.
+    eigenprojectors of Bob's marginal; two count as one within a Frobenius
+    distance of ``CANDIDATE_TOL``.
     """
-    candidates: list[ComplexArray] = []
-
-    def push(mat: ComplexArray) -> None:
-        if not any(np.linalg.norm(mat - c) <= config.CANDIDATE_TOL for c in candidates):
-            candidates.append(mat)
-
-    for cs in (set1, set2):
-        for op, p in zip(cs.operators, cs.probabilities):
-            if p > prob_floor:
-                push(op / p)
+    ops = np.concatenate([set1.operators, set2.operators])
+    p = np.concatenate([set1.probabilities, set2.probabilities])
+    keep = p > prob_floor
     rho_b = set1.total()
     w, v = np.linalg.eigh((rho_b + rho_b.conj().T) / 2)
-    for i in range(len(w)):
-        if w[i] > config.RANK_TOL:
-            push(outer(v[:, i]))
-    return np.array(candidates)
+    eigenprojectors = outers(v[:, w > config.RANK_TOL].T)
+    candidates = np.concatenate([ops[keep] / p[keep, None, None], eigenprojectors])
+    distances = np.linalg.norm(candidates[:, None] - candidates, axis=(2, 3))
+    return candidates[_first_kept(distances <= config.CANDIDATE_TOL)]
+
+
+def _first_kept(hits: np.ndarray) -> list[int]:
+    """Greedy deduplication: index i is kept unless it hits an index kept before it."""
+    kept: list[int] = []
+    for i in range(len(hits)):
+        if not hits[kept, i].any():
+            kept.append(i)
+    return kept
 
 
 @dataclass(frozen=True)

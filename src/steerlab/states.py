@@ -46,38 +46,46 @@ class EnsembleState:
     """Convex mixture of pure states, sum_a weights[a] |vectors[a]><vectors[a]|.
 
     Invariants, checked on construction: every weight is positive, the weights
-    sum to one within 1e-10, and every vector is unit norm on 2**n_qubits
-    amplitudes.  ``vectors`` holds read-only copies of the inputs.
+    sum to one within 1e-10, every vector is finite and unit norm on 2**n_qubits
+    amplitudes, and sum_a p_a ||psi_a||^2 = 1 within 1e-10.  ``vectors`` is a
+    read-only (T, 2**n_qubits) copy of the input, one row per term.
     """
 
     n_qubits: int
     weights: tuple[float, ...]
-    vectors: tuple[ComplexArray, ...] = field(repr=False)
+    vectors: ComplexArray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise DimensionError(f"n_qubits must be positive, got {self.n_qubits}")
-        if 2**self.n_qubits > config.max_dim():
+        dim = 2**self.n_qubits
+        if dim > config.max_dim():
             raise DimensionError(
                 f"{self.n_qubits} qubits exceed the configured dimension cap "
                 f"{config.max_dim()}"
             )
         weights = tuple(float(w) for w in self.weights)
-        vectors = tuple(read_only_copy(as_complex(v).ravel()) for v in self.vectors)
-        if len(weights) == 0 or len(weights) != len(vectors):
+        if len(weights) == 0 or len(weights) != len(self.vectors):
             raise ValidationError("ensemble needs matching, non-empty weights and vectors")
         if any(w <= 0.0 for w in weights):
             raise ValidationError("ensemble weights must be positive")
         if abs(sum(weights) - 1.0) > config.WEIGHT_TOL:
             raise ValidationError(f"ensemble weights sum to {sum(weights)!r}, not 1")
-        dim = 2**self.n_qubits
-        for i, v in enumerate(vectors):
-            if v.shape != (dim,):
-                raise DimensionError(
-                    f"ensemble vector {i} has {v.shape[0]} amplitudes, expected {dim}"
-                )
-            if abs(np.linalg.norm(v) - 1.0) > config.NORM_TOL:
-                raise ValidationError(f"ensemble vector {i} is not normalized")
+        rows = [np.ravel(v) for v in self.vectors]
+        wrong = [i for i, row in enumerate(rows) if row.size != dim]
+        if wrong:
+            i = wrong[0]
+            raise DimensionError(
+                f"ensemble vector {i} has {rows[i].size} amplitudes, expected {dim}"
+            )
+        vectors = read_only_copy(as_complex(rows))
+        squared_norms = np.einsum("ti,ti->t", vectors.conj(), vectors).real
+        unnormalized = np.flatnonzero(np.abs(np.sqrt(squared_norms) - 1.0) > config.NORM_TOL)
+        if unnormalized.size:
+            raise ValidationError(f"ensemble vector {unnormalized[0]} is not normalized")
+        trace = float(np.array(weights) @ squared_norms)
+        if abs(trace - 1.0) > config.WEIGHT_TOL:
+            raise ValidationError(f"ensemble trace {trace!r} is not 1")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vectors", vectors)
 
@@ -94,6 +102,7 @@ class DensityMatrix:
     unit trace within 1e-10.  The PSD test asks whether matrix + 1e-9 * I
     has a Cholesky factor, which holds exactly when no eigenvalue lies below
     -1e-9; it reads only the lower triangle, so Hermiticity is checked first.
+    ``matrix`` is a read-only copy of the input.
     """
 
     n_qubits: int
@@ -113,20 +122,23 @@ class DensityMatrix:
             )
         if hermiticity_residuals(m) > config.HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
-        # shift one copy in place: m + PSD_TOL * eye(dim) would hold two more
-        # 2^N x 2^N arrays at once
-        shifted = m.copy()
-        shifted.ravel()[:: dim + 1] += config.PSD_TOL
+        # the kept copy is shifted in place for the test and its diagonal then
+        # restored: m + PSD_TOL * eye(dim) would hold two more 2^N x 2^N arrays
+        kept = m.copy()
+        diagonal = kept.ravel()[:: dim + 1]
+        diagonal += config.PSD_TOL
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(kept)
         except np.linalg.LinAlgError:
             raise ValidationError(
                 "density matrix is not positive semidefinite within 1e-9"
             ) from None
+        diagonal[:] = m.diagonal()
         trace = np.trace(m)
         if abs(trace.real - 1.0) > config.WEIGHT_TOL or abs(trace.imag) > config.WEIGHT_TOL:
             raise ValidationError(f"density matrix trace {trace!r} is not 1")
-        object.__setattr__(self, "matrix", m)
+        kept.setflags(write=False)
+        object.__setattr__(self, "matrix", kept)
 
     @property
     def dim(self) -> int:
@@ -229,7 +241,7 @@ def random_mixed(n_qubits: int, rank: int, seed: int) -> EnsembleState:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     q, _ = np.linalg.qr(g)
-    vectors = tuple(canonical_phase(q[:, i]) for i in range(rank))
+    vectors = canonical_phase(q.T)
     if rank == 1:
         return EnsembleState(n_qubits, (1.0,), vectors)
     weights = rng.dirichlet(np.ones(rank))
@@ -246,13 +258,11 @@ def canonical_ensemble(rho: DensityMatrix, tol: float = config.RANK_TOL) -> Ense
     eigenvector phases are fixed deterministically.
     """
     w, v = hermitian_eig(rho.matrix)
-    keep = [i for i in range(len(w)) if w[i] > tol]
-    if not keep:
+    keep = w > tol
+    if not keep.any():
         raise ValidationError("density matrix has no eigenvalue above the rank tolerance")
     total = float(np.sum(w[keep]))
-    weights = tuple(float(w[i]) / total for i in keep)
-    vectors = tuple(canonical_phase(v[:, i]) for i in keep)
-    return EnsembleState(rho.n_qubits, weights, vectors)
+    return EnsembleState(rho.n_qubits, tuple(w[keep] / total), canonical_phase(v[:, keep].T))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ unnormalized conditional states are
 
 whose traces are the outcome probabilities.  For an ensemble
 sum_alpha p_alpha |psi_alpha><psi_alpha| they come straight from the
-amplitudes, with each psi_alpha reshaped to a d_A x d_B matrix Psi_alpha:
+amplitudes, the validated (T, 2^N) array whose rows psi_alpha reshape to
+d_A x d_B matrices Psi_alpha:
 
     rho_a^k = sum_alpha p_alpha Psi_alpha^T (P_a^k)^T Psi_alpha^*,
 
@@ -147,19 +148,15 @@ class ConditionalStateSet:
 
 
 def _amplitudes(state: EnsembleState, alice_qubits: int) -> ComplexArray:
-    """The terms sqrt(p_alpha) psi_alpha as d_A x d_B matrices, stacked on axis 0.
-
-    Raises ValidationError unless the trace sum_alpha p_alpha ||psi_alpha||^2
-    of the ensemble's density operator is 1 within the weight tolerance, as
-    a DensityMatrix requires of its trace.
-    """
-    vectors = np.array(state.vectors)
-    weights = np.array(state.weights)
-    trace = float(weights @ np.einsum("ti,ti->t", vectors.conj(), vectors).real)
-    if abs(trace - 1.0) > config.WEIGHT_TOL:
-        raise ValidationError(f"ensemble trace {trace!r} is not 1")
+    """The terms sqrt(p_alpha) psi_alpha as d_A x d_B matrices, stacked on axis 0."""
     d_b = 2 ** (state.n_qubits - alice_qubits)
-    return (np.sqrt(weights)[:, None] * vectors).reshape(state.n_terms, -1, d_b)
+    return (np.sqrt(state.weights)[:, None] * state.vectors).reshape(state.n_terms, -1, d_b)
+
+
+def _branches(terms: ComplexArray, basis: ComplexArray) -> ComplexArray:
+    """(<u_a| (x) 1) on each (d_A, d_B) term, for the K rows u_a of ``basis``: (K, T, d_B)."""
+    t, d_a, d_b = terms.shape
+    return (basis.conj() @ terms.swapaxes(0, 1).reshape(d_a, t * d_b)).reshape(-1, t, d_b)
 
 
 def bob_marginal(state: EnsembleState | DensityMatrix, alice_qubits: int) -> ComplexArray:
@@ -187,8 +184,9 @@ def conditional_states(
 ) -> ConditionalStateSet:
     """Bob's conditional states for setting ``which`` (1 or 2) of the protocol.
 
-    Both inputs are contracted for every outcome at once.  An ensemble under
-    a setting with basis vectors u_a gives the branches
+    Both inputs are contracted for every outcome at once.  An ensemble,
+    validated on construction, is only weighted and reshaped.  Under a
+    setting with basis vectors u_a it gives the branches
     w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a) in one product, and
     rho_a = W_a W_a^H from them; the set keeps the branches, so its evidence
     comes from the T x T Gram matrices W_a^H W_a, which share rho_a's
@@ -212,12 +210,8 @@ def conditional_states(
     branches = None
     if isinstance(state, EnsembleState):
         phi = _amplitudes(state, m)
-        terms = state.n_terms
         if setting.vectors is not None:
-            # branches[a, alpha] = sum_t conj(u_a[t]) Phi_alpha[t]: one product over t
-            branches = (
-                setting.vectors.conj() @ phi.swapaxes(0, 1).reshape(d_a, terms * d_b)
-            ).reshape(k, terms, d_b)
+            branches = _branches(phi, setting.vectors)
             operators = branches.swapaxes(1, 2) @ branches.conj()
         else:
             # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
@@ -251,15 +245,16 @@ class CollapseDecomposition:
 
     For component alpha and outcome slot o the projection
     (<u_o| (x) 1)|psi_alpha> is split into a nonnegative coefficient (its
-    norm) and a unit collapsed vector; empty branches keep coefficient 0 and
-    vector None.  Squared coefficients sum to 1 along each component.
+    norm) and a unit collapsed vector, entry (alpha, o) of ``coefficients``
+    and ``vectors``; empty branches keep coefficient 0 and a zero vector.
+    Squared coefficients sum to 1 along each component.
     """
 
     setting_label: str
     outcomes: tuple[str, ...]
     weights: tuple[float, ...]
     coefficients: np.ndarray = field(repr=False)  # (n_terms, n_outcomes) complex
-    vectors: tuple[tuple[ComplexArray | None, ...], ...] = field(repr=False)
+    vectors: ComplexArray = field(repr=False)  # (n_terms, n_outcomes, d_B)
 
 
 def collapse_decomposition(
@@ -274,26 +269,18 @@ def collapse_decomposition(
         raise DimensionError(
             f"alice_qubits must lie in [1, {ensemble.n_qubits - 1}], got {alice_qubits}"
         )
-    u_conj = setting.rank1_vectors().conj()
-    d_a = 2**alice_qubits
-    d_b = 2 ** (ensemble.n_qubits - alice_qubits)
-    coefficients = np.zeros((ensemble.n_terms, setting.n_outcomes), dtype=np.complex128)
-    vectors: list[tuple[ComplexArray | None, ...]] = []
-    for a, psi in enumerate(ensemble.vectors):
-        # row o is the branch <u_o| (x) 1 applied to psi
-        branches = u_conj @ psi.reshape(d_a, d_b)
-        norms = np.linalg.norm(branches, axis=1)
-        filled = norms >= config.COLLAPSE_FLOOR
-        coefficients[a, filled] = norms[filled]
-        vectors.append(
-            tuple(b / n if f else None for b, n, f in zip(branches, norms, filled))
-        )
+    terms = ensemble.vectors.reshape(ensemble.n_terms, 2**alice_qubits, -1)
+    branches = _branches(terms, setting.rank1_vectors()).swapaxes(0, 1)
+    norms = np.linalg.norm(branches, axis=2)
+    filled = norms >= config.COLLAPSE_FLOOR
+    vectors = np.zeros_like(branches)
+    vectors[filled] = branches[filled] / norms[filled][:, None]
     return CollapseDecomposition(
         setting_label=setting.label,
         outcomes=setting.outcomes,
         weights=ensemble.weights,
-        coefficients=coefficients,
-        vectors=tuple(vectors),
+        coefficients=np.where(filled, norms, 0.0).astype(np.complex128),
+        vectors=vectors,
     )
 
 

@@ -259,13 +259,51 @@ def lp_residuals(problem, x):
 
 def reconstruct(decomposition, outcome_index):
     """sum_alpha p_alpha |c|^2 |v><v| of a CollapseDecomposition for one outcome; equals rho_a."""
-    vecs = [term[outcome_index] for term in decomposition.vectors]
-    dim = next((v.shape[0] for v in vecs if v is not None), 1)
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    vecs = decomposition.vectors[:, outcome_index]
+    out = np.zeros((vecs.shape[1], vecs.shape[1]), dtype=np.complex128)
     for p, c_row, v in zip(decomposition.weights, decomposition.coefficients, vecs):
-        if v is not None:
-            out += p * abs(c_row[outcome_index]) ** 2 * outer(v)
+        out += p * abs(c_row[outcome_index]) ** 2 * outer(v)
     return out
+
+
+def loop_collapse(ensemble, setting, alice_qubits):
+    """(coefficients, vectors) of the collapse, one ensemble component at a time.
+
+    Reference for ``collapse_decomposition``'s single product: an empty
+    branch has coefficient 0 and vector None.
+    """
+    u_conj = setting.rank1_vectors().conj()
+    d_a = 2**alice_qubits
+    d_b = 2 ** (ensemble.n_qubits - alice_qubits)
+    coefficients = np.zeros((ensemble.n_terms, setting.n_outcomes), dtype=np.complex128)
+    vectors = []
+    for a, psi in enumerate(ensemble.vectors):
+        branches = u_conj @ psi.reshape(d_a, d_b)
+        norms = np.linalg.norm(branches, axis=1)
+        filled = norms >= config.COLLAPSE_FLOOR
+        coefficients[a, filled] = norms[filled]
+        vectors.append(tuple(b / n if f else None for b, n, f in zip(branches, norms, filled)))
+    return coefficients, tuple(vectors)
+
+
+def loop_fallback_candidates(set1, set2, prob_floor=config.PROB_FLOOR):
+    """``fallback_candidates`` with each candidate compared to the kept ones in turn."""
+    candidates = []
+
+    def push(mat):
+        if not any(np.linalg.norm(mat - c) <= config.CANDIDATE_TOL for c in candidates):
+            candidates.append(mat)
+
+    for cs in (set1, set2):
+        for op, p in zip(cs.operators, cs.probabilities):
+            if p > prob_floor:
+                push(op / p)
+    rho_b = set1.total()
+    w, v = np.linalg.eigh((rho_b + rho_b.conj().T) / 2)
+    for i in range(len(w)):
+        if w[i] > config.RANK_TOL:
+            push(outer(v[:, i]))
+    return np.array(candidates)
 
 
 def form_ensemble(form):

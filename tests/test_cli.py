@@ -1,8 +1,10 @@
 """End-to-end command line runs through subprocesses."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,16 @@ class TestCheck:
         args = ("check", "--state", files["lc4.json"],
                 "--protocol", files["zzyx.json"], "--format", "json")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    def test_readme_example_files(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        state, protocol = re.findall(r"```json\n(.*?)```", readme, re.S)
+        (tmp_path / "st.json").write_text(state)
+        (tmp_path / "pr.json").write_text(protocol)
+        r = run_cli("check", "--state", str(tmp_path / "st.json"),
+                    "--protocol", str(tmp_path / "pr.json"))
+        assert r.returncode == 0, r.stderr
+        assert "verdict: PARADOX" in r.stdout
 
     def test_mismatched_sizes_exit_2(self, files):
         r = run_cli("check", "--state", files["tq.json"], "--protocol", files["zzyx.json"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    loop_fallback_candidates,
     loop_lp,
     loop_model_tables,
     loop_nnls,
@@ -16,6 +17,7 @@ from conftest import (
     random_protocol,
 )
 from steerlab import (
+    ConditionalStateSet,
     EnsembleState,
     LhsModel,
     PreconditionError,
@@ -81,6 +83,36 @@ class TestCandidates:
             candidate_ensemble(s1, s2)
         fallback = fallback_candidates(s1, s2)
         assert len(fallback) >= 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fallback_matches_loop_reference(self, seed):
+        m = 1 + seed % 2
+        state = random_mixed(m + 1 + seed % 3, 2 + seed % 2, seed)
+        protocol = random_protocol(m, seed)
+        s1, s2 = (conditional_states(state, protocol, k) for k in (1, 2))
+        got, want = fallback_candidates(s1, s2), loop_fallback_candidates(s1, s2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_fallback_pair_at_candidate_tol(self, inside):
+        # the two states differ only in two off-diagonal entries e, and every
+        # division is by 0.5, so both forms compute the distance sqrt(2 e^2)
+        # exactly alike; e is the last (inside) or first (outside) float on
+        # its side of CANDIDATE_TOL
+        e = config.CANDIDATE_TOL / np.sqrt(2)
+        while np.sqrt(2 * e * e) <= config.CANDIDATE_TOL:
+            e = np.nextafter(e, 1.0)
+        if inside:
+            e = np.nextafter(e, 0.0)
+        a = np.eye(2, dtype=complex) / 2
+        near = a + np.array([[0.0, e], [e, 0.0]])
+        s1 = ConditionalStateSet(1, "s1", 1, ("0", "1"), (a / 2, np.diag([0.5, 0.0])))
+        s2 = ConditionalStateSet(2, "s2", 1, ("0", "1"), (near / 2, np.diag([0.0, 0.5])))
+        got, want = fallback_candidates(s1, s2), loop_fallback_candidates(s1, s2)
+        assert got.tobytes() == want.tobytes()
+        # a, diag(1, 0), near unless it counts as a, diag(0, 1); the marginal's
+        # eigenprojectors repeat the two diagonal ones
+        assert len(got) == (3 if inside else 4)
 
     def test_problem_for_marks_relative(self):
         mix = EnsembleState(2, (0.5, 0.5), (basis_ket(2, 0), basis_ket(2, 3)))

@@ -65,12 +65,30 @@ class TestContainers:
         assert d.dim == 2
 
     def test_ensemble_keeps_its_own_read_only_vectors(self):
-        source = np.array([basis_ket(2, 0)])
-        ens = EnsembleState(2, (1.0,), (source[0],))
-        source[0, 0] = 7
-        np.testing.assert_array_equal(ens.vectors[0], basis_ket(2, 0))
+        source = np.array([basis_ket(2, 0), basis_ket(2, 3)])
+        for given in (source, tuple(source)):
+            ens = EnsembleState(2, (0.5, 0.5), given)
+            source[0, 0] = 7
+            assert ens.vectors.shape == (2, 4)
+            np.testing.assert_array_equal(ens.vectors, [basis_ket(2, 0), basis_ket(2, 3)])
+            with pytest.raises(ValueError, match="read-only"):
+                ens.vectors[0, 0] = 7
+            source[0, 0] = 1
+
+    def test_density_keeps_its_own_read_only_matrix(self):
+        source = np.diag([0.25, 0.75]).astype(complex)
+        rho = DensityMatrix(1, source)
+        source[0, 0] = 5
+        np.testing.assert_array_equal(rho.matrix, np.diag([0.25, 0.75]))
         with pytest.raises(ValueError, match="read-only"):
-            ens.vectors[0][0] = 7
+            rho.matrix[0, 0] = 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_ensemble_rejects_non_finite_amplitude(self, bad):
+        v = basis_ket(2, 0)
+        v[3] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            EnsembleState(2, (0.5, 0.5), (basis_ket(2, 1), v))
 
     def test_basis_ket(self):
         v = basis_ket(2, 0b10)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_conditional,
+    loop_collapse,
     loop_conditional,
     pairwise_candidates,
     pairwise_duplicates,
@@ -22,6 +23,7 @@ from steerlab import (
     NO_PARADOX_CROSS_DUPLICATE,
     NO_PARADOX_PURITY,
     PARADOX,
+    BellLikeBasis,
     ConditionalStateSet,
     DensityMatrix,
     DimensionError,
@@ -33,15 +35,18 @@ from steerlab import (
     UnsupportedSettingError,
     ValidationError,
     basis_ket,
+    bell_like_setting,
     bob_marginal,
     candidate_ensemble,
     certify,
     collapse_decomposition,
+    computational_family,
     config,
     conditional_states,
     density_of,
     lc4_mixed,
     lc4_states,
+    max_rank_family,
     measurement_requirement,
     purity_requirement,
     random_mixed,
@@ -288,19 +293,14 @@ class TestAmplitudePath:
 
     def test_unit_trace_still_enforced(self):
         # each check passes on its own (weights sum to 1 + 8e-11, norms are
-        # 1 + 9e-11), but the density operator's trace is 1 + 2.6e-10
+        # 1 + 9e-11), but the density operator's trace is 1 + 2.6e-10, so the
+        # ensemble is rejected on construction
         phi = (basis_ket(2, 0) + basis_ket(2, 3)) / np.sqrt(2)
         scale = 1 + 9e-11
-        state = EnsembleState(
-            2, (0.5 + 4e-11, 0.5 + 4e-11), (scale * phi, scale * basis_ket(2, 1))
-        )
-        protocol = tensor_protocol("z", "x", n_qubits=2)
-        with pytest.raises(ValidationError, match="trace"):
-            certify(state, protocol)
-        with pytest.raises(ValidationError, match="trace"):
-            conditional_states(state, protocol, 2)
-        with pytest.raises(ValidationError, match="trace"):
-            density_of(state)
+        with pytest.raises(ValidationError, match="ensemble trace .* is not 1"):
+            EnsembleState(
+                2, (0.5 + 4e-11, 0.5 + 4e-11), (scale * phi, scale * basis_ket(2, 1))
+            )
 
     @pytest.mark.parametrize("lp", [False, True])
     def test_certify_builds_no_density(self, lp, monkeypatch):
@@ -478,7 +478,8 @@ class TestCollapseDecomposition:
         ens = EnsembleState(2, (1.0,), (basis_ket(2, 0),))
         dec = collapse_decomposition(ens, tensor_setting("z"), 1)
         np.testing.assert_allclose(dec.coefficients[0][0], 1.0, atol=1e-12)
-        assert dec.vectors[0][1] is None
+        assert dec.coefficients[0][1] == 0.0
+        assert not dec.vectors[0][1].any()
 
     def test_requires_rank1(self):
         from steerlab import MeasurementSetting
@@ -499,6 +500,37 @@ class TestCollapseDecomposition:
         sset = conditional_states(rho, protocol, 1)
         for o in range(len(sset.operators)):
             np.testing.assert_allclose(reconstruct(dec, o), sset.operators[o], atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["mixed", "family", "basis"])
+    def test_matches_loop_reference(self, kind, seed):
+        # family components sit on one slot of the computational pairing and
+        # basis terms on one computational ket, so both have empty branches
+        m = 2 + seed % 2 if kind == "family" else 1 + seed % 3
+        n = m + 1 + seed % 2
+        if kind == "mixed":
+            state, setting = random_mixed(n, 3, seed), random_protocol(m, seed).setting_1
+        elif kind == "family":
+            state = max_rank_family(n, m, seed)
+            setting = bell_like_setting(BellLikeBasis(0.4, computational_family(m), "c"))
+        else:
+            state = EnsembleState(n, (0.25, 0.75), (basis_ket(n, seed), basis_ket(n, 2**n - 1)))
+            setting = tensor_setting("z" * m)
+        dec = collapse_decomposition(state, setting, m)
+        coefficients, vectors = loop_collapse(state, setting, m)
+        empty = np.array([[v is None for v in row] for row in vectors])
+        assert empty.any() == (kind != "mixed")
+        want = np.zeros_like(dec.vectors)
+        want[~empty] = [v for row in vectors for v in row if v is not None]
+        # one product in place of one per component: each branch entry is a
+        # length-2^M dot product of unit vectors, so it may move by 2^M eps,
+        # and its unit vector by that over the branch norm
+        tol = 2**m * np.finfo(float).eps
+        np.testing.assert_allclose(dec.coefficients, coefficients, rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            np.abs(coefficients)[..., None] * (dec.vectors - want), 0.0, atol=2 * tol
+        )
+        assert not dec.vectors[empty].any()
 
 
 class TestRequirements:
