@@ -9,7 +9,8 @@ tolerances).  ``solve_feasibility`` decides it, and so does
 total: the verdicts that disagree, the undecided solves, the largest
 ``verify_model`` residual of a feasible model, the smallest
 ``verify_certificate`` margin of an infeasible verdict, the smallest
-infeasible residual, the most iterations and the total solve time.  It
+infeasible residual, the most iterations, the largest ratio of iterations
+to columns (the default cap allows 3) and the total solve time.  It
 exits 1 if any verdict disagrees or is undecided, a model misses by more
 than 1e-8, or a certificate margin is not positive.
 
@@ -60,7 +61,8 @@ def check_seed(seed: int, count: int | None) -> dict:
     tally = {
         "instances": len(pool), "feasible": 0, "infeasible": 0, "undecided": [],
         "disagreements": [], "worst_model": 0.0, "least_margin": np.inf,
-        "least_infeasible_residual": np.inf, "most_iterations": 0, "solve_s": 0.0,
+        "least_infeasible_residual": np.inf, "most_iterations": 0, "most_per_column": 0.0,
+        "solve_s": 0.0,
     }
     for inst in pool:
         state, protocol = build_state(inst), build_protocol(inst)
@@ -76,6 +78,9 @@ def check_seed(seed: int, count: int | None) -> dict:
             continue
         tally["solve_s"] += time.perf_counter() - start
         tally["most_iterations"] = max(tally["most_iterations"], result.iterations)
+        tally["most_per_column"] = max(
+            tally["most_per_column"], result.iterations / problem.n_variables
+        )
         if result.feasible != highs_feasible(problem):
             tally["disagreements"].append(inst.index)
         if result.feasible:
@@ -101,7 +106,8 @@ def report(name: str, t: dict) -> None:
         f"  worst feasible verify_model {t['worst_model']:.3g}, "
         f"smallest certificate margin {t['least_margin']:.12g}, "
         f"smallest infeasible residual {t['least_infeasible_residual']:.3g}, "
-        f"most iterations {t['most_iterations']}, solve time {t['solve_s']:.3f} s"
+        f"most iterations {t['most_iterations']} "
+        f"({t['most_per_column']:.2f} per column), solve time {t['solve_s']:.3f} s"
     )
     for index in t["disagreements"]:
         print(f"  disagreement at index {index}")
@@ -130,6 +136,7 @@ def main() -> int:
         "least_margin": min(t["least_margin"] for t in tallies),
         "least_infeasible_residual": min(t["least_infeasible_residual"] for t in tallies),
         "most_iterations": max(t["most_iterations"] for t in tallies),
+        "most_per_column": max(t["most_per_column"] for t in tallies),
         "solve_s": sum(t["solve_s"] for t in tallies),
     }
     if len(tallies) > 1:

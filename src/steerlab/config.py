@@ -36,7 +36,6 @@ RANK_TOL = 1e-9
 
 # feasibility solver
 LP_FEASIBILITY_TOL = 1e-9
-LP_MAX_ITERATIONS = 10**6
 # candidate members: Hermitian and unit trace, and the Frobenius distance
 # under which two fallback candidates count as one
 CANDIDATE_TOL = 1e-8

@@ -18,6 +18,12 @@ states themselves: any member contributing to a pure mixture must equal it.
 Feasibility is decided by nonnegative least squares (Lawson and Hanson 1974,
 ch. 23): a zero residual b - Ax gives the model, and a nonzero one is, by
 Farkas' lemma, a proof that none exists, which ``verify_certificate`` checks.
+The solver works on the Gram matrix A^T A, formed once, in the normal-equation
+form of Bro and De Jong (J. Chemometrics 11, 393 (1997)); A is not reduced by
+QR.  That squares the condition number of every passive-set solve, which is
+safe only because no answer is taken on trust: a model must meet the
+residual tolerance, an infeasible verdict needs a positive certificate
+margin, and anything else raises SolverLimitError.
 """
 
 from __future__ import annotations
@@ -282,19 +288,22 @@ class FeasibilityResult:
 def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
     """Minimize ||Ax - b|| over x >= 0 by Lawson and Hanson's active-set method.
 
-    Returns (x, iterations), one iteration per passive-set least-squares
-    solve.  An entering variable whose solved value is not positive is
-    passed over (round-off); the dual tolerance is 10 eps ||A||_1 max(m, n).
-    A is first replaced by R of A = QR, and b by Q^T b, which moves the
-    objective by a constant; a tall A keeps only n rows.
+    Returns (x, iterations), one iteration per passive-set solve.  An
+    entering variable whose solved value is not positive is passed over
+    (round-off); the dual tolerance is 10 eps ||A||_1 max(m, n).  G = A^T A
+    and A^T b are formed once, as in Bro and De Jong's fast NNLS: each
+    passive set P is solved from G[P, P] z_P = (A^T b)_P, and the dual is
+    A^T b - G x.  G has A's condition number squared, which the callers
+    may accept only because every answer is checked afterwards; an exactly
+    singular passive block raises SolverLimitError.
     """
     m, n = a.shape
     tol = 10 * np.finfo(float).eps * np.linalg.norm(a, 1) * max(m, n)
-    q, a = np.linalg.qr(a)
-    b = q.T @ b
+    gram = a.T @ a
+    atb = a.T @ b
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    dual = a.T @ b
+    dual = atb.copy()
     iterations = 0
 
     def passive_solution() -> np.ndarray:
@@ -302,8 +311,13 @@ def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]
         iterations += 1
         if iterations > max_iter:
             raise SolverLimitError(f"NNLS exceeded {max_iter} iterations without converging")
+        cols = np.flatnonzero(passive)
         z = np.zeros(n)
-        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        try:
+            z[cols] = np.linalg.solve(gram[cols][:, cols], atb[cols])
+        except np.linalg.LinAlgError:
+            k = cols.size
+            raise SolverLimitError(f"NNLS passive Gram block ({k} x {k}) is singular") from None
         return z
 
     while not passive.all():
@@ -321,7 +335,7 @@ def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]
             passive &= x > tol
             z = passive_solution()
         x = z
-        dual = a.T @ (b - a @ x)
+        dual = atb - gram @ x
     return x, iterations
 
 
@@ -342,14 +356,17 @@ def verify_certificate(problem: LpProblem, y: np.ndarray) -> float:
 def solve_feasibility(
     problem: LpProblem,
     tol: float = config.LP_FEASIBILITY_TOL,
-    max_iter: int = config.LP_MAX_ITERATIONS,
+    max_iter: int | None = None,
 ) -> FeasibilityResult:
     """Decide the program by the residual r = b_eq - a_eq x of its NNLS solution x.
 
     max|r| <= ``tol``: feasible, with x as the LhsModel.  Otherwise r is the
     certificate if ``verify_certificate`` gives it a positive margin; if not,
-    or past ``max_iter`` least-squares solves, SolverLimitError is raised.
+    or past ``max_iter`` passive-set solves (default three per variable, as
+    scipy's ``nnls``), SolverLimitError is raised.
     """
+    if max_iter is None:
+        max_iter = 3 * problem.n_variables
     x, iterations = _nnls(problem.a_eq, problem.b_eq, max_iter)
     r = problem.b_eq - problem.a_eq @ x
     residual = float(np.max(np.abs(r)))

@@ -192,8 +192,18 @@ def conditional_states(
     comes from the T x T Gram matrices W_a^H W_a, which share rho_a's
     nonzero eigenvalues.  Other ensembles are contracted with the projector
     stack, and a density matrix in one product of the flattened projector
-    stack with the reordered matrix.
+    stack with the reordered matrix.  The set is validated against Bob's
+    marginal.
     """
+    out = _unvalidated_states(state, protocol, which)
+    out.validate(bob_marginal(state, protocol.alice_qubits), tols)
+    return out
+
+
+def _unvalidated_states(
+    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, which: int
+) -> ConditionalStateSet:
+    """``conditional_states`` without the validation against Bob's marginal."""
     if which not in (1, 2):
         raise DimensionError(f"which must be 1 or 2, got {which}")
     m = protocol.alice_qubits
@@ -235,7 +245,6 @@ def conditional_states(
     )
     if branches is not None:
         object.__setattr__(out, "branches", read_only_copy(branches))
-    out.validate(bob_marginal(state, m), tols)
     return out
 
 
@@ -545,8 +554,12 @@ def certify(
         decomposition = DECOMPOSITION_EIGEN
     else:
         raise ValidationError(f"cannot certify a {type(state).__name__}")
-    set1 = conditional_states(state, protocol, 1, tols)
-    set2 = conditional_states(state, protocol, 2, tols)
+    # both sets are validated against one marginal, formed once
+    set1 = _unvalidated_states(state, protocol, 1)
+    rho_b = bob_marginal(state, protocol.alice_qubits)
+    set1.validate(rho_b, tols)
+    set2 = _unvalidated_states(state, protocol, 2)
+    set2.validate(rho_b, tols)
     quantum = float(np.sum(set1.probabilities) + np.sum(set2.probabilities))
     check = purity_requirement(set1, set2, tol=tols.purity, prob_floor=tols.prob_floor)
 

@@ -138,8 +138,8 @@ def loop_lp(set1, set2, candidates):
 def loop_nnls(a, b, max_iter):
     """Lawson and Hanson's NNLS on the full A, with index lists and Python loops.
 
-    Reference for ``lhs_lp._nnls``, which first reduces A to R of A = QR:
-    same dual tolerance and entering rule, the passive set kept as a sorted
+    Reference for ``lhs_lp._nnls``, which solves each passive set from the
+    Gram matrix A^T A: same dual tolerance and entering rule, the passive set kept as a sorted
     list and each step-length ratio taken one index at a time.  Returns
     (x, iterations) or None when max_iter least-squares solves do not finish.
     """

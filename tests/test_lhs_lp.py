@@ -1,5 +1,7 @@
 """Feasibility program assembly, the NNLS decision and its certificate, and external cross-checks."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -42,6 +44,10 @@ from steerlab import (
 )
 from steerlab import config, lhs_lp
 from steerlab.lhs_lp import _nnls
+
+# explicit cap for direct solver calls: the benchmark's budget, well above
+# the three solves per column that any program here needs
+NNLS_CAP = 1000
 
 
 def sets_for(state, protocol):
@@ -232,6 +238,32 @@ def _lp_oracle_instance(seed, index):
     return problem_for(*sets_for(state, SteeringProtocol(2, s1, s2, 4)))
 
 
+class _ZeroStepNumpy:
+    """numpy, except that ``min`` returns 0: the NNLS step length is always 0."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def min(values):
+        return 0.0
+
+
+def _haar_pair():
+    """Two Haar-random pure members 1e-7 apart."""
+    rng = np.random.default_rng(17)
+    v, w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u = v + 1e-7 * w / np.linalg.norm(w)
+    return [np.outer(x, x.conj()) / np.vdot(x, x).real for x in (v, u)]
+
+
+DEGENERATE_CANDIDATES = {
+    "repeated": lambda: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([1.0, 0.0])],
+    "dependent": lambda: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2],
+    "haar-pair": _haar_pair,
+}
+
+
 def _highs_feasible(problem):
     lp = scipy.optimize.linprog(
         c=np.zeros(problem.n_variables),
@@ -290,6 +322,57 @@ class TestSolver:
         with pytest.raises(SolverLimitError, match="^NNLS exceeded 1 iterations"):
             solve_feasibility(problem, max_iter=1)
 
+    def test_default_cap_is_three_solves_per_variable(self, monkeypatch):
+        caps = []
+
+        def recording(a, b, max_iter):
+            caps.append(max_iter)
+            return _nnls(a, b, max_iter)
+
+        monkeypatch.setattr(lhs_lp, "_nnls", recording)
+        problem, _ = problem_for(*two_qubit_sets())
+        solve_feasibility(problem)
+        solve_feasibility(problem, max_iter=1000)
+        assert caps == [3 * problem.n_variables, 1000]
+
+    def test_stalled_step_stops_at_default_cap(self, monkeypatch):
+        """A step length of 0 never moves x, so the same column enters and
+        leaves forever; the default cap ends that within a second."""
+        problem, relative = problem_for(*_random_n4(2, 1))
+        assert relative
+        monkeypatch.setattr(lhs_lp, "np", _ZeroStepNumpy())
+        cap = 3 * problem.n_variables
+        start = time.perf_counter()
+        with pytest.raises(SolverLimitError, match=f"^NNLS exceeded {cap} iterations"):
+            solve_feasibility(problem)
+        assert time.perf_counter() - start < 1.0
+
+    def test_singular_passive_block_raises(self, monkeypatch):
+        def singular(matrix, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        problem, _ = problem_for(*two_qubit_sets())
+        with pytest.raises(SolverLimitError, match=r"^NNLS passive Gram block \(1 x 1\) is singular$"):
+            solve_feasibility(problem)
+
+    @pytest.mark.parametrize("sets", ["paradox-two-qubit-6", "feasible-mixture"])
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE_CANDIDATES))
+    def test_degenerate_candidates_decide_or_raise(self, sets, kind):
+        """Repeated, linearly dependent and nearly equal members make the Gram
+        matrix singular or nearly so: the verdict is HiGHS's, or none."""
+        s1, s2 = LP_CASES[sets]()
+        problem = build_lp(s1, s2, DEGENERATE_CANDIDATES[kind]())
+        try:
+            result = solve_feasibility(problem)
+        except SolverLimitError:
+            return
+        assert result.feasible == _highs_feasible(problem)
+        if result.feasible:
+            assert verify_model(result.model, s1, s2) <= 1e-8
+        else:
+            assert verify_certificate(problem, result.certificate) > 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 2))
     def test_agrees_with_external_solver(self, seed, rank):
@@ -325,7 +408,7 @@ class TestSolver:
         """
         problem, relative = _lp_oracle_instance(513, 137)
         assert relative
-        x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
         far = x * 1e18
         monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (far, 6))
         message = r"^NNLS residual \d\.\d+e\+\d\d is above .* certifies nothing \(margin -inf\)$"
@@ -335,7 +418,7 @@ class TestSolver:
     def test_off_row_vertex_is_not_a_model(self, monkeypatch):
         """A solution whose rows miss b_eq by 2e-9 certifies nothing, so the solve raises."""
         problem, _ = problem_for(*LP_CASES["feasible-product"]())
-        x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
         scaled = x * (1 + 2e-9)  # the coupling rows still hold, b_eq's largest rows do not
         monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (scaled, 6))
         message = r"^NNLS residual 2e-09 is above the tolerance 1e-09 but certifies nothing"
@@ -429,8 +512,8 @@ def _assert_matches_references(problem):
     Same verdict at the feasibility tolerance, and residual norms within
     1e-10 relative: the minimum is unique even where the minimizer is not.
     """
-    x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
-    looped = loop_nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+    x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
+    looped = loop_nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
     assert looped is not None
     compiled, _ = scipy.optimize.nnls(
         problem.a_eq, problem.b_eq, maxiter=50 * problem.n_variables
@@ -482,8 +565,16 @@ class TestSimplexDifferential:
         s1, s2 = sets_for(random_mixed(n_qubits, rank, seed), random_protocol(1, seed))
         _assert_matches_references(problem_for(s1, s2)[0])
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 2))
+    def test_matches_at_benchmark_size(self, seed, rank):
+        """n=4, M=2 as in the benchmark's lp-oracle workload."""
+        problem, _ = problem_for(*_random_n4(rank, seed))
+        _assert_matches_references(problem)
+        assert solve_feasibility(problem).feasible == _highs_feasible(problem)
+
     def test_wide_program(self):
-        """More columns than rows, so R of A = QR keeps every row: the same answer."""
+        """More columns than rows, so the Gram matrix A^T A is singular: the same answer."""
         s1, s2 = two_qubit_sets()
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
@@ -517,7 +608,7 @@ class TestModelArrays:
         problem, _ = problem_for(s1, s2)
         result = solve_feasibility(problem)
         assert result.feasible
-        x, _ = _nnls(problem.a_eq, problem.b_eq, config.LP_MAX_ITERATIONS)
+        x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
         weights, responses = loop_model_tables(problem, x)
         model = result.model
         assert np.array(model.member_weights).tobytes() == weights.tobytes()

@@ -700,6 +700,21 @@ class TestCertify:
         assert report.lhs_trace_sum == 1.0
         assert report.decomposition_used == "given"
 
+    @pytest.mark.parametrize("lp", [False, True])
+    @pytest.mark.parametrize("density", [False, True])
+    def test_bob_marginal_formed_once(self, monkeypatch, lp, density):
+        """Both settings' sets are validated against one marginal."""
+        state, rho, protocol = two_qubit_setup(np.pi / 4)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bob_marginal(*args)
+
+        monkeypatch.setattr(steerlab.steering, "bob_marginal", counting)
+        certify(rho if density else state, protocol, lp=lp)
+        assert len(calls) == 1
+
     def test_density_input_uses_eigen_decomposition(self):
         _, rho, protocol = two_qubit_setup(np.pi / 4)
         report = certify(rho, protocol)
