@@ -67,9 +67,13 @@ def n_qubits_of(dim: int) -> int:
 
 def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
     """Largest entry of |A - A^H| for each matrix A of a (..., d, d) stack."""
-    return np.max(
-        np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0
-    )
+    # one contiguous transposed copy, conjugated and subtracted in place: the
+    # same entrywise a - conj(b) as stack - stack.conj().swapaxes(-1, -2),
+    # with one complex temporary in place of two
+    difference = stack.swapaxes(-1, -2).copy()
+    np.conjugate(difference, out=difference)
+    np.subtract(stack, difference, out=difference)
+    return np.max(np.abs(difference), axis=(-2, -1), initial=0.0)
 
 
 def is_hermitian(a: npt.ArrayLike, tol: float = config.HERMITICITY_TOL) -> bool:

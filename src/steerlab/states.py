@@ -94,15 +94,68 @@ class EnsembleState:
         return len(self.weights)
 
 
+# a pivoted partial Cholesky factor takes at most dim // 32 columns, so at
+# n <= 4 qubits (dim <= 16) the full factor always decides
+_PIVOT_SHARE = 32
+
+
+def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
+    """Whether a pivoted partial Cholesky factor proves m + tol * I positive definite.
+
+    m is read as the Hermitian operator H its lower triangle defines, the one
+    ``np.linalg.cholesky`` factors.  Columns of H enter the factor L largest
+    remaining diagonal first, each less its projection on the columns taken,
+    until the remaining diagonal's squared sum falls below tol**2, the next
+    pivot is not positive, or len(m) // 32 columns are taken.  Only in the
+    first case can the remainder E = H - L L^H be small, and it is then formed
+    once: by Weyl, lambda_min(H + tol * I) >= tol - ||E||_2, so a Frobenius
+    norm below tol is a proof.  False means undecided, not indefinite.
+    """
+    dim = len(m)
+    budget = dim // _PIVOT_SHARE
+    factor = np.zeros((dim, budget), dtype=np.complex128)
+    remaining = m.diagonal().real.copy()
+    for k in range(budget + 1):
+        if remaining @ remaining < tol**2:
+            break
+        j = int(np.argmax(remaining))
+        pivot = remaining[j]
+        if k == budget or pivot <= 0.0:
+            return False
+        column = factor[:, k]
+        column[j:] = m[j:, j]
+        column[:j] = m[j, :j].conj()
+        column -= factor[:, :k] @ factor[j, :k].conj()
+        column[j] = pivot
+        column /= np.sqrt(pivot)
+        remaining -= column.real**2 + column.imag**2
+        # cleared exactly, so rounding cannot make the same pivot twice
+        remaining[j] = 0.0
+    taken = factor[:, :k]
+    residual = taken @ taken.conj().T
+    residual -= m
+    # E's diagonal is real, as the factor reads it; its strictly lower
+    # triangle counts twice, once for the upper triangle it stands for
+    diagonal = residual.diagonal().real
+    squared = diagonal @ diagonal
+    residual *= np.tri(dim, k=-1, dtype=bool)
+    squared += 2.0 * np.vdot(residual, residual).real
+    return bool(squared < tol**2)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated density operator on n qubits.
 
-    Invariants: Hermitian within 1e-10, positive semidefinite within 1e-9,
-    unit trace within 1e-10.  The PSD test asks whether matrix + 1e-9 * I
-    has a Cholesky factor, which holds exactly when no eigenvalue lies below
-    -1e-9; it reads only the lower triangle, so Hermiticity is checked first.
-    ``matrix`` is a read-only copy of the input.
+    Invariants: Hermitian within 1e-10, positive semidefinite within 1e-9
+    (no eigenvalue below -1e-9), unit trace within 1e-10, checked in that
+    order.  The PSD test reads only the lower triangle, so Hermiticity is
+    checked first.  A low-rank matrix is accepted from a pivoted partial
+    Cholesky factor L of at most 2**n_qubits // 32 columns when the remainder
+    E = matrix - L L^H has Frobenius norm below 1e-9 (see ``_low_rank_psd``);
+    otherwise, and always at n_qubits <= 4, matrix + 1e-9 * I must have a
+    full Cholesky factor, which holds exactly when no eigenvalue lies below
+    -1e-9.  ``matrix`` is a read-only copy of the input.
     """
 
     n_qubits: int
@@ -122,18 +175,20 @@ class DensityMatrix:
             )
         if hermiticity_residuals(m) > config.HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
-        # the kept copy is shifted in place for the test and its diagonal then
-        # restored: m + PSD_TOL * eye(dim) would hold two more 2^N x 2^N arrays
         kept = m.copy()
-        diagonal = kept.ravel()[:: dim + 1]
-        diagonal += config.PSD_TOL
-        try:
-            np.linalg.cholesky(kept)
-        except np.linalg.LinAlgError:
-            raise ValidationError(
-                "density matrix is not positive semidefinite within 1e-9"
-            ) from None
-        diagonal[:] = m.diagonal()
+        if not _low_rank_psd(kept, config.PSD_TOL):
+            # the kept copy is shifted in place for the full factor and its
+            # diagonal then restored: m + PSD_TOL * eye(dim) would hold two
+            # more 2^N x 2^N arrays
+            diagonal = kept.ravel()[:: dim + 1]
+            diagonal += config.PSD_TOL
+            try:
+                np.linalg.cholesky(kept)
+            except np.linalg.LinAlgError:
+                raise ValidationError(
+                    "density matrix is not positive semidefinite within 1e-9"
+                ) from None
+            diagonal[:] = m.diagonal()
         trace = np.trace(m)
         if abs(trace.real - 1.0) > config.WEIGHT_TOL or abs(trace.imag) > config.WEIGHT_TOL:
             raise ValidationError(f"density matrix trace {trace!r} is not 1")

@@ -55,6 +55,12 @@ def loop_conditional(rho, projectors, n_qubits, alice_qubits):
     return np.array([np.einsum("tc,cjtl->jl", p, r) for p in projectors])
 
 
+def plain_hermiticity_residuals(stack):
+    """Largest |A - A^H| entry per matrix, with the conjugate transpose and the
+    difference as two temporaries; reference for ``hermiticity_residuals``."""
+    return np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+
+
 def principal_vector(rho):
     """Top (largest-eigenvalue) eigenvector of a Hermitian matrix, phase-fixed.
 

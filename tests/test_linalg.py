@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import principal_vector
+from conftest import plain_hermiticity_residuals, principal_vector
 from steerlab import DegenerateInputError, DimensionError, ValidationError
 from steerlab.linalg import (
     as_complex,
     canonical_phase,
     hermitian_eig,
+    hermiticity_residuals,
     is_hermitian,
     n_qubits_of,
     numerical_rank,
@@ -162,6 +163,16 @@ class TestStacks:
     def test_purities(self, seed):
         stack = self.stack(seed)
         np.testing.assert_allclose(purities(stack), [purity(a) for a in stack], rtol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (512, 512), (16, 32, 32), (0, 8, 8)])
+    def test_hermiticity_residuals_bitwise(self, shape):
+        rng = np.random.default_rng(shape)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        near = (a + a.conj().swapaxes(-1, -2)) / 2 + 1e-11 * a
+        for stack in (a, near, a.swapaxes(-1, -2)):
+            assert np.array_equal(
+                hermiticity_residuals(stack), plain_hermiticity_residuals(stack)
+            )
 
     def test_empty_stack(self):
         assert principal_vectors(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)

@@ -25,7 +25,7 @@ from steerlab import (
     save_state,
     two_qubit_theta_state,
 )
-from steerlab import config
+from steerlab import config, states
 from steerlab.linalg import is_hermitian
 
 
@@ -104,13 +104,13 @@ class TestContainers:
             DensityMatrix(3, np.eye(8) / 8)
 
 
-def boundary_density(n, rank, lam_min):
+def boundary_density(n, rank, lam_min, seed=()):
     """Exactly Hermitian operator with `rank` positive eigenvalues and one at `lam_min`.
 
     The eigenvalues sum to 1, every other eigenvalue is 0, and the eigenvectors
-    are Haar-random orthonormal columns.
+    are Haar-random orthonormal columns, drawn from the stream (n, rank, *seed).
     """
-    rng = np.random.default_rng([n, rank])
+    rng = np.random.default_rng([n, rank, *seed])
     dim = 2**n
     g = rng.standard_normal((dim, rank + 1)) + 1j * rng.standard_normal((dim, rank + 1))
     v, _ = np.linalg.qr(g)
@@ -119,13 +119,27 @@ def boundary_density(n, rank, lam_min):
     return (m + m.conj().T) / 2
 
 
+# n = 5 and 6 pivot at most 1 and 2 columns before the full factor decides,
+# n = 9 at most 16; n <= 4 never pivots
 BOUNDARY_CASES = [
     (n, rank, shift)
-    for n in (1, 3, 5, 9)
-    for rank in range(1, 5)
-    if rank < 2**n
+    for n, ranks in (
+        (1, (1,)),
+        (3, range(1, 5)),
+        (5, range(1, 5)),
+        (6, range(1, 4)),
+        (9, (1, 2, 3, 4, 15, 16, 17)),
+    )
+    for rank in ranks
     for shift in (-1e-2, 1e-2, -1e-3, 1e-3)
 ]
+
+
+def refuse_full_factor(monkeypatch):
+    def refuse(a):
+        raise AssertionError("the full Cholesky factor was called")
+
+    monkeypatch.setattr(states.np.linalg, "cholesky", refuse)
 
 
 class TestPsdBoundary:
@@ -149,6 +163,90 @@ class TestPsdBoundary:
     def test_accepts_large_valid_inputs(self, rank):
         rho = density_of(random_mixed(9, rank, seed=rank))
         np.testing.assert_array_equal(DensityMatrix(9, rho.matrix).matrix, rho.matrix)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_low_rank_inputs_need_no_full_factor(self, rank, monkeypatch):
+        rho = density_of(random_mixed(9, rank, seed=rank)).matrix
+        refuse_full_factor(monkeypatch)
+        np.testing.assert_array_equal(DensityMatrix(9, rho).matrix, rho)
+
+    def test_full_rank_input_accepted_with_identical_bytes(self):
+        # Werner-like: every eigenvalue is at least 0.7 / 512
+        psi = random_pure(9, 5)
+        m = 0.3 * np.outer(psi, psi.conj()) + 0.7 * np.eye(512) / 512
+        kept = DensityMatrix(9, m).matrix
+        assert kept.tobytes() == m.tobytes()
+
+    def test_negative_diagonal_entry_rejected(self):
+        # two pivots clear the positive entries; the next pivot is 0, so the
+        # full factor decides, and the -0.1 entry is an eigenvalue
+        m = np.zeros((512, 512), dtype=complex)
+        m[[0, 1, 2], [0, 1, 2]] = 0.6, 0.5, -0.1
+        with pytest.raises(ValidationError, match="not positive semidefinite within 1e-9"):
+            DensityMatrix(9, m)
+
+    def test_small_indefinite_remainder_rejected(self):
+        # after three pivots the remaining diagonal's squared sum is far below
+        # PSD_TOL**2, but the remainder holds the -2 * PSD_TOL eigenvalue
+        m = boundary_density(9, 3, -2.0 * config.PSD_TOL)
+        with pytest.raises(ValidationError, match="not positive semidefinite within 1e-9"):
+            DensityMatrix(9, m)
+
+    @staticmethod
+    def one_triangle_negative(lower):
+        """A rank-3 state with one triangle moved by at most 0.9e-10 per entry.
+
+        Returns the matrix and the Hermitian operator the moved triangle
+        defines, whose smallest eigenvalue is several times -PSD_TOL; the
+        other triangle is the state's own.
+        """
+        a = boundary_density(9, 3, 0.0)
+        support = np.linalg.eigh(a)[1][:, -3:]
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        w -= support @ (support.conj().T @ w)
+        d = np.outer(w, w.conj())
+        np.fill_diagonal(d, 0.0)
+        d *= -0.9e-10 / np.max(np.abs(d))
+        return a + (np.tril(d, -1) if lower else np.triu(d, 1)), a + d
+
+    def test_lower_triangle_decides(self, monkeypatch):
+        # the full factor reads the lower triangle only, and so must the
+        # certificate: an indefinite lower triangle is rejected, and an
+        # indefinite upper triangle changes nothing
+        m, operator = self.one_triangle_negative(lower=True)
+        assert np.linalg.eigvalsh(operator)[0] < -2.0 * config.PSD_TOL
+        assert is_hermitian(m) and not is_hermitian(m, 1e-11)
+        with pytest.raises(ValidationError, match="not positive semidefinite within 1e-9"):
+            DensityMatrix(9, m)
+        m, _ = self.one_triangle_negative(lower=False)
+        refuse_full_factor(monkeypatch)
+        assert DensityMatrix(9, m).matrix.tobytes() == m.tobytes()
+
+
+def test_psd_decision_matches_eigenvalues():
+    """DensityMatrix against eigvalsh at lambda_min within 1e-3 * PSD_TOL of -PSD_TOL.
+
+    Every n from 2 to 9 and every rank up to two past the pivot budget
+    2**n // 32: ranks within the budget reach the remainder test, which at
+    this margin leaves the decision to the full factor, and larger ranks run
+    out of budget first.
+    """
+    rng = np.random.default_rng(2024)
+    disagreements = []
+    for n in range(2, 10):
+        for rank in range(1, 2**n // 32 + 3):
+            lam_min = -config.PSD_TOL * (1.0 + rng.uniform(-1e-3, 1e-3))
+            m = boundary_density(n, rank, lam_min, seed=(int(rng.integers(2**31)),))
+            expected = np.linalg.eigvalsh(m)[0] >= -config.PSD_TOL
+            try:
+                DensityMatrix(n, m)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            if accepted != expected:
+                disagreements.append((n, rank, lam_min))
+    assert disagreements == []
 
 
 class TestThetaFamilies:
