@@ -178,7 +178,7 @@ def two_term_extract(
     return TwoTermExtraction(form=form, violations=())
 
 
-def no_shared_component_check(form: TwoTermForm, tol: float = config.PHASE_TOL) -> bool:
+def no_shared_component_check(form: TwoTermForm, tol: float = config.REQUIREMENT_TOL) -> bool:
     """True when no two components of the form coincide up to a global phase.
 
     Forms produced by two_term_extract pass by construction (their slots are
@@ -222,6 +222,7 @@ def max_rank_family(n_qubits: int, alice_qubits: int, seed: int) -> EnsembleStat
         raise DimensionError(
             f"n_qubits={n_qubits} leaves Bob empty for alice_qubits={alice_qubits}"
         )
+    config.capped_dim(n_qubits)
     rng = np.random.default_rng(seed)
     pairs = computational_family(alice_qubits)
     d_b = 2 ** (n_qubits - alice_qubits)

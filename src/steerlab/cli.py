@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lhs_lp
-from .config import Tolerances
+from . import config, lhs_lp
 from .errors import DimensionError, SolverLimitError, SteerlabError
 from .measurements import (
     SteeringProtocol,
@@ -56,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the purity and phase-coincidence thresholds")
+        p.add_argument("--tolerance", type=float, default=config.REQUIREMENT_TOL, dest="tol",
+                       help="override the tolerance of both requirements (purity and "
+                            "phase coincidence)")
 
     p_demo = sub.add_parser("demo", help="run a built-in state and protocol")
     p_demo.add_argument("name", choices=DEMO_NAMES)
@@ -95,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    if args.tolerance is None:
-        return Tolerances()
-    return Tolerances(purity=args.tolerance, phase=args.tolerance)
-
-
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -125,7 +119,7 @@ def _demo_instance(args: argparse.Namespace) -> tuple[EnsembleState, SteeringPro
 
 def cmd_demo(args: argparse.Namespace) -> int:
     state, protocol = _demo_instance(args)
-    report = certify(state, protocol, lp=args.lp, tolerances=_tolerances(args))
+    report = certify(state, protocol, lp=args.lp, tol=args.tol)
     _emit_report(report, args.fmt)
     return 0
 
@@ -144,11 +138,11 @@ def _load_pair(
 
 
 def _lp_problem(
-    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, tols: Tolerances
+    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, tol: float
 ) -> tuple[ConditionalStateSet, ConditionalStateSet, lhs_lp.LpProblem, bool]:
-    set1 = conditional_states(state, protocol, 1, tols)
-    set2 = conditional_states(state, protocol, 2, tols)
-    problem, relative = lhs_lp.problem_for(set1, set2, tolerances=tols)
+    set1 = conditional_states(state, protocol, 1)
+    set2 = conditional_states(state, protocol, 2)
+    problem, relative = lhs_lp.problem_for(set1, set2, tol=tol)
     return set1, set2, problem, relative
 
 
@@ -160,10 +154,9 @@ def _write_lp(path: Path, problem: lhs_lp.LpProblem, relative: bool) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    tols = _tolerances(args)
-    report = certify(state, protocol, lp=args.lp, tolerances=tols)
+    report = certify(state, protocol, lp=args.lp, tol=args.tol)
     if args.dump_lp is not None:
-        _, _, problem, relative = _lp_problem(state, protocol, tols)
+        _, _, problem, relative = _lp_problem(state, protocol, args.tol)
         _write_lp(args.dump_lp, problem, relative)
     _emit_report(report, args.fmt)
     return 0
@@ -192,7 +185,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DimensionError(
             f"alice_qubits={args.alice_qubits} leaves Bob empty for n={args.n_qubits}"
         )
-    tols = _tolerances(args)
     counts = {PARADOX: 0, NO_PARADOX_PURITY: 0, NO_PARADOX_CROSS_DUPLICATE: 0}
     samples = []
     for i in range(args.count):
@@ -200,7 +192,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # stream keyed on (seed, i) so the two never share draws
         state = random_mixed(args.n_qubits, args.rank, args.seed + i)
         protocol = fixed or _random_protocol(args.alice_qubits, args.seed, i)
-        report = certify(state, protocol, tolerances=tols)
+        report = certify(state, protocol, tol=args.tol)
         counts[report.verdict] = counts.get(report.verdict, 0) + 1
         samples.append({"index": i, "seed": args.seed + i, "verdict": report.verdict})
     if args.fmt == "json":
@@ -230,18 +222,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_lhs(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    tols = _tolerances(args)
-    set1, set2, problem, relative = _lp_problem(state, protocol, tols)
+    set1, set2, problem, relative = _lp_problem(state, protocol, args.tol)
     if args.dump_lp is not None:
         _write_lp(args.dump_lp, problem, relative)
-    result = lhs_lp.solve_feasibility(problem, tol=tols.lp_feasibility)
+    result = lhs_lp.solve_feasibility(problem)
+    verdict = lhs_lp.verdict_label(result, relative)
     residual = margin = None
     if result.feasible:
         residual = lhs_lp.verify_model(result.model, set1, set2)
-        verdict = "feasible"
     else:
         margin = lhs_lp.verify_certificate(problem, result.certificate)
-        verdict = "infeasible-relative-to-candidates" if relative else "infeasible"
     if args.fmt == "json":
         model_doc = None
         if result.feasible:

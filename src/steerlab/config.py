@@ -1,11 +1,14 @@
-"""Default numerical tolerances and limits, overridable per call or via Tolerances."""
+"""Numerical tolerances and limits.
+
+Only ``REQUIREMENT_TOL`` is a per-call default; every other threshold is read
+from this module where it is used.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 
 # matrix / vector checks
 HERMITICITY_TOL = 1e-10
@@ -27,11 +30,14 @@ COLLAPSE_FLOOR = 1e-13
 # a two-term slot with a smaller squared mass is absent
 SUPPORT_TOL = 1e-10
 
-# classification thresholds
-PURITY_TOL = 1e-8
-PHASE_TOL = 1e-8
+# the two requirements: a conditional state is pure when |purity - 1| < this,
+# and two are one state when 1 - |<u|v>| < this
+REQUIREMENT_TOL = 1e-8
+# an outcome with this probability or less is excluded from both requirements
 PROB_FLOOR = 1e-10
+# conditional states sum to Bob's marginal, and their traces to 1
 MARGINAL_TOL = 1e-9
+# an eigenvalue above this counts toward the rank
 RANK_TOL = 1e-9
 
 # feasibility solver
@@ -43,28 +49,6 @@ CANDIDATE_TOL = 1e-8
 LP_WEIGHT_FLOOR = 1e-12
 
 DEFAULT_MAX_DIM = 4096
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Bundle of thresholds used by the certifier and the feasibility oracle.
-
-    Every field defaults to the module-level constant of the same role, so a
-    plain ``Tolerances()`` reproduces the documented behaviour and individual
-    fields can be overridden for looser or tighter runs.
-    """
-
-    hermiticity: float = HERMITICITY_TOL
-    purity: float = PURITY_TOL
-    phase: float = PHASE_TOL
-    prob_floor: float = PROB_FLOOR
-    marginal: float = MARGINAL_TOL
-    lp_feasibility: float = LP_FEASIBILITY_TOL
-
-    def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
-            if not (value > 0.0):
-                raise ValidationError(f"tolerance {name!r} must be positive, got {value!r}")
 
 
 def max_dim() -> int:
@@ -79,3 +63,12 @@ def max_dim() -> int:
     if value < 2:
         raise ValidationError(f"STEERLAB_MAX_DIM must be at least 2, got {value}")
     return value
+
+
+def capped_dim(n_qubits: int) -> int:
+    """2**n_qubits, or DimensionError when that exceeds ``max_dim()``."""
+    cap = max_dim()
+    dim = 2**n_qubits
+    if dim > cap:
+        raise DimensionError(f"{n_qubits} qubits exceed the configured dimension cap {cap}")
+    return dim

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import config
 from ._schema import complex_entry
-from .config import Tolerances
 from .errors import (
     DimensionError,
     PreconditionError,
@@ -70,9 +69,7 @@ class LhsModel:
 def candidate_ensemble(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
-    tol: float = config.PHASE_TOL,
-    prob_floor: float = config.PROB_FLOOR,
-    purity_tol: float = config.PURITY_TOL,
+    tol: float = config.REQUIREMENT_TOL,
     check: PurityCheck | None = None,
 ) -> ComplexArray:
     """Deduplicated normalized conditional states across both settings, as one array.
@@ -81,12 +78,13 @@ def candidate_ensemble(
     be pure (PreconditionError otherwise); the general mode with a caller
     supplied candidate list has no such restriction.  The principal vectors
     are taken in outcome order, setting 1 first, and one is kept unless
-    1 - |<u|v>| < ``tol`` for a vector u kept before it.  A ``check`` that
-    ``purity_requirement`` already returned for these sets is reused;
-    ``prob_floor`` and ``purity_tol`` then play no part.
+    1 - |<u|v>| < ``tol`` for a vector u kept before it.  The same ``tol``
+    decides purity, as it decides both requirements in ``certify``.  A
+    ``check`` that ``purity_requirement`` already returned for these sets
+    under this ``tol`` is reused.
     """
     if check is None:
-        check = purity_requirement(set1, set2, purity_tol, prob_floor)
+        check = purity_requirement(set1, set2, tol)
     if not check.ok:
         raise PreconditionError(
             "a conditional state is mixed; supply an explicit candidate list instead"
@@ -97,17 +95,17 @@ def candidate_ensemble(
 def fallback_candidates(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
-    prob_floor: float = config.PROB_FLOOR,
 ) -> ComplexArray:
     """Default candidates for the relative mode with mixed conditionals, as one array.
 
     The deduplicated normalized conditional states (pure or not) plus the
     eigenprojectors of Bob's marginal; two count as one within a Frobenius
-    distance of ``CANDIDATE_TOL``.
+    distance of ``CANDIDATE_TOL``.  Outcomes with probability at or below
+    ``PROB_FLOOR`` contribute nothing.
     """
     ops = np.concatenate([set1.operators, set2.operators])
     p = np.concatenate([set1.probabilities, set2.probabilities])
-    keep = p > prob_floor
+    keep = p > config.PROB_FLOOR
     rho_b = set1.total()
     w, v = np.linalg.eigh((rho_b + rho_b.conj().T) / 2)
     eigenprojectors = outers(v[:, w > config.RANK_TOL].T)
@@ -247,27 +245,24 @@ def problem_for(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
     candidates: list[ComplexArray] | None = None,
-    tolerances: Tolerances | None = None,
+    tol: float = config.REQUIREMENT_TOL,
     check: PurityCheck | None = None,
 ) -> tuple[LpProblem, bool]:
     """Build the program with the right candidate source.
 
     Returns (problem, relative): ``relative`` is False only when the
     candidates came from the pure-state completeness argument, in which case
-    an infeasible verdict rules out every hidden-state model.  The purity,
-    phase and probability-floor thresholds come from ``tolerances``, as in
-    ``certify``; a ``check`` the caller already holds for these sets under
-    the same thresholds saves the purity pass.
+    an infeasible verdict rules out every hidden-state model.  Without
+    explicit candidates, ``tol`` decides purity and deduplication, the one
+    tolerance of both requirements, as in ``certify``; a ``check`` the caller
+    already holds for these sets under the same ``tol`` saves the purity pass.
     """
-    tols = tolerances or Tolerances()
     if candidates is not None:
         return build_lp(set1, set2, candidates), True
     try:
-        pure = candidate_ensemble(
-            set1, set2, tols.phase, tols.prob_floor, tols.purity, check
-        )
+        pure = candidate_ensemble(set1, set2, tol, check)
     except PreconditionError:
-        return build_lp(set1, set2, fallback_candidates(set1, set2, tols.prob_floor)), True
+        return build_lp(set1, set2, fallback_candidates(set1, set2)), True
     return build_lp(set1, set2, pure), False
 
 
@@ -355,21 +350,22 @@ def verify_certificate(problem: LpProblem, y: np.ndarray) -> float:
 
 def solve_feasibility(
     problem: LpProblem,
-    tol: float = config.LP_FEASIBILITY_TOL,
     max_iter: int | None = None,
 ) -> FeasibilityResult:
     """Decide the program by the residual r = b_eq - a_eq x of its NNLS solution x.
 
-    max|r| <= ``tol``: feasible, with x as the LhsModel.  Otherwise r is the
-    certificate if ``verify_certificate`` gives it a positive margin; if not,
-    or past ``max_iter`` passive-set solves (default three per variable, as
-    scipy's ``nnls``), SolverLimitError is raised.
+    max|r| <= ``config.LP_FEASIBILITY_TOL``: feasible, with x as the
+    LhsModel.  Otherwise r is the certificate if ``verify_certificate`` gives
+    it a positive margin; if not, or past ``max_iter`` passive-set solves
+    (default three per variable, as scipy's ``nnls``), SolverLimitError is
+    raised.
     """
     if max_iter is None:
         max_iter = 3 * problem.n_variables
     x, iterations = _nnls(problem.a_eq, problem.b_eq, max_iter)
     r = problem.b_eq - problem.a_eq @ x
     residual = float(np.max(np.abs(r)))
+    tol = config.LP_FEASIBILITY_TOL
     if residual > tol:
         margin = verify_certificate(problem, r)
         if not margin > 0.0:
@@ -403,6 +399,13 @@ def solve_feasibility(
     )
 
 
+def verdict_label(result: FeasibilityResult, relative: bool) -> str:
+    """The LP verdict as reported: an infeasible one is qualified when ``relative``."""
+    if result.feasible:
+        return "feasible"
+    return "infeasible-relative-to-candidates" if relative else "infeasible"
+
+
 def verify_model(
     model: LhsModel, set1: ConditionalStateSet, set2: ConditionalStateSet
 ) -> float:
@@ -433,7 +436,9 @@ __all__ = [
     "build_lp",
     "candidate_ensemble",
     "fallback_candidates",
+    "problem_for",
     "solve_feasibility",
+    "verdict_label",
     "verify_certificate",
     "verify_model",
 ]

@@ -168,7 +168,9 @@ def numerical_rank(rho: npt.ArrayLike, tol: float = config.RANK_TOL) -> int:
     return int(np.sum(np.linalg.eigvalsh(rho) > tol))
 
 
-def phase_equal(u: npt.ArrayLike, v: npt.ArrayLike, tol: float = config.PHASE_TOL) -> bool:
+def phase_equal(
+    u: npt.ArrayLike, v: npt.ArrayLike, tol: float = config.REQUIREMENT_TOL
+) -> bool:
     """Whether two vectors agree up to a global phase.
 
     Compares 1 - |<u|v>| of the normalized vectors against ``tol``; a zero
@@ -185,7 +187,7 @@ def phase_equal(u: npt.ArrayLike, v: npt.ArrayLike, tol: float = config.PHASE_TO
 
 
 def phase_coincidences(
-    rows: ComplexArray, tol: float = config.PHASE_TOL
+    rows: ComplexArray, tol: float = config.REQUIREMENT_TOL
 ) -> npt.NDArray[np.bool_]:
     """Which rows agree with which up to a global phase.
 

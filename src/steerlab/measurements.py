@@ -124,7 +124,7 @@ def computational_family(m_qubits: int) -> tuple[tuple[ComplexArray, ComplexArra
     return tuple((eye[:, 2 * i].copy(), eye[:, 2 * i + 1].copy()) for i in range(dim // 2))
 
 
-def same_family(a: BellLikeBasis, b: BellLikeBasis, tol: float = config.PHASE_TOL) -> bool:
+def same_family(a: BellLikeBasis, b: BellLikeBasis, tol: float = config.REQUIREMENT_TOL) -> bool:
     """Whether two bases are built over the same pairing (up to per-vector phases)."""
     if a.n_slots != b.n_slots:
         return False
@@ -376,6 +376,14 @@ def random_rank1_setting(
 # ---------------------------------------------------------------------------
 
 
+def _check_cap(m_qubits: int, path: str) -> None:
+    """ParseError at ``path`` when 2**m_qubits exceeds the dimension cap."""
+    try:
+        config.capped_dim(m_qubits)
+    except DimensionError as exc:
+        raise ParseError(str(exc), path) from None
+
+
 def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
     """Parse a measurement document.
 
@@ -400,6 +408,7 @@ def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
             raise ParseError("expected a non-empty axis string", f"{prefix}axes")
         if any(c not in _PAULI_BASES for c in axes):
             raise ParseError(f"axes {axes!r} contain a non-Pauli character", f"{prefix}axes")
+        _check_cap(len(axes), f"{prefix}axes")
         return tensor_setting(axes)
     if kind == "projectors":
         vecs = expect_list(root.get("vectors"), f"{prefix}vectors")
@@ -423,6 +432,7 @@ def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
             m = expect_int(m, f"{prefix}m_qubits")
             if m < 1:
                 raise ParseError(f"m_qubits must be positive, got {m}", f"{prefix}m_qubits")
+            _check_cap(m, f"{prefix}m_qubits")
             basis = BellLikeBasis(beta, computational_family(m), "computational")
         else:
             vecs = expect_list(family, f"{prefix}phi_family")

@@ -58,12 +58,7 @@ class EnsembleState:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise DimensionError(f"n_qubits must be positive, got {self.n_qubits}")
-        dim = 2**self.n_qubits
-        if dim > config.max_dim():
-            raise DimensionError(
-                f"{self.n_qubits} qubits exceed the configured dimension cap "
-                f"{config.max_dim()}"
-            )
+        dim = config.capped_dim(self.n_qubits)
         weights = tuple(float(w) for w in self.weights)
         if len(weights) == 0 or len(weights) != len(self.vectors):
             raise ValidationError("ensemble needs matching, non-empty weights and vectors")
@@ -168,11 +163,7 @@ class DensityMatrix:
             raise DimensionError(
                 f"density matrix of shape {m.shape} does not act on {self.n_qubits} qubits"
             )
-        if dim > config.max_dim():
-            raise DimensionError(
-                f"{self.n_qubits} qubits exceed the configured dimension cap "
-                f"{config.max_dim()}"
-            )
+        config.capped_dim(self.n_qubits)
         if hermiticity_residuals(m) > config.HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
         kept = m.copy()
@@ -275,8 +266,8 @@ def random_pure(n_qubits: int, seed: int) -> ComplexArray:
     """Haar-random unit vector on n qubits (deterministic per seed)."""
     if n_qubits < 1:
         raise DimensionError(f"n_qubits must be positive, got {n_qubits}")
+    dim = config.capped_dim(n_qubits)
     rng = np.random.default_rng(seed)
-    dim = 2**n_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return canonical_phase(v / np.linalg.norm(v))
 
@@ -290,7 +281,7 @@ def random_mixed(n_qubits: int, rank: int, seed: int) -> EnsembleState:
     """
     if n_qubits < 1:
         raise DimensionError(f"n_qubits must be positive, got {n_qubits}")
-    dim = 2**n_qubits
+    dim = config.capped_dim(n_qubits)
     if not 1 <= rank <= dim:
         raise DimensionError(f"rank must lie in [1, {dim}], got {rank}")
     rng = np.random.default_rng(seed)

@@ -35,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from .config import Tolerances
 from .errors import (
     DimensionError,
     PreconditionError,
@@ -131,19 +130,18 @@ class ConditionalStateSet:
         top = (g[:, None, :, -1] @ self.branches[keep])[:, 0]
         return canonical_phase(top / np.linalg.norm(top, axis=1)[:, None])
 
-    def validate(self, rho_b: ComplexArray, tols: Tolerances | None = None) -> None:
-        tols = tols or Tolerances()
-        not_hermitian = hermiticity_residuals(self.operators) > tols.hermiticity
+    def validate(self, rho_b: ComplexArray) -> None:
+        not_hermitian = hermiticity_residuals(self.operators) > config.HERMITICITY_TOL
         # G_a has rho_a's nonzero eigenvalues, and rho_a's others are zero
-        not_psd = np.linalg.eigvalsh(self._evidence_stack)[:, 0] < -tols.hermiticity
+        not_psd = np.linalg.eigvalsh(self._evidence_stack)[:, 0] < -config.HERMITICITY_TOL
         bad = np.flatnonzero(not_hermitian | not_psd)
         if bad.size:
             i = bad[0]
             flaw = "Hermitian" if not_hermitian[i] else "PSD"
             raise ValidationError(f"conditional state {self.outcomes[i]!r} is not {flaw}")
-        if abs(float(np.sum(self.probabilities)) - 1.0) > tols.marginal:
+        if abs(float(np.sum(self.probabilities)) - 1.0) > config.MARGINAL_TOL:
             raise ValidationError("outcome probabilities do not sum to 1")
-        if np.linalg.norm(self.total() - rho_b) > tols.marginal:
+        if np.linalg.norm(self.total() - rho_b) > config.MARGINAL_TOL:
             raise ValidationError("conditional states do not sum to Bob's marginal")
 
 
@@ -180,7 +178,6 @@ def conditional_states(
     state: EnsembleState | DensityMatrix,
     protocol: SteeringProtocol,
     which: int,
-    tols: Tolerances | None = None,
 ) -> ConditionalStateSet:
     """Bob's conditional states for setting ``which`` (1 or 2) of the protocol.
 
@@ -196,7 +193,7 @@ def conditional_states(
     marginal.
     """
     out = _unvalidated_states(state, protocol, which)
-    out.validate(bob_marginal(state, protocol.alice_qubits), tols)
+    out.validate(bob_marginal(state, protocol.alice_qubits))
     return out
 
 
@@ -323,25 +320,30 @@ class PurityCheck:
 def purity_requirement(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
-    tol: float = config.PURITY_TOL,
-    prob_floor: float = config.PROB_FLOOR,
+    tol: float = config.REQUIREMENT_TOL,
 ) -> PurityCheck:
     """Whether every nonzero-probability conditional state is pure.
 
-    Outcomes with probability at or below ``prob_floor`` are excluded from the
-    check and listed separately.  Each set supplies its own evidence: a set
-    that keeps branches W_a reads the purity tr(G_a^2) / tr(G_a)^2 and the
-    principal vector from the Gram matrix G_a = W_a^H W_a, which has the
-    nonzero eigenvalues of rho_a = W_a W_a^H; any other set reads them from
-    its operators.
+    A counted state is pure when |purity - 1| < ``tol``, the one tolerance
+    that also decides the measurement requirement.  It must be positive
+    (ValidationError otherwise); this is the one place that checks it, and
+    every path to a verdict passes through here.  Outcomes with probability
+    at or below ``config.PROB_FLOOR`` are excluded from the check and listed
+    separately.  Each set supplies its own evidence: a set that keeps
+    branches W_a reads the purity tr(G_a^2) / tr(G_a)^2 and the principal
+    vector from the Gram matrix G_a = W_a^H W_a, which has the nonzero
+    eigenvalues of rho_a = W_a W_a^H; any other set reads them from its
+    operators.
     """
+    if not tol > 0.0:
+        raise ValidationError(f"tolerance must be positive, got {tol!r}")
     records: list[OutcomeRecord] = []
     excluded: list[tuple[int, str]] = []
     counted: list[tuple[str, ...]] = []
     kept_masks: list[np.ndarray] = []
     for cs in (set1, set2):
         probabilities = cs.probabilities
-        keep = probabilities > prob_floor
+        keep = probabilities > config.PROB_FLOOR
         q = np.zeros(len(keep))
         q[keep] = cs.purities(keep)
         for label, p, kept, q_a in zip(cs.outcomes, probabilities, keep, q):
@@ -395,20 +397,19 @@ def _duplicates(check: PurityCheck, tol: float) -> DuplicateCheck:
 def measurement_requirement(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
-    tol: float = config.PHASE_TOL,
-    prob_floor: float = config.PROB_FLOOR,
-    purity_tol: float = config.PURITY_TOL,
+    tol: float = config.REQUIREMENT_TOL,
 ) -> DuplicateCheck:
     """Cross-setting and within-setting coincidences among conditional states.
 
-    Requires the purity requirement to hold (PreconditionError otherwise).
+    Requires the purity requirement to hold under the same ``tol``
+    (PreconditionError otherwise): one tolerance serves both requirements.
     Two counted conditional states coincide when their unit principal vectors
     u, v satisfy 1 - |<u|v>| < ``tol``.  The requirement itself is satisfied
     exactly when no conditional state of setting 1 coincides with one of
     setting 2; within-setting coincidences never block a paradox and are
     reported as context.
     """
-    check = purity_requirement(set1, set2, purity_tol, prob_floor)
+    check = purity_requirement(set1, set2, tol)
     if not check.ok:
         raise PreconditionError(
             "a conditional state is mixed; the coincidence check is only defined "
@@ -536,7 +537,7 @@ def certify(
     protocol: SteeringProtocol,
     lp: bool = False,
     candidates: list[ComplexArray] | None = None,
-    tolerances: Tolerances | None = None,
+    tol: float = config.REQUIREMENT_TOL,
 ) -> ParadoxReport:
     """Run both requirement checks and classify the state-protocol pair.
 
@@ -545,9 +546,9 @@ def certify(
     ledger is then forced.  With ``lp=True`` the independent LHS feasibility
     oracle (lhs_lp, nonnegative least squares) adds its verdict and residual,
     or raises SolverLimitError; an explicit candidate list switches it to the
-    relative mode.
+    relative mode.  ``tol`` decides both requirements and the LP's candidate
+    deduplication; it must be positive.
     """
-    tols = tolerances or Tolerances()
     if isinstance(state, EnsembleState):
         decomposition = DECOMPOSITION_GIVEN
     elif isinstance(state, DensityMatrix):
@@ -557,11 +558,11 @@ def certify(
     # both sets are validated against one marginal, formed once
     set1 = _unvalidated_states(state, protocol, 1)
     rho_b = bob_marginal(state, protocol.alice_qubits)
-    set1.validate(rho_b, tols)
+    set1.validate(rho_b)
     set2 = _unvalidated_states(state, protocol, 2)
-    set2.validate(rho_b, tols)
+    set2.validate(rho_b)
     quantum = float(np.sum(set1.probabilities) + np.sum(set2.probabilities))
-    check = purity_requirement(set1, set2, tol=tols.purity, prob_floor=tols.prob_floor)
+    check = purity_requirement(set1, set2, tol)
 
     cross: tuple[tuple[str, str], ...] = ()
     within: tuple[tuple[int, str, str], ...] = ()
@@ -569,7 +570,7 @@ def certify(
     if not check.ok:
         verdict = NO_PARADOX_PURITY
     else:
-        dup = _duplicates(check, tols.phase)
+        dup = _duplicates(check, tol)
         cross = dup.cross
         within = tuple((1, a, b) for a, b in dup.within_1) + tuple(
             (2, a, b) for a, b in dup.within_2
@@ -594,13 +595,11 @@ def certify(
 
     from . import lhs_lp
 
-    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tols, check)
-    result = lhs_lp.solve_feasibility(problem, tol=tols.lp_feasibility)
-    if result.feasible:
-        lp_verdict = "feasible"
-    else:
-        lp_verdict = "infeasible-relative-to-candidates" if relative else "infeasible"
-    return replace(report, lp_verdict=lp_verdict, lp_residual=result.residual)
+    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tol, check)
+    result = lhs_lp.solve_feasibility(problem)
+    return replace(
+        report, lp_verdict=lhs_lp.verdict_label(result, relative), lp_residual=result.residual
+    )
 
 
 __all__ = [

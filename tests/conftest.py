@@ -13,7 +13,6 @@ from steerlab import (
     BellLikeBasis,
     EnsembleState,
     SteeringProtocol,
-    Tolerances,
     random_rank1_setting,
     settings_equal,
     tensor_protocol,
@@ -71,20 +70,20 @@ def principal_vector(rho):
     return principal_vectors(rho[None])[0]
 
 
-def _counted_vectors(cs, tols):
+def _counted_vectors(cs):
     return {
         label: principal_vector(op)
         for label, op in zip(cs.outcomes, cs.operators)
-        if np.trace(op).real > tols.prob_floor
+        if np.trace(op).real > config.PROB_FLOOR
     }
 
 
-def pairwise_duplicates(set1, set2, tols=Tolerances()):
+def pairwise_duplicates(set1, set2, tol=config.REQUIREMENT_TOL):
     """(cross, within_1, within_2) coincidences by one phase_equal call per pair.
 
     Reference for the overlap-matrix check; the conditional states must be pure.
     """
-    v1, v2 = _counted_vectors(set1, tols), _counted_vectors(set2, tols)
+    v1, v2 = _counted_vectors(set1), _counted_vectors(set2)
 
     def within(vecs):
         labels = list(vecs)
@@ -92,19 +91,19 @@ def pairwise_duplicates(set1, set2, tols=Tolerances()):
             (a, b)
             for i, a in enumerate(labels)
             for b in labels[i + 1 :]
-            if phase_equal(vecs[a], vecs[b], tols.phase)
+            if phase_equal(vecs[a], vecs[b], tol)
         )
 
-    cross = tuple((a, b) for a in v1 for b in v2 if phase_equal(v1[a], v2[b], tols.phase))
+    cross = tuple((a, b) for a in v1 for b in v2 if phase_equal(v1[a], v2[b], tol))
     return cross, within(v1), within(v2)
 
 
-def pairwise_candidates(set1, set2, tols=Tolerances()):
+def pairwise_candidates(set1, set2, tol=config.REQUIREMENT_TOL):
     """Greedy phase_equal deduplication of the counted principal vectors, setting 1 first."""
     kept = []
     for cs in (set1, set2):
-        for v in _counted_vectors(cs, tols).values():
-            if not any(phase_equal(u, v, tols.phase) for u in kept):
+        for v in _counted_vectors(cs).values():
+            if not any(phase_equal(u, v, tol) for u in kept):
                 kept.append(v)
     return [outer(v) for v in kept]
 

@@ -195,6 +195,10 @@ class TestMaxRankFamily:
         with pytest.raises(DimensionError):
             max_rank_family(2, 2, seed=0)
 
+    def test_refuses_past_the_cap_before_drawing(self):
+        with pytest.raises(DimensionError, match="dimension cap"):
+            max_rank_family(40, 1, seed=0)
+
     def test_deterministic(self):
         a = max_rank_family(4, 2, seed=5)
         b = max_rank_family(4, 2, seed=5)

@@ -135,10 +135,35 @@ class TestCheck:
         doc = json.loads(open(out).read())
         assert {"a_eq", "b_eq", "candidates", "relative"} <= set(doc)
 
+    @pytest.mark.parametrize("setting, where", [
+        ({"type": "bell_like", "beta": 0.3, "m_qubits": 40}, "setting_1.m_qubits"),
+        ({"type": "tensor_pauli", "axes": "z" * 13}, "setting_1.axes"),
+    ])
+    def test_protocol_past_the_cap_exit_2_with_path(self, files, tmp_path, setting, where):
+        m = setting.get("m_qubits", 13)
+        protocol = tmp_path / "big.json"
+        protocol.write_text(json.dumps({"alice_qubits": m, "setting_1": setting,
+                                        "setting_2": setting}))
+        r = run_cli("check", "--state", files["tq.json"], "--protocol", str(protocol))
+        assert r.returncode == 2
+        assert f"{where}: {m} qubits exceed the configured dimension cap" in r.stderr
+
     def test_dimension_cap_env(self, files):
         r = run_cli("check", "--state", files["lc4.json"], "--protocol", files["zzyx.json"],
                     env_extra={"STEERLAB_MAX_DIM": "2"})
         assert r.returncode == 2
+
+
+class TestToleranceRejection:
+    @pytest.mark.parametrize("value", ["0", "-1e-6", "nan"])
+    def test_non_positive_tolerance_exit_2(self, files, value, capsys):
+        from steerlab import cli
+
+        pair = ["--state", files["tq.json"], "--protocol", files["zx.json"]]
+        for args in (["demo", "two-qubit"], ["check", *pair], ["sweep", "--count", "1"],
+                     ["lhs", *pair]):
+            assert cli.main([*args, f"--tolerance={value}"]) == 2, args
+            assert "tolerance" in capsys.readouterr().err, args
 
 
 class TestAmplitudeInput:
@@ -202,6 +227,11 @@ class TestSweep:
     def test_deterministic_given_seed(self):
         args = ("sweep", "--count", "10", "--seed", "12", "--rank", "2", "--format", "json")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    def test_past_the_cap_exit_2(self):
+        r = run_cli("sweep", "--n-qubits", "40", "--count", "1")
+        assert r.returncode == 2
+        assert "40 qubits exceed the configured dimension cap" in r.stderr
 
     def test_invalid_count_exit_2(self):
         r = run_cli("sweep", "--count", "0")

@@ -629,7 +629,8 @@ class TestModelArrays:
         weights, responses = loop_model_tables(problem, x)
         # an infinite tolerance lets any vertex through to the model tables
         monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (x, 1))
-        model = solve_feasibility(problem, tol=np.inf).model
+        monkeypatch.setattr(config, "LP_FEASIBILITY_TOL", np.inf)
+        model = solve_feasibility(problem).model
         assert np.array(model.member_weights).tobytes() == weights.tobytes()
         assert [t.tobytes() for t in model.responses] == [t.tobytes() for t in responses]
 

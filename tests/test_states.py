@@ -299,6 +299,14 @@ class TestSamplersAndCanonical:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(np.linalg.norm(a), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "draw", [lambda: random_pure(40, 0), lambda: random_mixed(40, 1, 0)], ids=["pure", "mixed"]
+    )
+    def test_samplers_refuse_past_the_cap_before_drawing(self, draw):
+        # 2**40 amplitudes would not fit in memory: the cap must come first
+        with pytest.raises(DimensionError, match="dimension cap"):
+            draw()
+
     def test_random_mixed_rank(self):
         rho = density_of(random_mixed(2, 2, seed=5))
         vals = np.linalg.eigvalsh(rho.matrix)

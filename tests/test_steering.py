@@ -31,7 +31,6 @@ from steerlab import (
     MeasurementSetting,
     PreconditionError,
     SteeringProtocol,
-    Tolerances,
     UnsupportedSettingError,
     ValidationError,
     basis_ket,
@@ -48,6 +47,7 @@ from steerlab import (
     lc4_states,
     max_rank_family,
     measurement_requirement,
+    problem_for,
     purity_requirement,
     random_mixed,
     random_pure,
@@ -349,7 +349,7 @@ class TestBranchEvidence:
             # the PSD decision: both paths accept the same states
             cs.validate(rho_b)
             twin.validate(rho_b)
-            keep = cs.probabilities > Tolerances().prob_floor
+            keep = cs.probabilities > config.PROB_FLOOR
             np.testing.assert_allclose(
                 cs.purities(keep), purities(cs.operators[keep]), rtol=0, atol=1e-12
             )
@@ -748,15 +748,29 @@ class TestCertify:
         assert report.lp_verdict == "infeasible-relative-to-candidates"
 
     def test_lp_uses_callers_purity_tolerance(self):
-        # setting 1's outcome 0 has purity 1 - 4e-8: pure at purity=1e-6, so the
+        # setting 1's outcome 0 has purity 1 - 4e-8: pure at tol=1e-6, so the
         # LP must take its candidates from the complete pure-state list too
         phi = (basis_ket(2, 0) + basis_ket(2, 3)) / np.sqrt(2)
         state = EnsembleState(2, (1 - 1e-8, 1e-8), (phi, basis_ket(2, 1)))
-        tols = Tolerances(purity=1e-6, phase=1e-6)
-        report = certify(state, tensor_protocol("z", "x", n_qubits=2), lp=True, tolerances=tols)
+        report = certify(state, tensor_protocol("z", "x", n_qubits=2), lp=True, tol=1e-6)
         assert report.verdict == PARADOX
         assert report.lp_verdict == "infeasible"
         assert report.lp_residual == pytest.approx(13 / 112, rel=1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan])
+    def test_rejects_non_positive_tolerance(self, tol):
+        state, _, protocol = two_qubit_setup(np.pi / 4)
+        with pytest.raises(ValidationError, match="tolerance"):
+            certify(state, protocol, tol=tol)
+        sets = [conditional_states(state, protocol, which) for which in (1, 2)]
+        with pytest.raises(ValidationError, match="tolerance"):
+            problem_for(*sets, tol=tol)
+
+    def test_infinite_tolerance_accepted(self):
+        # every pair of counted states coincides, so setting 1 meets setting 2
+        state, _, protocol = two_qubit_setup(np.pi / 4)
+        report = certify(state, protocol, tol=np.inf)
+        assert report.verdict == NO_PARADOX_CROSS_DUPLICATE
 
     @pytest.mark.parametrize("lp", [False, True])
     def test_one_evidence_pass(self, lp, monkeypatch):
