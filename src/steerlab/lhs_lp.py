@@ -49,7 +49,7 @@ from .linalg import (
     read_only_copy,
     stacked,
 )
-from .steering import ConditionalStateSet, PurityCheck, purity_requirement
+from .steering import ConditionalStateSet, purity_requirement
 
 
 @dataclass(frozen=True)
@@ -70,26 +70,23 @@ def candidate_ensemble(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
     tol: float = config.REQUIREMENT_TOL,
-    check: PurityCheck | None = None,
 ) -> ComplexArray:
     """Deduplicated normalized conditional states across both settings, as one array.
 
     Zero-probability outcomes contribute nothing.  Every surviving state must
-    be pure (PreconditionError otherwise); the general mode with a caller
-    supplied candidate list has no such restriction.  The principal vectors
-    are taken in outcome order, setting 1 first, and one is kept unless
-    1 - |<u|v>| < ``tol`` for a vector u kept before it.  The same ``tol``
-    decides purity, as it decides both requirements in ``certify``.  A
-    ``check`` that ``purity_requirement`` already returned for these sets
-    under this ``tol`` is reused.
+    be pure under ``tol`` (``purity_requirement``: PreconditionError when
+    not, ValidationError unless ``tol`` is positive); the general mode with a
+    caller supplied candidate list has no such restriction.  The sets'
+    ``principal_vectors`` are taken in outcome order, setting 1 first, and
+    one is kept unless 1 - |<u|v>| < ``tol`` for a vector u kept before it,
+    the one tolerance of both requirements in ``certify``.
     """
-    if check is None:
-        check = purity_requirement(set1, set2, tol)
-    if not check.ok:
+    if not purity_requirement(set1, set2, tol).ok:
         raise PreconditionError(
             "a conditional state is mixed; supply an explicit candidate list instead"
         )
-    return outers(check.vectors[_first_kept(phase_coincidences(check.vectors, tol))])
+    vectors = np.concatenate([set1.principal_vectors, set2.principal_vectors])
+    return outers(vectors[_first_kept(phase_coincidences(vectors, tol))])
 
 
 def fallback_candidates(
@@ -105,7 +102,7 @@ def fallback_candidates(
     """
     ops = np.concatenate([set1.operators, set2.operators])
     p = np.concatenate([set1.probabilities, set2.probabilities])
-    keep = p > config.PROB_FLOOR
+    keep = np.concatenate([set1.counted, set2.counted])
     rho_b = set1.total()
     w, v = np.linalg.eigh((rho_b + rho_b.conj().T) / 2)
     eigenprojectors = outers(v[:, w > config.RANK_TOL].T)
@@ -246,7 +243,6 @@ def problem_for(
     set2: ConditionalStateSet,
     candidates: list[ComplexArray] | None = None,
     tol: float = config.REQUIREMENT_TOL,
-    check: PurityCheck | None = None,
 ) -> tuple[LpProblem, bool]:
     """Build the program with the right candidate source.
 
@@ -254,13 +250,13 @@ def problem_for(
     candidates came from the pure-state completeness argument, in which case
     an infeasible verdict rules out every hidden-state model.  Without
     explicit candidates, ``tol`` decides purity and deduplication, the one
-    tolerance of both requirements, as in ``certify``; a ``check`` the caller
-    already holds for these sets under the same ``tol`` saves the purity pass.
+    tolerance of both requirements, as in ``certify``; the evidence is the
+    sets' own, computed once per set whichever stage asks first.
     """
     if candidates is not None:
         return build_lp(set1, set2, candidates), True
     try:
-        pure = candidate_ensemble(set1, set2, tol, check)
+        pure = candidate_ensemble(set1, set2, tol)
     except PreconditionError:
         return build_lp(set1, set2, fallback_candidates(set1, set2)), True
     return build_lp(set1, set2, pure), False

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def computational_family(m_qubits: int) -> tuple[tuple[ComplexArray, ComplexArra
     """Computational basis paired consecutively: (|0..0>,|0..1>), (|0..10>,|0..11>), ..."""
     if m_qubits < 1:
         raise DimensionError(f"m_qubits must be positive, got {m_qubits}")
-    dim = 2**m_qubits
+    dim = config.capped_dim(m_qubits)
     eye = np.eye(dim, dtype=np.complex128)
     return tuple((eye[:, 2 * i].copy(), eye[:, 2 * i + 1].copy()) for i in range(dim // 2))
 
@@ -247,16 +248,13 @@ def tensor_setting(axes: str | Sequence[str]) -> MeasurementSetting:
     axes = "".join(axes)
     if not axes:
         raise DimensionError("axes must name at least one qubit")
-    bases = [pauli_axis_basis(c) for c in axes]
-    m = len(axes)
-    vectors = []
-    for idx in range(2**m):
-        bits = bitstring(idx, m)
-        v = np.array([1.0], dtype=np.complex128)
-        for q, bit in enumerate(bits):
-            v = np.kron(v, bases[q][int(bit)])
-        vectors.append(v)
-    return _rank1_setting(axes, np.array(vectors))
+    config.capped_dim(len(axes))
+    # row i of the Kronecker product of the per-qubit bases, qubit 0 leftmost,
+    # is the product vector of the bits of i; the unit seed keeps y's -0.0
+    vectors = reduce(
+        np.kron, (np.array(pauli_axis_basis(c)) for c in axes), np.ones((1, 1), np.complex128)
+    )
+    return _rank1_setting(axes, vectors)
 
 
 def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
@@ -364,7 +362,7 @@ def random_rank1_setting(
     """Haar-random orthonormal rank-1 setting on M qubits."""
     if m_qubits < 1:
         raise DimensionError(f"m_qubits must be positive, got {m_qubits}")
-    dim = 2**m_qubits
+    dim = config.capped_dim(m_qubits)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -49,10 +49,9 @@ from .linalg import (
     numerical_rank,
     partial_trace,
     phase_coincidences,
-    principal_vectors,
-    purities,
     read_only_copy,
 )
+from .linalg import purities as stack_purities
 from .measurements import MeasurementSetting, SteeringProtocol, same_family
 from .states import DensityMatrix, EnsembleState
 
@@ -79,6 +78,9 @@ class ConditionalStateSet:
     it builds from it; the PSD test, purities and principal vectors then
     come from the T x T Gram stack G_a = W_a^H W_a, formed once, and
     hermiticity and the marginal from the operators.
+
+    ``counted``, ``purities`` and ``principal_vectors``, the evidence every
+    stage reads, are computed on first use and kept.
     """
 
     setting_index: int
@@ -114,26 +116,40 @@ class ConditionalStateSet:
             return self.operators
         return self.branches.conj() @ self.branches.swapaxes(1, 2)
 
-    def purities(self, keep: np.ndarray) -> np.ndarray:
-        """Purity of the states that ``keep`` selects: tr(G^2) / tr(G)^2 with branches."""
-        return purities(self._evidence_stack[keep])
+    @cached_property
+    def counted(self) -> np.ndarray:
+        """Which outcomes count: probability above ``config.PROB_FLOOR``."""
+        return read_only_copy(self.probabilities > config.PROB_FLOOR)
 
-    def principal_vectors(self, keep: np.ndarray) -> ComplexArray:
-        """Unit, phase-fixed principal vectors of the states that ``keep`` selects.
+    @cached_property
+    def purities(self) -> np.ndarray:
+        """Purity of each counted state: tr(G^2) / tr(G)^2 with branches."""
+        return read_only_copy(stack_purities(self._evidence_stack[self.counted]))
 
-        With branches, the vector is W_a g / ||W_a g|| for g the top
-        eigenvector of G_a.
+    @cached_property
+    def principal_vectors(self) -> ComplexArray:
+        """Unit, phase-fixed principal vectors of the counted states, one row each.
+
+        One ``eigh`` of the counted evidence stack; with branches, the vector
+        is W_a g / ||W_a g|| for g the top eigenvector of G_a.
         """
-        if self.branches is None:
-            return principal_vectors(self.operators[keep])
-        _, g = np.linalg.eigh(self._evidence_stack[keep])
-        top = (g[:, None, :, -1] @ self.branches[keep])[:, 0]
-        return canonical_phase(top / np.linalg.norm(top, axis=1)[:, None])
+        _, v = np.linalg.eigh(self._evidence_stack[self.counted])
+        top = v[..., -1]
+        if self.branches is not None:
+            top = (top[:, None] @ self.branches[self.counted])[:, 0]
+            top = top / np.linalg.norm(top, axis=1)[:, None]
+        return read_only_copy(canonical_phase(top))
 
     def validate(self, rho_b: ComplexArray) -> None:
+        """Check the set against Bob's marginal ``rho_b``.
+
+        An eigenvalue may reach -``config.PSD_TOL``, as in ``DensityMatrix``:
+        a rank-1 outcome's rho_a compresses rho, so its spectrum lies within
+        rho's; a rank-r outcome can reach -r ``PSD_TOL``.
+        """
         not_hermitian = hermiticity_residuals(self.operators) > config.HERMITICITY_TOL
         # G_a has rho_a's nonzero eigenvalues, and rho_a's others are zero
-        not_psd = np.linalg.eigvalsh(self._evidence_stack)[:, 0] < -config.HERMITICITY_TOL
+        not_psd = np.linalg.eigvalsh(self._evidence_stack)[:, 0] < -config.PSD_TOL
         bad = np.flatnonzero(not_hermitian | not_psd)
         if bad.size:
             i = bad[0]
@@ -302,19 +318,11 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class PurityCheck:
-    """Outcome of the pure state requirement, with the evidence later checks reuse.
-
-    When ``ok``, ``labels`` holds each setting's counted outcome labels and
-    ``vectors`` their unit principal vectors, one row per label, setting 1
-    first.  When not, ``labels`` is empty, ``vectors`` is None and no
-    eigenvector was computed.
-    """
+    """Outcome of the pure state requirement, with its per-outcome records."""
 
     ok: bool
     records: tuple[OutcomeRecord, ...]
     excluded: tuple[tuple[int, str], ...]
-    labels: tuple[tuple[str, ...], tuple[str, ...]]
-    vectors: np.ndarray | None = field(repr=False, compare=False)
 
 
 def purity_requirement(
@@ -329,42 +337,27 @@ def purity_requirement(
     (ValidationError otherwise); this is the one place that checks it, and
     every path to a verdict passes through here.  Outcomes with probability
     at or below ``config.PROB_FLOOR`` are excluded from the check and listed
-    separately.  Each set supplies its own evidence: a set that keeps
-    branches W_a reads the purity tr(G_a^2) / tr(G_a)^2 and the principal
-    vector from the Gram matrix G_a = W_a^H W_a, which has the nonzero
-    eigenvalues of rho_a = W_a W_a^H; any other set reads them from its
-    operators.
+    separately.  The purities are each set's own ``purities``: a set that
+    keeps branches W_a reads tr(G_a^2) / tr(G_a)^2 from the Gram matrix
+    G_a = W_a^H W_a, which has the nonzero eigenvalues of rho_a = W_a W_a^H;
+    any other set reads them from its operators.  No eigenvector is
+    computed here.
     """
     if not tol > 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
     records: list[OutcomeRecord] = []
     excluded: list[tuple[int, str]] = []
-    counted: list[tuple[str, ...]] = []
-    kept_masks: list[np.ndarray] = []
     for cs in (set1, set2):
-        probabilities = cs.probabilities
-        keep = probabilities > config.PROB_FLOOR
-        q = np.zeros(len(keep))
-        q[keep] = cs.purities(keep)
-        for label, p, kept, q_a in zip(cs.outcomes, probabilities, keep, q):
+        q = np.zeros(len(cs.outcomes))
+        q[cs.counted] = cs.purities
+        for label, p, kept, q_a in zip(cs.outcomes, cs.probabilities, cs.counted, q):
             records.append(
                 OutcomeRecord(cs.setting_index, label, float(p), float(q_a) if kept else None)
             )
             if not kept:
                 excluded.append((cs.setting_index, label))
-        counted.append(tuple(label for label, kept in zip(cs.outcomes, keep) if kept))
-        kept_masks.append(keep)
     ok = not any(r.purity is not None and abs(r.purity - 1.0) >= tol for r in records)
-    labels: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
-    vectors = None
-    if ok:
-        labels = (counted[0], counted[1])
-        vectors = np.concatenate(
-            [cs.principal_vectors(keep) for cs, keep in zip((set1, set2), kept_masks)]
-        )
-    return PurityCheck(
-        ok=ok, records=tuple(records), excluded=tuple(excluded), labels=labels, vectors=vectors
-    )
+    return PurityCheck(ok=ok, records=tuple(records), excluded=tuple(excluded))
 
 
 @dataclass(frozen=True)
@@ -377,10 +370,12 @@ class DuplicateCheck:
     within_2: tuple[tuple[str, str], ...]
 
 
-def _duplicates(check: PurityCheck, tol: float) -> DuplicateCheck:
-    labels_1, labels_2 = check.labels
+def _duplicates(set1: ConditionalStateSet, set2: ConditionalStateSet, tol: float) -> DuplicateCheck:
+    labels_1, labels_2 = (
+        tuple(label for label, kept in zip(cs.outcomes, cs.counted) if kept) for cs in (set1, set2)
+    )
     k1 = len(labels_1)
-    hits = phase_coincidences(check.vectors, tol)
+    hits = phase_coincidences(np.concatenate([set1.principal_vectors, set2.principal_vectors]), tol)
 
     def pairs(block, labels_a, labels_b):
         return tuple((labels_a[i], labels_b[j]) for i, j in np.argwhere(block))
@@ -409,13 +404,12 @@ def measurement_requirement(
     setting 2; within-setting coincidences never block a paradox and are
     reported as context.
     """
-    check = purity_requirement(set1, set2, tol)
-    if not check.ok:
+    if not purity_requirement(set1, set2, tol).ok:
         raise PreconditionError(
             "a conditional state is mixed; the coincidence check is only defined "
             "for pure conditional states"
         )
-    return _duplicates(check, tol)
+    return _duplicates(set1, set2, tol)
 
 
 @dataclass(frozen=True)
@@ -570,7 +564,7 @@ def certify(
     if not check.ok:
         verdict = NO_PARADOX_PURITY
     else:
-        dup = _duplicates(check, tol)
+        dup = _duplicates(set1, set2, tol)
         cross = dup.cross
         within = tuple((1, a, b) for a, b in dup.within_1) + tuple(
             (2, a, b) for a, b in dup.within_2
@@ -595,7 +589,7 @@ def certify(
 
     from . import lhs_lp
 
-    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tol, check)
+    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tol)
     result = lhs_lp.solve_feasibility(problem)
     return replace(
         report, lp_verdict=lhs_lp.verdict_label(result, relative), lp_residual=result.residual

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from steerlab import (
+    DensityMatrix,
     EnsembleState,
     basis_ket,
     lc4_mixed,
@@ -147,6 +148,15 @@ class TestCheck:
         r = run_cli("check", "--state", files["tq.json"], "--protocol", str(protocol))
         assert r.returncode == 2
         assert f"{where}: {m} qubits exceed the configured dimension cap" in r.stderr
+
+    def test_near_psd_density_accepted(self, files, tmp_path):
+        # within PSD_TOL of positive, as DensityMatrix accepts it
+        rho = DensityMatrix(2, np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]))
+        state = tmp_path / "near_psd.json"
+        state.write_text(json.dumps(save_state(rho)))
+        r = run_cli("check", "--state", str(state), "--protocol", files["zx.json"])
+        assert r.returncode == 0, r.stderr
+        assert "verdict: NO_PARADOX_PURITY" in r.stdout
 
     def test_dimension_cap_env(self, files):
         r = run_cli("check", "--state", files["lc4.json"], "--protocol", files["zzyx.json"],

@@ -345,6 +345,16 @@ class TestEqualityAndProtocols:
         for pa, pb in zip(a.projectors, b.projectors):
             np.testing.assert_array_equal(pa, pb)
 
+    @pytest.mark.parametrize("build", [
+        lambda: random_rank1_setting(40, np.random.default_rng(0)),
+        lambda: computational_family(40),
+        lambda: tensor_setting("z" * 40),
+    ], ids=["random_rank1_setting", "computational_family", "tensor_setting"])
+    def test_constructors_check_the_cap_before_allocating(self, build):
+        # 2**40 rows would not fit: the cap is checked before any array exists
+        with pytest.raises(DimensionError, match="40 qubits exceed the configured dimension cap"):
+            build()
+
 
 class TestJsonRoundTrip:
     def test_tensor_pauli_round_trip(self):

@@ -60,6 +60,19 @@ from steerlab import (
 from steerlab.linalg import outer, phase_equal, principal_vectors, purities, purity
 
 
+def count_phase_fixes(monkeypatch):
+    """Record the row count of every principal-vector phase fix in ``steering``."""
+    computed = []
+    canonical_phase = steerlab.steering.canonical_phase
+
+    def counting(rows):
+        computed.append(len(rows))
+        return canonical_phase(rows)
+
+    monkeypatch.setattr(steerlab.steering, "canonical_phase", counting)
+    return computed
+
+
 def two_qubit_setup(theta):
     state = two_qubit_theta_state(theta)
     protocol = tensor_protocol("z", "x", n_qubits=2)
@@ -350,17 +363,19 @@ class TestBranchEvidence:
             cs.validate(rho_b)
             twin.validate(rho_b)
             keep = cs.probabilities > config.PROB_FLOOR
+            np.testing.assert_array_equal(cs.counted, keep)
+            np.testing.assert_array_equal(twin.counted, keep)
             np.testing.assert_allclose(
-                cs.purities(keep), purities(cs.operators[keep]), rtol=0, atol=1e-12
+                cs.purities, purities(cs.operators[keep]), rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(
-                cs.principal_vectors(keep),
+                cs.principal_vectors,
                 principal_vectors(cs.operators[keep]),
                 rtol=0,
                 atol=1e-10,
             )
         got, want = purity_requirement(*sets), purity_requirement(*twins)
-        assert (got.ok, got.labels, got.excluded) == (want.ok, want.labels, want.excluded)
+        assert (got.ok, got.excluded) == (want.ok, want.excluded)
         for a, b in zip(got.records, want.records, strict=True):
             assert (a.setting, a.outcome, a.purity is None) == (b.setting, b.outcome, b.purity is None)
             if a.purity is not None:
@@ -764,6 +779,8 @@ class TestCertify:
             certify(state, protocol, tol=tol)
         sets = [conditional_states(state, protocol, which) for which in (1, 2)]
         with pytest.raises(ValidationError, match="tolerance"):
+            candidate_ensemble(*sets, tol)
+        with pytest.raises(ValidationError, match="tolerance"):
             problem_for(*sets, tol=tol)
 
     def test_infinite_tolerance_accepted(self):
@@ -774,21 +791,34 @@ class TestCertify:
 
     @pytest.mark.parametrize("lp", [False, True])
     def test_one_evidence_pass(self, lp, monkeypatch):
-        # the LP takes its candidates from certify's purity check instead of
-        # computing the principal vectors again: each set yields them once,
-        # whichever evidence path (branches or operators) it takes
-        computed = []
-        principal_vectors = ConditionalStateSet.principal_vectors
-
-        def counting(self, keep):
-            computed.append((self.setting_index, int(np.sum(keep))))
-            return principal_vectors(self, keep)
-
-        monkeypatch.setattr(ConditionalStateSet, "principal_vectors", counting)
+        # the duplicate check and the LP read the principal vectors each set
+        # keeps: one phase-fixed pass per set, of its two counted outcomes
+        computed = count_phase_fixes(monkeypatch)
         state, _, protocol = two_qubit_setup(np.pi / 4)
         report = certify(state, protocol, lp=lp)
         assert report.verdict == PARADOX
-        assert computed == [(1, 2), (2, 2)]
+        assert computed == [2, 2]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_staged_requirements_share_evidence(self, dense, monkeypatch):
+        # the public stages, called one after another on one pair of sets,
+        # compute each set's principal vectors once, from branches or operators
+        state, rho, protocol = two_qubit_setup(np.pi / 4)
+        sets = [conditional_states(rho if dense else state, protocol, k) for k in (1, 2)]
+        computed = count_phase_fixes(monkeypatch)
+        assert purity_requirement(*sets).ok
+        assert measurement_requirement(*sets).ok
+        _, relative = problem_for(*sets)
+        assert not relative
+        assert computed == [2, 2]
+
+    def test_near_psd_density_accepted(self):
+        # lambda_min(rho) = -5e-10 lies within the PSD_TOL DensityMatrix allows,
+        # and each conditional state of a rank-1 outcome is a compression of rho
+        rho = DensityMatrix(2, np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]))
+        for axes in (("z", "x"), ("x", "y")):
+            report = certify(rho, tensor_protocol(*axes, n_qubits=2))
+            assert report.verdict == NO_PARADOX_PURITY
 
     def test_lp_agreement_on_paradox(self):
         state, _, protocol = two_qubit_setup(np.pi / 3)
