@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Print best-of-k milliseconds per operation for each stage of a benchmark pool.
+
+The pool is a benchmark workload's, rebuilt from ``bench/workloads.py``.
+Rows starting ``density.`` time the checks a ``DensityMatrix`` runs on
+construction (skipped when the pool holds no density matrix); rows starting
+``certify.`` time the stages ``certify`` runs, one after another, on fresh
+inputs each repeat; ``op`` is the benchmark's timed operation.  Each row is
+the fastest of ``--repeats`` passes over the pool, divided by the pool size.
+BLAS runs on one thread, as in the benchmark.
+
+    python scripts/density_stages.py --workload density-large --seed 21
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import numpy as np  # noqa: E402
+from workloads import WORKLOADS, build_protocol, build_state, run_op  # noqa: E402
+
+from steerlab import (  # noqa: E402
+    DensityMatrix,
+    bob_marginal,
+    certify,
+    config,
+    measurement_requirement,
+    purity_requirement,
+)
+from steerlab.linalg import hermiticity_residuals  # noqa: E402
+from steerlab.states import _low_rank_psd  # noqa: E402
+from steerlab.steering import _unvalidated_states  # noqa: E402
+
+
+def unvalidated_sets(state, protocol):
+    return tuple(_unvalidated_states(state, protocol, k) for k in (1, 2))
+
+
+def validated_sets(state, protocol):
+    sets = unvalidated_sets(state, protocol)
+    rho_b = bob_marginal(state, protocol.alice_qubits)
+    for cs in sets:
+        cs.validate(rho_b)
+    return sets
+
+
+def validate_both(sets, rho_b):
+    for cs in sets:
+        cs.validate(rho_b)
+
+
+def duplicates(set1, set2):
+    # certify looks for coincidences only when every counted state is pure
+    if purity_requirement(set1, set2).ok:
+        measurement_requirement(set1, set2)
+
+
+def stages(lp):
+    """(name, prepare, run): ``prepare`` turns (instance, state, protocol) into
+    the arguments of ``run``, outside the timed span."""
+    return (
+        ("density.hermiticity", lambda i, s, p: (i.matrix,), hermiticity_residuals),
+        ("density.low_rank_psd", lambda i, s, p: (i.matrix, config.PSD_TOL), _low_rank_psd),
+        ("density.copy", lambda i, s, p: (i.matrix,), np.copy),
+        ("density.construct", lambda i, s, p: (i.n_qubits, i.matrix), DensityMatrix),
+        ("certify.bob_marginal", lambda i, s, p: (s, p.alice_qubits), bob_marginal),
+        ("certify.conditional", lambda i, s, p: (s, p), unvalidated_sets),
+        (
+            "certify.validate",
+            lambda i, s, p: (unvalidated_sets(s, p), bob_marginal(s, p.alice_qubits)),
+            validate_both,
+        ),
+        ("certify.purity", lambda i, s, p: validated_sets(s, p), purity_requirement),
+        ("certify.duplicates", lambda i, s, p: validated_sets(s, p), duplicates),
+        ("certify.total", lambda i, s, p: (s, p), certify),
+        ("op", lambda i, s, p: (i, lp), run_op),
+    )
+
+
+def best_ms(prepare, run, inputs, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        args = [prepare(*x) for x in inputs]
+        start = time.perf_counter()
+        for a in args:
+            run(*a)
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best / len(inputs)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="density-large")
+    parser.add_argument("--seed", type=int, default=21)
+    parser.add_argument("--count", type=int, default=None,
+                        help="instances of the pool, from index 0 (default: the whole pool)")
+    parser.add_argument("--repeats", type=int, default=5, help="passes per stage (k)")
+    args = parser.parse_args()
+    workload = WORKLOADS[args.workload]
+    pool = workload.pool(args.seed)[: args.count]
+    inputs = [(inst, build_state(inst), build_protocol(inst)) for inst in pool]
+    print(f"{args.workload} seed {args.seed}: {len(pool)} instances, "
+          f"best of {args.repeats}, ms per operation")
+    dense = all(inst.matrix is not None for inst in pool)
+    for name, prepare, run in stages(workload.lp):
+        if name.startswith("density.") and not dense:
+            continue
+        print(f"{name:22s} {best_ms(prepare, run, inputs, args.repeats):9.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

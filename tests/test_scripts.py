@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("rank_ceiling_experiment.py", ["--seeds", "1", "--sweep-count", "2"]),
         ("lp_oracle_agreement.py", ["--seeds", "1", "--count", "6"]),
         ("pool_digest.py", ["--seeds", "1", "--count", "3"]),
+        ("density_stages.py", ["--count", "2", "--repeats", "1"]),
     ],
 )
 def test_script_exits_zero(script, args):

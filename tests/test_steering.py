@@ -213,6 +213,73 @@ class TestConditionalStates:
             sset.validate(sum(ops))
 
 
+def planted_operator(dim, trace, lam_min, rng):
+    """Exactly Hermitian operator of the given trace with one eigenvalue at ``lam_min``.
+
+    The other dim - 1 eigenvalues are positive; the eigenvectors are
+    Haar-random orthonormal columns.
+    """
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    v, _ = np.linalg.qr(g)
+    positive = rng.dirichlet(np.ones(dim - 1)) * (trace - lam_min)
+    m = (v * np.append(positive, lam_min)) @ v.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestConditionalPsdBoundary:
+    """Sets whose smallest evidence eigenvalue sits just either side of -PSD_TOL.
+
+    The planted outcomes have eigenvalue -PSD_TOL * (1 + shift); the others
+    are positive definite.  The operator path reads the operators.  A set
+    that keeps branches reads the T x T Gram stack W_a^H W_a, which cannot
+    dip below 0 by more than rounding, so the branch case seeds the set's
+    Gram stack with planted T x T matrices of the operators' traces.
+    """
+
+    LABELS = ("a", "b", "c", "d")
+    TRACES = (0.4, 0.3, 0.2, 0.1)
+
+    def stack(self, dim, planted, shift, rng):
+        lam_min = -config.PSD_TOL * (1.0 + shift)
+        ops = np.array([
+            planted_operator(dim, p, lam_min if label in planted else 1e-3, rng)
+            for label, p in zip(self.LABELS, self.TRACES)
+        ])
+        # each matrix is on the side the case claims
+        lowest = np.linalg.eigvalsh(ops)[:, 0]
+        for label, low in zip(self.LABELS, lowest):
+            if label in planted:
+                assert abs(low - lam_min) < 1e-3 * config.PSD_TOL / 10
+        return ops
+
+    def check(self, sset, rho_b, planted, shift):
+        if shift > 0:
+            with pytest.raises(ValidationError, match=f"conditional state '{planted[0]}' is not PSD"):
+                sset.validate(rho_b)
+        else:
+            sset.validate(rho_b)
+
+    @pytest.mark.parametrize("planted", [("b", "d"), ("d",)])
+    @pytest.mark.parametrize("shift", [-1e-2, -1e-3, 1e-3, 1e-2])
+    def test_operator_path(self, planted, shift):
+        ops = self.stack(4, planted, shift, np.random.default_rng([4, len(planted)]))
+        sset = ConditionalStateSet(1, "s", 2, self.LABELS, ops)
+        self.check(sset, ops.sum(0), planted, shift)
+
+    @pytest.mark.parametrize("planted", [("b", "d"), ("d",)])
+    @pytest.mark.parametrize("shift", [-1e-2, -1e-3, 1e-3, 1e-2])
+    def test_branch_path(self, planted, shift):
+        rng = np.random.default_rng([5, len(planted)])
+        terms, d_b = 6, 4
+        w = rng.standard_normal((4, terms, d_b)) + 1j * rng.standard_normal((4, terms, d_b))
+        w *= np.sqrt(np.array(self.TRACES) / np.linalg.norm(w, axis=(1, 2)) ** 2)[:, None, None]
+        ops = w.swapaxes(1, 2) @ w.conj()
+        sset = ConditionalStateSet(1, "s", 2, self.LABELS, ops)
+        object.__setattr__(sset, "branches", w)
+        sset.__dict__["_evidence_stack"] = self.stack(terms, planted, shift, rng)
+        self.check(sset, sset.total(), planted, shift)
+
+
 def haar_ensemble(n, terms, seed):
     """Dirichlet mixture of independent (non-orthogonal) Haar vectors."""
     weights = np.random.default_rng(seed).dirichlet(np.ones(terms))
