@@ -7,7 +7,7 @@ computational-basis index.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -65,15 +65,30 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
+# rows and columns of one block in the passes that read a 2^N x 2^N matrix
+# piecewise: a 64 x 64 complex block is 64 KiB, so a block and its mirror
+# stay in a core's cache
+TILE = 64
+
+
 def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
-    """Largest entry of |A - A^H| for each matrix A of a (..., d, d) stack."""
-    # one contiguous transposed copy, conjugated and subtracted in place: the
-    # same entrywise a - conj(b) as stack - stack.conj().swapaxes(-1, -2),
-    # with one complex temporary in place of two
-    difference = stack.swapaxes(-1, -2).copy()
-    np.conjugate(difference, out=difference)
-    np.subtract(stack, difference, out=difference)
-    return np.max(np.abs(difference), axis=(-2, -1), initial=0.0)
+    """Largest entry of |A - A^H| for each matrix A of a (..., d, d) stack.
+
+    The matrices are read in TILE x TILE tiles (i, j) with j <= i, each
+    compared with the conjugate transpose of its mirror tile (j, i); a
+    diagonal tile is its own mirror, and a matrix with d <= TILE is one
+    tile.  |a_rc - conj(a_cr)| and |a_cr - conj(a_rc)| are the same float,
+    so the result is bitwise max |A - A^H|, and no temporary is larger than
+    one tile of the stack.
+    """
+    d = stack.shape[-1]
+    out = np.zeros(stack.shape[:-2])
+    for i in range(0, d, TILE):
+        for j in range(0, i + 1, TILE):
+            difference = stack[..., j : j + TILE, i : i + TILE].swapaxes(-1, -2).conj()
+            np.subtract(stack[..., i : i + TILE, j : j + TILE], difference, out=difference)
+            np.maximum(out, np.max(np.abs(difference), axis=(-2, -1)), out=out)
+    return out[()]
 
 
 def is_hermitian(a: npt.ArrayLike, tol: float = config.HERMITICITY_TOL) -> bool:
@@ -87,44 +102,6 @@ def require_square(a: ComplexArray, who: str) -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{who} expects a square matrix, got shape {a.shape}")
     return a.shape[0]
-
-
-def partial_trace(rho: npt.ArrayLike, n_qubits: int, traced: Iterable[int]) -> ComplexArray:
-    """Trace out the named qubits of an n-qubit operator.
-
-    Parameters
-    ----------
-    rho : array_like
-        2^n x 2^n matrix.
-    n_qubits : int
-        Total qubit count n.
-    traced : iterable of int
-        Qubit indices to remove, each in range(n).  Qubit 0 is the leftmost
-        factor.  The kept qubits retain their relative order.
-
-    Returns
-    -------
-    numpy.ndarray
-        2^k x 2^k matrix on the kept qubits, k = n - len(traced).
-    """
-    rho = as_complex(rho)
-    dim = require_square(rho, "partial_trace")
-    if n_qubits < 1 or dim != 2**n_qubits:
-        raise DimensionError(
-            f"matrix of shape {rho.shape} does not act on {n_qubits} qubits"
-        )
-    traced_list = sorted(set(int(q) for q in traced))
-    if traced_list and (traced_list[0] < 0 or traced_list[-1] >= n_qubits):
-        raise DimensionError(f"traced qubits {traced_list} out of range for n={n_qubits}")
-    if len(traced_list) == n_qubits:
-        return np.array([[np.trace(rho)]], dtype=np.complex128)
-    t = rho.reshape([2] * (2 * n_qubits))
-    for count, q in enumerate(traced_list):
-        ax = q - count
-        # ket and bra axes of the current tensor sit n_remaining apart
-        t = np.trace(t, axis1=ax, axis2=ax + (n_qubits - count))
-    keep = n_qubits - len(traced_list)
-    return t.reshape(2**keep, 2**keep)
 
 
 def hermitian_eig(

@@ -27,6 +27,7 @@ from ._schema import (
 )
 from .errors import DimensionError, ParseError, ValidationError
 from .linalg import (
+    TILE,
     ComplexArray,
     as_complex,
     canonical_phase,
@@ -102,9 +103,12 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
     remaining diagonal first, each less its projection on the columns taken,
     until the remaining diagonal's squared sum falls below tol**2, the next
     pivot is not positive, or len(m) // 32 columns are taken.  Only in the
-    first case can the remainder E = H - L L^H be small, and it is then formed
-    once: by Weyl, lambda_min(H + tol * I) >= tol - ||E||_2, so a Frobenius
-    norm below tol is a proof.  False means undecided, not indefinite.
+    first case can the remainder E = L L^H - H be small, and only then is it
+    formed: its lower triangle, one block of ``TILE`` rows at a time, so no
+    temporary has more than TILE rows.  By Weyl,
+    lambda_min(H + tol * I) >= tol - ||E||_2, so a Frobenius norm below tol
+    (the diagonal's squares plus twice the strictly lower triangle's) is a
+    proof.  False means undecided, not indefinite.
     """
     dim = len(m)
     budget = dim // _PIVOT_SHARE
@@ -127,14 +131,22 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
         # cleared exactly, so rounding cannot make the same pivot twice
         remaining[j] = 0.0
     taken = factor[:, :k]
-    residual = taken @ taken.conj().T
-    residual -= m
-    # E's diagonal is real, as the factor reads it; its strictly lower
-    # triangle counts twice, once for the upper triangle it stands for
-    diagonal = residual.diagonal().real
-    squared = diagonal @ diagonal
-    residual *= np.tri(dim, k=-1, dtype=bool)
-    squared += 2.0 * np.vdot(residual, residual).real
+    adjoint = taken.conj().T
+    strictly_lower = np.tri(TILE, k=-1, dtype=bool)
+    squared = 0.0
+    # E = L L^H - H one block of TILE rows at a time, up to the block's own
+    # diagonal: E's diagonal is real, as the factor reads it, and its
+    # strictly lower triangle counts twice, once for the upper triangle it
+    # stands for
+    for i in range(0, dim, TILE):
+        block = taken[i : i + TILE] @ adjoint[:, : i + TILE]
+        block -= m[i : i + TILE, : i + TILE]
+        rows = len(block)
+        square = block[:, i:]
+        diagonal = square.diagonal().real
+        squared += diagonal @ diagonal
+        square *= strictly_lower[:rows, :rows]
+        squared += 2.0 * np.vdot(block, block).real
     return bool(squared < tol**2)
 
 
@@ -150,7 +162,10 @@ class DensityMatrix:
     E = matrix - L L^H has Frobenius norm below 1e-9 (see ``_low_rank_psd``);
     otherwise, and always at n_qubits <= 4, matrix + 1e-9 * I must have a
     full Cholesky factor, which holds exactly when no eigenvalue lies below
-    -1e-9.  ``matrix`` is a read-only copy of the input.
+    -1e-9.  The Hermiticity check and the remainder E read the matrix in
+    ``linalg.TILE``-sized blocks, so the only full-size array a low-rank
+    input costs is ``matrix``, a read-only copy of the input; the full
+    factor is taken on that copy, shifted in place and restored.
     """
 
     n_qubits: int

@@ -47,7 +47,6 @@ from .linalg import (
     canonical_phase,
     hermiticity_residuals,
     numerical_rank,
-    partial_trace,
     phase_coincidences,
     read_only_copy,
 )
@@ -63,14 +62,26 @@ DECOMPOSITION_GIVEN = "given"
 DECOMPOSITION_EIGEN = "eigen"
 
 
+def _has_cholesky(a: ComplexArray) -> bool:
+    """Whether every matrix of a (..., d, d) stack has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ConditionalStateSet:
     """Bob's unnormalized conditional states for one setting.
 
     ``operators`` is one read-only (K, d_B, d_B) array, a copy of the input,
     whose first axis follows the setting's outcome order; probabilities are
-    the traces.  ``validate`` checks hermiticity, positivity, unit total
-    probability and the non-signalling identity sum_a rho_a = rho_B.
+    the traces.  Construction checks that every operator is Hermitian within
+    ``config.HERMITICITY_TOL`` (ValidationError naming the first that is
+    not), so no stage reads a non-Hermitian set.  ``validate`` checks
+    positivity, unit total probability and the non-signalling identity
+    sum_a rho_a = rho_B.
 
     ``branches`` is None or a read-only (K, T, d_B) array whose row
     (a, alpha) is the branch w_{a,alpha}, so that rho_a = sum_alpha
@@ -100,6 +111,10 @@ class ConditionalStateSet:
                     f"conditional operator has shape {np.shape(op)}, expected {(dim, dim)}"
                 )
         operators = as_complex(self.operators).reshape(-1, dim, dim)
+        not_hermitian = np.flatnonzero(hermiticity_residuals(operators) > config.HERMITICITY_TOL)
+        if not_hermitian.size:
+            label = self.outcomes[not_hermitian[0]]
+            raise ValidationError(f"conditional state {label!r} is not Hermitian")
         object.__setattr__(self, "operators", read_only_copy(operators))
 
     @property
@@ -141,20 +156,22 @@ class ConditionalStateSet:
         return read_only_copy(canonical_phase(top))
 
     def validate(self, rho_b: ComplexArray) -> None:
-        """Check the set against Bob's marginal ``rho_b``.
+        """Check positivity, unit total probability and Bob's marginal ``rho_b``.
 
-        An eigenvalue may reach -``config.PSD_TOL``, as in ``DensityMatrix``:
-        a rank-1 outcome's rho_a compresses rho, so its spectrum lies within
-        rho's; a rank-r outcome can reach -r ``PSD_TOL``.
+        Positivity is the criterion ``DensityMatrix`` applies: each evidence
+        matrix plus ``config.PSD_TOL`` * I must have a Cholesky factor, which
+        holds exactly when no eigenvalue lies below -``PSD_TOL``.  A rank-1
+        outcome's rho_a compresses rho, so its spectrum lies within rho's; a
+        rank-r outcome can reach -r ``PSD_TOL``.  All outcomes are factored
+        in one batched call; only when it fails is each factored alone, to
+        name the first outcome without a factor.
         """
-        not_hermitian = hermiticity_residuals(self.operators) > config.HERMITICITY_TOL
         # G_a has rho_a's nonzero eigenvalues, and rho_a's others are zero
-        not_psd = np.linalg.eigvalsh(self._evidence_stack)[:, 0] < -config.PSD_TOL
-        bad = np.flatnonzero(not_hermitian | not_psd)
-        if bad.size:
-            i = bad[0]
-            flaw = "Hermitian" if not_hermitian[i] else "PSD"
-            raise ValidationError(f"conditional state {self.outcomes[i]!r} is not {flaw}")
+        stack = self._evidence_stack
+        shifted = stack + config.PSD_TOL * np.eye(stack.shape[-1])
+        if not _has_cholesky(shifted):
+            first = next(i for i, a in enumerate(shifted) if not _has_cholesky(a))
+            raise ValidationError(f"conditional state {self.outcomes[first]!r} is not PSD")
         if abs(float(np.sum(self.probabilities)) - 1.0) > config.MARGINAL_TOL:
             raise ValidationError("outcome probabilities do not sum to 1")
         if np.linalg.norm(self.total() - rho_b) > config.MARGINAL_TOL:
@@ -177,17 +194,20 @@ def bob_marginal(state: EnsembleState | DensityMatrix, alice_qubits: int) -> Com
     """Bob's reduced state: Alice's qubits traced out.
 
     For an ensemble this is sum_alpha p_alpha Psi_alpha^T Psi_alpha^*, one
-    product over the stacked amplitudes.
+    product over the stacked amplitudes.  For a density matrix it is
+    rho_B[j, l] = sum_t rho[(t, j), (t, l)], one trace over the matrix
+    reshaped to (d_A, d_B, d_A, d_B): a single strided read of the d_A
+    diagonal blocks.
     """
     if not 1 <= alice_qubits < state.n_qubits:
         raise DimensionError(
             f"alice_qubits must lie in [1, {state.n_qubits - 1}], got {alice_qubits}"
         )
+    d_a, d_b = 2**alice_qubits, 2 ** (state.n_qubits - alice_qubits)
     if isinstance(state, EnsembleState):
-        phi = _amplitudes(state, alice_qubits)
-        phi = phi.reshape(-1, phi.shape[-1])
+        phi = _amplitudes(state, alice_qubits).reshape(-1, d_b)
         return phi.T @ phi.conj()
-    return partial_trace(state.matrix, state.n_qubits, range(alice_qubits))
+    return np.trace(state.matrix.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
 
 
 def conditional_states(

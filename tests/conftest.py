@@ -60,6 +60,59 @@ def plain_hermiticity_residuals(stack):
     return np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
 
 
+def partial_trace(rho, n_qubits, traced):
+    """Trace out the named qubits of an n-qubit operator, one qubit at a time.
+
+    Qubit 0 is the leftmost factor; the kept qubits retain their order.
+    Reference for ``bob_marginal``'s single trace over the reshaped matrix.
+    """
+    rho = as_complex(rho)
+    require_square(rho, "partial_trace")
+    traced_list = sorted(set(int(q) for q in traced))
+    if len(traced_list) == n_qubits:
+        return np.array([[np.trace(rho)]], dtype=np.complex128)
+    t = rho.reshape([2] * (2 * n_qubits))
+    for count, q in enumerate(traced_list):
+        ax = q - count
+        # ket and bra axes of the current tensor sit n_remaining apart
+        t = np.trace(t, axis1=ax, axis2=ax + (n_qubits - count))
+    keep = n_qubits - len(traced_list)
+    return t.reshape(2**keep, 2**keep)
+
+
+def untiled_low_rank_psd(m, tol):
+    """``states._low_rank_psd`` with the remainder E formed whole.
+
+    The same pivoted partial factor; then E = L L^H - H as one full-size
+    array and a full-size strictly-lower mask.  Reference for the tiled
+    remainder.
+    """
+    dim = len(m)
+    budget = dim // 32
+    factor = np.zeros((dim, budget), dtype=np.complex128)
+    remaining = m.diagonal().real.copy()
+    for k in range(budget + 1):
+        if remaining @ remaining < tol**2:
+            break
+        j = int(np.argmax(remaining))
+        pivot = remaining[j]
+        if k == budget or pivot <= 0.0:
+            return False
+        column = factor[:, k]
+        column[j:] = m[j:, j]
+        column[:j] = m[j, :j].conj()
+        column -= factor[:, :k] @ factor[j, :k].conj()
+        column[j] = pivot
+        column /= np.sqrt(pivot)
+        remaining -= column.real**2 + column.imag**2
+        remaining[j] = 0.0
+    taken = factor[:, :k]
+    residual = taken @ taken.conj().T - m
+    diagonal = residual.diagonal().real
+    lower = residual * np.tri(dim, k=-1, dtype=bool)
+    return bool(diagonal @ diagonal + 2.0 * np.vdot(lower, lower).real < tol**2)
+
+
 def principal_vector(rho):
     """Top (largest-eigenvalue) eigenvector of a Hermitian matrix, phase-fixed.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plain_hermiticity_residuals, principal_vector
+from conftest import partial_trace, plain_hermiticity_residuals, principal_vector
 from steerlab import DegenerateInputError, DimensionError, ValidationError
 from steerlab.linalg import (
     as_complex,
@@ -17,7 +17,6 @@ from steerlab.linalg import (
     numerical_rank,
     outer,
     outers,
-    partial_trace,
     phase_equal,
     principal_vectors,
     purities,
@@ -173,6 +172,30 @@ class TestStacks:
             assert np.array_equal(
                 hermiticity_residuals(stack), plain_hermiticity_residuals(stack)
             )
+
+    @pytest.mark.parametrize("d", [1, 2, 32, 63, 64, 65, 127, 128, 512])
+    def test_tiled_hermiticity_residuals_bitwise(self, d):
+        """One asymmetric entry planted at every pair of tile-boundary positions.
+
+        The base is exactly Hermitian plus 1e-12 noise, so the planted entry
+        sets the residual only if its tile is read; on the diagonal the
+        plant is imaginary.  Each case runs as one matrix and as a stack
+        whose other members hold the mirror plant and none.
+        """
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        base = (g + g.conj().T) / 2 + 1e-12 * rng.standard_normal((d, d))
+        edges = sorted({p for p in (0, 63, 64, 65, 127, 128, d - 1) if 0 <= p < d})
+        for r in edges:
+            for c in edges:
+                planted = base.copy()
+                planted[r, c] += 1e-6j if r == c else 1e-6 * (1 + 2j)
+                mirror = base.copy()
+                mirror[c, r] -= 3e-6j if r == c else 3e-6
+                stack = np.array([base, planted, mirror])
+                for a in (planted, stack):
+                    assert np.array_equal(hermiticity_residuals(a), plain_hermiticity_residuals(a))
+                assert hermiticity_residuals(planted) > 1e-7
 
     def test_empty_stack(self):
         assert principal_vectors(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)

@@ -25,6 +25,7 @@ from steerlab import (
     save_state,
     two_qubit_theta_state,
 )
+from conftest import untiled_low_rank_psd
 from steerlab import config, states
 from steerlab.linalg import is_hermitian
 
@@ -222,6 +223,26 @@ class TestPsdBoundary:
         m, _ = self.one_triangle_negative(lower=False)
         refuse_full_factor(monkeypatch)
         assert DensityMatrix(9, m).matrix.tobytes() == m.tobytes()
+
+
+def test_tiled_remainder_matches_untiled():
+    """``_low_rank_psd`` against the remainder formed whole, decision by decision.
+
+    The boundary fixtures, then ranks 1 to 16 at n = 5 and 9: valid
+    mixtures, and the same ranks with one eigenvalue at -2 * PSD_TOL, which
+    a remainder inside the pivot budget must expose.
+    """
+    matrices = [
+        boundary_density(n, rank, -config.PSD_TOL * (1.0 + shift))
+        for n, rank, shift in BOUNDARY_CASES
+    ]
+    for n in (5, 9):
+        for rank in range(1, 17):
+            matrices.append(density_of(random_mixed(n, rank, seed=rank)).matrix)
+            matrices.append(boundary_density(n, rank, -2.0 * config.PSD_TOL))
+    decisions = [states._low_rank_psd(m, config.PSD_TOL) for m in matrices]
+    assert decisions == [untiled_low_rank_psd(m, config.PSD_TOL) for m in matrices]
+    assert True in decisions and False in decisions
 
 
 def test_psd_decision_matches_eigenvalues():

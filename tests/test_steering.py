@@ -14,6 +14,7 @@ from conftest import (
     loop_conditional,
     pairwise_candidates,
     pairwise_duplicates,
+    partial_trace,
     random_protocol,
     reconstruct,
 )
@@ -160,6 +161,15 @@ class TestConditionalStates:
             total = conditional_states(rho, protocol, which).total()
             np.testing.assert_allclose(total, marginal, atol=1e-10)
 
+    def test_density_marginal_matches_partial_trace(self):
+        for n in range(2, 8):
+            rho = density_of(random_mixed(n, 3, seed=n))
+            for m in range(1, n):
+                np.testing.assert_allclose(
+                    bob_marginal(rho, m), partial_trace(rho.matrix, n, range(m)),
+                    rtol=0, atol=1e-15,
+                )
+
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_reductions_match_loops(self, seed):
         """Probabilities and total read off the stack are the per-operator loops' bits."""
@@ -193,24 +203,50 @@ class TestConditionalStates:
             sset.operators[0, 0, 0] = 5
 
     @pytest.mark.parametrize(
+        "order, first", [((0, 1, 2), "b"), ((1, 0, 2), "a"), ((0, 3, 1), "c")]
+    )
+    def test_construction_names_first_non_hermitian_outcome(self, order, first):
+        ops = (
+            np.diag([0.5, 0.0]).astype(complex),
+            np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex),
+            np.array([[0.5, 1e-3], [0.0, -1e-3]], dtype=complex),  # neither Hermitian nor PSD
+            np.diag([0.5, -1e-3]).astype(complex),  # Hermitian, not PSD
+        )
+        ops = tuple(ops[i] for i in order)
+        with pytest.raises(ValidationError, match=f"'{first}' is not Hermitian"):
+            ConditionalStateSet(1, "s", 1, ("a", "b", "c"), ops)
+
+    @pytest.mark.parametrize(
         "order, message",
         [
             ((0, 1, 2), "'b' is not PSD"),
-            ((0, 2, 1), "'b' is not Hermitian"),
-            ((0, 3, 1), "'b' is not Hermitian"),
+            ((0, 2, 1), "'b' is not PSD"),
+            ((0, 1, 3), "'b' is not PSD"),
         ],
     )
     def test_validate_names_first_failing_outcome(self, order, message):
         ops = (
             np.diag([0.5, 0.0]).astype(complex),
             np.diag([0.5, -1e-3]).astype(complex),
-            np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex),
-            np.array([[0.5, 1e-3], [0.0, -1e-3]], dtype=complex),  # fails both
+            np.array([[0.0, 1e-3], [1e-3, 0.0]], dtype=complex),  # eigenvalues -1e-3, 1e-3
+            np.diag([0.5, 0.5]).astype(complex),
         )
         ops = tuple(ops[i] for i in order)
         sset = ConditionalStateSet(1, "s", 1, ("a", "b", "c"), ops)
         with pytest.raises(ValidationError, match=message):
             sset.validate(sum(ops))
+
+    def test_non_hermitian_set_reaches_no_stage(self):
+        # a set that purity_requirement, measurement_requirement and
+        # candidate_ensemble would read without an error: construction,
+        # the only way to a set, refuses it
+        ops = np.array([[[0.5, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]], dtype=complex)
+        with pytest.raises(ValidationError, match="'0' is not Hermitian"):
+            ConditionalStateSet(1, "s", 1, ("0", "1"), ops)
+        hermitian_part = (ops + ops.conj().swapaxes(1, 2)) / 2
+        good = ConditionalStateSet(1, "s", 1, ("0", "1"), hermitian_part)
+        with pytest.raises(ValidationError, match="'0' is not Hermitian"):
+            replace(good, operators=ops)
 
 
 def planted_operator(dim, trace, lam_min, rng):
