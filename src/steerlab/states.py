@@ -134,10 +134,8 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
     adjoint = taken.conj().T
     strictly_lower = np.tri(TILE, k=-1, dtype=bool)
     squared = 0.0
-    # E = L L^H - H one block of TILE rows at a time, up to the block's own
-    # diagonal: E's diagonal is real, as the factor reads it, and its
-    # strictly lower triangle counts twice, once for the upper triangle it
-    # stands for
+    # E's diagonal is real, as the factor reads it; its strictly lower
+    # triangle counts twice, once for the upper triangle it stands for
     for i in range(0, dim, TILE):
         block = taken[i : i + TILE] @ adjoint[:, : i + TILE]
         block -= m[i : i + TILE, : i + TILE]
