@@ -85,7 +85,9 @@ def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
     out = np.zeros(stack.shape[:-2])
     for i in range(0, d, TILE):
         for j in range(0, i + 1, TILE):
-            difference = stack[..., j : j + TILE, i : i + TILE].swapaxes(-1, -2).conj()
+            # a C-ordered conjugate, so the subtraction and np.abs run along rows
+            mirror = stack[..., j : j + TILE, i : i + TILE].swapaxes(-1, -2)
+            difference = np.conjugate(mirror, order="C")
             np.subtract(stack[..., i : i + TILE, j : j + TILE], difference, out=difference)
             np.maximum(out, np.max(np.abs(difference), axis=(-2, -1)), out=out)
     return out[()]
