@@ -24,9 +24,9 @@ from steerlab import (
     max_rank_family,
     random_mixed,
     random_rank1_setting,
+    rank_bound_check,
     settings_equal,
 )
-from steerlab.linalg import numerical_rank
 
 
 def paired_protocol(m: int, n: int, beta_1: float, beta_2: float) -> SteeringProtocol:
@@ -56,7 +56,7 @@ def main() -> None:
         rank_ok = paradox = flipped = 0
         for seed in range(args.seeds):
             ensemble = max_rank_family(n, m, seed)
-            rank_ok += numerical_rank(density_of(ensemble).matrix) == bound
+            rank_ok += rank_bound_check(density_of(ensemble), protocol).rank == bound
             paradox += certify(ensemble, protocol).verdict == "PARADOX"
             widened = add_shared_slot_component(ensemble, m, seed)
             flipped += certify(widened, protocol).verdict != "PARADOX"

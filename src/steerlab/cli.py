@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the requested run completed (whatever the verdict), 2 for
 any input problem (bad flags, malformed or mismatched documents), 3 when the
-feasibility solver hit its iteration cap.
+feasibility solver reaches neither a model nor a valid certificate (its
+iteration cap, a singular passive Gram block, or a residual that certifies
+nothing).
 """
 
 from __future__ import annotations
@@ -43,7 +45,16 @@ from .steering import (
     conditional_states,
 )
 
-DEMO_NAMES = ("two-qubit", "lc4", "product")
+# each demo's state and protocol, given the mixing angle (ignored by product)
+DEMOS = {
+    "two-qubit": lambda theta: (
+        two_qubit_theta_state(theta), tensor_protocol("z", "x", n_qubits=2)
+    ),
+    "lc4": lambda theta: (lc4_mixed(theta), tensor_protocol("zz", "yx", n_qubits=4)),
+    "product": lambda theta: (
+        EnsembleState(2, (1.0,), (basis_ket(2, 0),)), tensor_protocol("z", "x", n_qubits=2)
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "phase coincidence)")
 
     p_demo = sub.add_parser("demo", help="run a built-in state and protocol")
-    p_demo.add_argument("name", choices=DEMO_NAMES)
+    p_demo.add_argument("name", choices=DEMOS)
     p_demo.add_argument("--theta", type=float, default=math.pi / 4,
                         help="mixing angle in radians (two-qubit and lc4 demos)")
     p_demo.add_argument("--lp", action="store_true",
@@ -106,19 +117,8 @@ def _emit_report(report: ParadoxReport, fmt: str) -> None:
         print(report.to_text(), end="")
 
 
-def _demo_instance(args: argparse.Namespace) -> tuple[EnsembleState, SteeringProtocol]:
-    if args.name == "two-qubit":
-        return two_qubit_theta_state(args.theta), tensor_protocol("z", "x", n_qubits=2)
-    if args.name == "lc4":
-        return lc4_mixed(args.theta), tensor_protocol("zz", "yx", n_qubits=4)
-    if args.name == "product":
-        product = EnsembleState(2, (1.0,), (basis_ket(2, 0),))
-        return product, tensor_protocol("z", "x", n_qubits=2)
-    raise DimensionError(f"unknown demo {args.name!r}")
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
-    state, protocol = _demo_instance(args)
+    state, protocol = DEMOS[args.name](args.theta)
     report = certify(state, protocol, lp=args.lp, tol=args.tol)
     _emit_report(report, args.fmt)
     return 0
@@ -193,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         state = random_mixed(args.n_qubits, args.rank, args.seed + i)
         protocol = fixed or _random_protocol(args.alice_qubits, args.seed, i)
         report = certify(state, protocol, tol=args.tol)
-        counts[report.verdict] = counts.get(report.verdict, 0) + 1
+        counts[report.verdict] += 1
         samples.append({"index": i, "seed": args.seed + i, "verdict": report.verdict})
     if args.fmt == "json":
         _emit_json(

@@ -36,4 +36,9 @@ class ParseError(SteerlabError, ValueError):
 
 
 class SolverLimitError(SteerlabError, RuntimeError):
-    """The feasibility solver hit its iteration cap before reaching a verdict."""
+    """The feasibility solver reached no verdict.
+
+    Raised when its iteration cap is hit, when a passive Gram block is
+    singular, or when its residual is above the tolerance but certifies
+    nothing.
+    """

@@ -143,11 +143,6 @@ class LpProblem:
     def n_variables(self) -> int:
         return self.a_eq.shape[1]
 
-    def w_index(self, member: int, which: int, outcome: int) -> int:
-        n1, n2 = self.n_outcomes
-        offset = 0 if which == 1 else n1
-        return member * (n1 + n2) + offset + outcome
-
     def weight_index(self, member: int) -> int:
         n1, n2 = self.n_outcomes
         return self.n_members * (n1 + n2) + member

@@ -45,13 +45,6 @@ def stacked(items: Sequence[npt.ArrayLike], shape: tuple[int, ...], what: str) -
     return as_complex(items).reshape(-1, *shape)
 
 
-def outer(u: npt.ArrayLike, v: npt.ArrayLike | None = None) -> ComplexArray:
-    """|u><v| as a matrix; v defaults to u."""
-    u = as_complex(u).ravel()
-    v = u if v is None else as_complex(v).ravel()
-    return np.outer(u, v.conj())
-
-
 def outers(rows: ComplexArray) -> ComplexArray:
     """|v><v| for each row v of a (K, d) array, as one (K, d, d) array."""
     return rows[:, :, None] * rows[:, None, :].conj()
@@ -93,58 +86,15 @@ def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
     return out[()]
 
 
-def is_hermitian(a: npt.ArrayLike, tol: float = config.HERMITICITY_TOL) -> bool:
-    a = as_complex(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and bool(
-        hermiticity_residuals(a) <= tol
-    )
-
-
-def require_square(a: ComplexArray, who: str) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{who} expects a square matrix, got shape {a.shape}")
-    return a.shape[0]
-
-
-def hermitian_eig(
-    a: npt.ArrayLike, tol: float = config.HERMITICITY_TOL
-) -> tuple[npt.NDArray[np.float64], ComplexArray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvectors as columns.  Raises ValidationError when the input is not
-    Hermitian within ``tol``.
-    """
-    a = as_complex(a)
-    require_square(a, "hermitian_eig")
-    if not is_hermitian(a, tol):
-        raise ValidationError(f"matrix is not Hermitian within {tol:g}")
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def purities(stack: ComplexArray) -> npt.NDArray[np.float64]:
-    """``purity`` of each matrix of a (K, d, d) stack."""
+    """tr(A^2) / tr(A)^2 for each matrix A of a (K, d, d) stack; 1 for a pure state.
+
+    Raises DegenerateInputError when a trace is (numerically) zero.
+    """
     tr = np.trace(stack, axis1=1, axis2=2)
     if np.any(np.abs(tr) < config.ZERO_FLOOR):
         raise DegenerateInputError("purity of a (numerically) zero-trace operator is undefined")
     return np.einsum("kij,kji->k", stack, stack).real / tr.real**2
-
-
-def purity(rho: npt.ArrayLike) -> float:
-    """tr(rho_hat^2) for rho_hat = rho / tr(rho); 1 for pure states."""
-    rho = as_complex(rho)
-    require_square(rho, "purity")
-    return float(purities(rho[None])[0])
-
-
-def numerical_rank(rho: npt.ArrayLike, tol: float = config.RANK_TOL) -> int:
-    """Count of eigenvalues above ``tol`` for a Hermitian matrix."""
-    rho = as_complex(rho)
-    require_square(rho, "numerical_rank")
-    if not is_hermitian(rho):
-        raise ValidationError("numerical_rank expects a Hermitian matrix")
-    return int(np.sum(np.linalg.eigvalsh(rho) > tol))
 
 
 def phase_equal(
@@ -193,16 +143,3 @@ def canonical_phase(v: npt.ArrayLike) -> ComplexArray:
     factors = np.array([abs(p) / p for p in pivots], dtype=np.complex128)
     out = rows * factors[:, None]
     return out if v.ndim == 2 else out[0]
-
-
-def principal_vectors(
-    stack: ComplexArray, tol: float = config.HERMITICITY_TOL
-) -> ComplexArray:
-    """Top eigenvector of each Hermitian matrix of a (K, d, d) stack, as K phase-fixed rows.
-
-    Raises ValidationError when a matrix is not Hermitian within ``tol``.
-    """
-    if np.any(hermiticity_residuals(stack) > tol):
-        raise ValidationError(f"matrix is not Hermitian within {tol:g}")
-    _, v = np.linalg.eigh(stack)
-    return canonical_phase(v[..., -1])

@@ -34,11 +34,11 @@ from .errors import (
 from .linalg import (
     ComplexArray,
     as_complex,
+    canonical_phase,
     hermiticity_residuals,
     n_qubits_of,
     outers,
     phase_equal,
-    principal_vectors,
     read_only_copy,
     stacked,
 )
@@ -199,7 +199,7 @@ class MeasurementSetting:
             if np.max(np.abs(stack.sum(0) - np.eye(dim))) > tol:
                 raise ValidationError(f"projectors do not sum to the identity within {tol:g}")
             if np.all(np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0) <= tol):
-                vectors = principal_vectors(stack)
+                vectors = canonical_phase(np.linalg.eigh(stack)[1][..., -1])
         outcomes = tuple(str(o) for o in self.outcomes)
         if len(outcomes) != len(stack):
             raise ValidationError("outcome labels and projectors differ in count")
@@ -273,19 +273,6 @@ def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
     plus, minus = np.array(basis.pairs).swapaxes(0, 1)
     vectors = np.concatenate([c * plus + s * minus, s * plus - c * minus])
     return _rank1_setting(f"bell_like(beta={basis.beta:.6g})", vectors, basis)
-
-
-def transformation_matrix(
-    setting_1: MeasurementSetting, setting_2: MeasurementSetting
-) -> ComplexArray:
-    """Overlap matrix V[j, i] = <setting_2 vector j | setting_1 vector i>.
-
-    Both settings must be rank-1 with stored basis vectors; identical settings
-    give the identity.
-    """
-    if setting_1.m_qubits != setting_2.m_qubits:
-        raise DimensionError("settings act on different qubit counts")
-    return setting_2.rank1_vectors().conj() @ setting_1.rank1_vectors().T
 
 
 def settings_equal(
@@ -523,5 +510,4 @@ __all__ = [
     "settings_equal",
     "tensor_protocol",
     "tensor_setting",
-    "transformation_matrix",
 ]

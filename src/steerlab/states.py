@@ -31,9 +31,7 @@ from .linalg import (
     ComplexArray,
     as_complex,
     canonical_phase,
-    hermitian_eig,
     hermiticity_residuals,
-    outer,
     read_only_copy,
 )
 
@@ -271,7 +269,7 @@ def density_of(ensemble: EnsembleState) -> DensityMatrix:
     dim = 2**ensemble.n_qubits
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for w, v in zip(ensemble.weights, ensemble.vectors):
-        rho += w * outer(v)
+        rho += w * np.outer(v, v.conj())
     return DensityMatrix(ensemble.n_qubits, rho)
 
 
@@ -308,20 +306,6 @@ def random_mixed(n_qubits: int, rank: int, seed: int) -> EnsembleState:
         weights = rng.dirichlet(np.ones(rank))
     weights = weights / np.sum(weights)
     return EnsembleState(n_qubits, tuple(float(w) for w in weights), vectors)
-
-
-def canonical_ensemble(rho: DensityMatrix, tol: float = config.RANK_TOL) -> EnsembleState:
-    """Eigendecomposition of a density matrix as an ensemble.
-
-    Eigenvalues at or below ``tol`` are dropped and the rest renormalized;
-    eigenvector phases are fixed deterministically.
-    """
-    w, v = hermitian_eig(rho.matrix)
-    keep = w > tol
-    if not keep.any():
-        raise ValidationError("density matrix has no eigenvalue above the rank tolerance")
-    total = float(np.sum(w[keep]))
-    return EnsembleState(rho.n_qubits, tuple(w[keep] / total), canonical_phase(v[:, keep].T))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +402,6 @@ __all__ = [
     "DensityMatrix",
     "EnsembleState",
     "basis_ket",
-    "canonical_ensemble",
     "density_of",
     "lc4_mixed",
     "lc4_states",

@@ -46,7 +46,6 @@ from .linalg import (
     as_complex,
     canonical_phase,
     hermiticity_residuals,
-    numerical_rank,
     phase_coincidences,
     read_only_copy,
 )
@@ -452,7 +451,7 @@ def rank_bound_check(rho: DensityMatrix, protocol: SteeringProtocol) -> RankBoun
         )
     if not same_family(b1, b2):
         raise UnsupportedSettingError("the two settings do not share a vector pairing")
-    rank = numerical_rank(rho.matrix)
+    rank = int(np.sum(np.linalg.eigvalsh(rho.matrix) > config.RANK_TOL))
     bound = 2 ** (protocol.alice_qubits - 1)
     return RankBoundResult(rank=rank, bound=bound, satisfied=rank <= bound)
 

@@ -18,13 +18,7 @@ from steerlab import (
     tensor_protocol,
 )
 from steerlab import config
-from steerlab.linalg import (
-    as_complex,
-    outer,
-    phase_equal,
-    principal_vectors,
-    require_square,
-)
+from steerlab.linalg import as_complex, canonical_phase, phase_equal
 
 
 def brute_conditional(rho, projector, n_qubits, alice_qubits):
@@ -67,7 +61,6 @@ def partial_trace(rho, n_qubits, traced):
     Reference for ``bob_marginal``'s single trace over the reshaped matrix.
     """
     rho = as_complex(rho)
-    require_square(rho, "partial_trace")
     traced_list = sorted(set(int(q) for q in traced))
     if len(traced_list) == n_qubits:
         return np.array([[np.trace(rho)]], dtype=np.complex128)
@@ -113,14 +106,19 @@ def untiled_low_rank_psd(m, tol):
     return bool(diagonal @ diagonal + 2.0 * np.vdot(lower, lower).real < tol**2)
 
 
+def outer(v):
+    """|v><v| of one vector; reference for ``linalg.outers``, one row at a time."""
+    v = as_complex(v).ravel()
+    return np.outer(v, v.conj())
+
+
 def principal_vector(rho):
     """Top (largest-eigenvalue) eigenvector of a Hermitian matrix, phase-fixed.
 
-    Reference for ``linalg.principal_vectors``, one matrix at a time.
+    Reference for the principal vectors of a ``ConditionalStateSet`` and of a
+    bare-projector ``MeasurementSetting``, one matrix at a time.
     """
-    rho = as_complex(rho)
-    require_square(rho, "principal_vector")
-    return principal_vectors(rho[None])[0]
+    return canonical_phase(np.linalg.eigh(as_complex(rho))[1][:, -1])
 
 
 def _counted_vectors(cs):
@@ -245,6 +243,12 @@ def loop_nnls(a, b, max_iter):
     return x, iterations
 
 
+def w_index(problem, member, which, outcome):
+    """Column of w_member(outcome | setting ``which``) in an LpProblem's variables."""
+    n1, n2 = problem.n_outcomes
+    return member * (n1 + n2) + (0 if which == 1 else n1) + outcome
+
+
 def loop_model_tables(problem, x):
     """(weights, responses) of a feasible vertex x, one entry at a time.
 
@@ -260,7 +264,7 @@ def loop_model_tables(problem, x):
             table = responses[which - 1]
             if weights[xi] > config.LP_WEIGHT_FLOOR:
                 for a in range(n_out):
-                    table[xi, a] = max(0.0, x[problem.w_index(xi, which, a)]) / weights[xi]
+                    table[xi, a] = max(0.0, x[w_index(problem, xi, which, a)]) / weights[xi]
             else:
                 table[xi, :] = 1.0 / n_out
     return weights, responses
@@ -291,6 +295,11 @@ def completeness_gap(setting):
     return float(np.linalg.norm(setting.projectors.sum(0) - np.eye(setting.dim)))
 
 
+def overlaps(setting_1, setting_2):
+    """V[j, i] = <setting_2 vector j | setting_1 vector i> for two rank-1 settings."""
+    return setting_2.vectors.conj() @ setting_1.vectors.T
+
+
 def pack(problem, weights, responses):
     """Variable vector of an LpProblem for an explicit model assignment."""
     x = np.zeros(problem.n_variables)
@@ -298,7 +307,7 @@ def pack(problem, weights, responses):
         for which in (1, 2):
             table = responses[which - 1]
             for a in range(problem.n_outcomes[which - 1]):
-                x[problem.w_index(xi, which, a)] = table[xi, a] * weights[xi]
+                x[w_index(problem, xi, which, a)] = table[xi, a] * weights[xi]
         x[problem.weight_index(xi)] = weights[xi]
     return x
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import completeness_gap, random_protocol, reconstruct
+from conftest import completeness_gap, overlaps, random_protocol, reconstruct
 from steerlab import (
     BellLikeBasis,
     EnsembleState,
@@ -33,14 +33,14 @@ from steerlab import (
     problem_for,
     random_mixed,
     random_pure,
+    rank_bound_check,
     solve_feasibility,
     tensor_protocol,
-    transformation_matrix,
     two_qubit_theta_state,
     verify_certificate,
     verify_model,
 )
-from steerlab.linalg import numerical_rank, phase_equal
+from steerlab.linalg import phase_equal
 
 
 def _sets(state, protocol):
@@ -151,7 +151,7 @@ def test_criterion_5_rank_bound():
         )
         for seed in range(20):
             ensemble = max_rank_family(n, m, seed)
-            assert numerical_rank(density_of(ensemble).matrix) == 2 ** (m - 1)
+            assert rank_bound_check(density_of(ensemble), protocol).rank == 2 ** (m - 1)
             assert certify(ensemble, protocol).verdict == PARADOX
             widened = add_shared_slot_component(ensemble, m, seed)
             assert certify(widened, protocol).verdict != PARADOX
@@ -174,7 +174,7 @@ def test_criterion_6_bell_like_completeness_and_transform():
         half = 2 ** (m - 1)
         for _ in range(4):
             b1, b2 = (float(x) for x in rng.uniform(0.0, np.pi, 2))
-            v = transformation_matrix(
+            v = overlaps(
                 bell_like_setting(BellLikeBasis(b1, family)),
                 bell_like_setting(BellLikeBasis(b2, family)),
             )

@@ -20,6 +20,7 @@ from steerlab import (
     lc4_mixed,
     max_rank_family,
     no_shared_component_check,
+    rank_bound_check,
     two_term_extract,
 )
 from steerlab.belllike import (
@@ -29,7 +30,6 @@ from steerlab.belllike import (
     SHARED_SLOT,
     TwoTermForm,
 )
-from steerlab.linalg import numerical_rank
 
 E4 = np.eye(4, dtype=complex)
 LC4_FAMILY = ((E4[0], E4[3]), (E4[1], E4[2]))
@@ -172,14 +172,15 @@ class TestMaxRankFamily:
     def test_single_slot_case(self):
         ens = max_rank_family(2, 1, seed=0)
         assert ens.weights == (1.0,)
-        assert numerical_rank(density_of(ens).matrix) == 1
+        assert rank_bound_check(density_of(ens), paired_protocol(1, 2)).rank == 1
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**5))
     def test_saturates_bound_and_certifies(self, seed):
         ens = max_rank_family(4, 2, seed)
-        assert numerical_rank(density_of(ens).matrix) == 2
-        report = certify(ens, paired_protocol(2, 4))
+        protocol = paired_protocol(2, 4)
+        assert rank_bound_check(density_of(ens), protocol).rank == 2
+        report = certify(ens, protocol)
         assert report.verdict == "PARADOX"
 
     def test_shared_slot_flips_verdict(self):

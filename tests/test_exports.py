@@ -42,3 +42,22 @@ def test_reexports_are_declared_by_their_module():
 
 def test_package_all_lists_exactly_its_imports():
     assert sorted(name for _, name in _package_imports()) == sorted(steerlab.__all__)
+
+
+def test_linalg_functions_have_library_callers():
+    """Every function ``linalg`` defines is imported by another package module."""
+    package = Path(steerlab.__file__).parent
+    defined = {
+        node.name
+        for node in ast.parse((package / "linalg.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    imported = {
+        alias.name
+        for path in package.glob("*.py")
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+        for alias in node.names
+    }
+    assert sorted(defined - imported) == []

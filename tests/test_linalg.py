@@ -5,22 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partial_trace, plain_hermiticity_residuals, principal_vector
-from steerlab import DegenerateInputError, DimensionError, ValidationError
+from conftest import (
+    outer,
+    partial_trace,
+    plain_hermiticity_residuals,
+    principal_vector,
+    with_beta,
+)
+from steerlab import (
+    BellLikeBasis,
+    ConditionalStateSet,
+    DegenerateInputError,
+    DensityMatrix,
+    DimensionError,
+    SteeringProtocol,
+    ValidationError,
+    bell_like_setting,
+    computational_family,
+    rank_bound_check,
+)
 from steerlab.linalg import (
     as_complex,
     canonical_phase,
-    hermitian_eig,
     hermiticity_residuals,
-    is_hermitian,
     n_qubits_of,
-    numerical_rank,
-    outer,
     outers,
     phase_equal,
-    principal_vectors,
     purities,
-    purity,
 )
 
 
@@ -45,8 +56,8 @@ class TestBasics:
 
     def test_outer_self(self):
         v = np.array([1.0, 1j]) / np.sqrt(2)
-        p = outer(v)
-        assert is_hermitian(p, 1e-12)
+        p = outers(v[None])[0]
+        assert hermiticity_residuals(p) <= 1e-12
         np.testing.assert_allclose(np.trace(p), 1.0)
 
     def test_n_qubits_of(self):
@@ -88,43 +99,42 @@ class TestPartialTrace:
         rho /= np.trace(rho)
         reduced = partial_trace(rho, n, [0])
         np.testing.assert_allclose(np.trace(reduced), 1.0, atol=1e-10)
-        assert is_hermitian(reduced, 1e-10)
+        assert hermiticity_residuals(reduced) <= 1e-10
 
 
 class TestEigenPurityRank:
-    def test_hermitian_eig_reconstructs(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = (m + m.conj().T) / 2
-        vals, vecs = hermitian_eig(h)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-9)
-
-    def test_hermitian_eig_rejects_nonhermitian(self):
-        with pytest.raises(ValidationError):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+    def purity(self, rho):
+        return purities(as_complex(rho)[None])[0]
 
     def test_purity_frozen_values(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
-        np.testing.assert_allclose(purity(rho), 0.625, atol=1e-12)
-        np.testing.assert_allclose(purity(np.eye(4) / 4), 0.25, atol=1e-12)
-        np.testing.assert_allclose(purity(np.diag([1.0, 0.0]).astype(complex)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(self.purity(rho), 0.625, atol=1e-12)
+        np.testing.assert_allclose(self.purity(np.eye(4) / 4), 0.25, atol=1e-12)
+        np.testing.assert_allclose(self.purity(np.diag([1.0, 0.0])), 1.0, atol=1e-12)
 
     def test_purity_scale_invariant(self):
         rho = np.diag([0.3, 0.7]).astype(complex)
-        np.testing.assert_allclose(purity(rho), purity(5.0 * rho), atol=1e-12)
+        np.testing.assert_allclose(self.purity(rho), self.purity(5.0 * rho), atol=1e-12)
 
     def test_purity_zero_trace_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            purity(np.zeros((2, 2), dtype=complex))
+            self.purity(np.zeros((2, 2), dtype=complex))
 
     def test_numerical_rank(self):
-        assert numerical_rank(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)) == 2
-        assert numerical_rank(np.eye(4).astype(complex)) == 4
-        assert numerical_rank(np.diag([1.0, 1e-12, 0.0, 0.0]).astype(complex)) == 1
+        """``rank_bound_check`` counts the eigenvalues above ``config.RANK_TOL``."""
+        basis = BellLikeBasis(0.3, computational_family(1))
+        paired = SteeringProtocol(
+            1, bell_like_setting(basis), bell_like_setting(with_beta(basis, 1.1))
+        )
+        for diagonal, rank in (
+            ([0.5, 0.5, 0.0, 0.0], 2), ([0.25] * 4, 4), ([1.0, 1e-12, 0.0, 0.0], 1)
+        ):
+            rho = DensityMatrix(2, np.diag(diagonal).astype(complex))
+            assert rank_bound_check(rho, paired).rank == rank
 
     def test_principal_vector(self):
         v = haar_vector(np.random.default_rng(9), 4)
-        w = principal_vector(outer(v))
+        w = ConditionalStateSet(0, "s", 2, ("0",), outer(v)[None]).principal_vectors[0]
         assert abs(abs(np.vdot(w, v)) - 1.0) < 1e-10
         # phase canonicalized: largest entry is real positive
         idx = np.argmax(np.abs(w))
@@ -143,8 +153,10 @@ class TestStacks:
     @pytest.mark.parametrize("seed", range(4))
     def test_principal_vectors_bitwise(self, seed):
         stack = self.stack(seed)
+        outcomes = tuple(str(a) for a in range(len(stack)))
+        got = ConditionalStateSet(0, "s", 3, outcomes, stack).principal_vectors
         want = np.array([principal_vector(a) for a in stack])
-        np.testing.assert_array_equal(principal_vectors(stack), want)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_canonical_phase_rows_bitwise(self, seed):
@@ -161,7 +173,8 @@ class TestStacks:
     @pytest.mark.parametrize("seed", range(4))
     def test_purities(self, seed):
         stack = self.stack(seed)
-        np.testing.assert_allclose(purities(stack), [purity(a) for a in stack], rtol=1e-14)
+        want = [np.trace(a @ a).real / np.trace(a).real ** 2 for a in stack]
+        np.testing.assert_allclose(purities(stack), want, rtol=1e-14)
 
     @pytest.mark.parametrize("shape", [(4, 4), (512, 512), (16, 32, 32), (0, 8, 8)])
     def test_hermiticity_residuals_bitwise(self, shape):
@@ -198,13 +211,10 @@ class TestStacks:
                 assert hermiticity_residuals(planted) > 1e-7
 
     def test_empty_stack(self):
-        assert principal_vectors(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3)
+        # no outcome of a zero set counts, so its evidence stacks are empty
+        zero = ConditionalStateSet(0, "s", 2, ("0", "1"), np.zeros((2, 4, 4)))
+        assert zero.principal_vectors.shape == (0, 4)
         assert purities(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
-
-    def test_principal_vectors_reject_non_hermitian(self):
-        stack = np.array([np.eye(2), [[0, 1], [0, 0]]], dtype=complex)
-        with pytest.raises(ValidationError):
-            principal_vectors(stack)
 
 
 class TestPhaseEquality:

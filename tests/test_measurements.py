@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import completeness_gap, loop_conditional, with_beta
+from conftest import (
+    completeness_gap,
+    loop_conditional,
+    outer,
+    overlaps,
+    principal_vector,
+    with_beta,
+)
 from steerlab import measurements
 from steerlab import (
     BellLikeBasis,
@@ -31,9 +38,8 @@ from steerlab import (
     settings_equal,
     tensor_protocol,
     tensor_setting,
-    transformation_matrix,
 )
-from steerlab.linalg import canonical_phase, hermitian_eig, outer, outers, phase_equal
+from steerlab.linalg import outers, phase_equal
 
 
 class TestPauliAndTensor:
@@ -169,7 +175,7 @@ def test_shapes_checked_before_values():
 def test_extracted_vectors_bitwise(setting):
     """Vectors taken from bare projectors are those of the one-projector extraction, bit for bit."""
     bare = MeasurementSetting("bare", setting.m_qubits, setting.outcomes, setting.projectors)
-    want = [canonical_phase(hermitian_eig(p)[1][:, -1]) for p in setting.projectors]
+    want = [principal_vector(p) for p in setting.projectors]
     assert np.array(bare.vectors).tobytes() == np.array(want).tobytes()
 
 
@@ -290,10 +296,10 @@ class TestBellLike:
 class TestTransformation:
     def test_identity_on_same_setting(self):
         s = tensor_setting("z")
-        np.testing.assert_allclose(transformation_matrix(s, s), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(overlaps(s, s), np.eye(2), atol=1e-12)
 
     def test_z_to_x_magnitudes(self):
-        v = transformation_matrix(tensor_setting("z"), tensor_setting("x"))
+        v = overlaps(tensor_setting("z"), tensor_setting("x"))
         np.testing.assert_allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-12)
 
     def test_block_pattern_shared_family(self):
@@ -301,20 +307,13 @@ class TestTransformation:
         b1, b2 = 0.7, 0.2
         s1 = bell_like_setting(BellLikeBasis(b1, fam))
         s2 = bell_like_setting(BellLikeBasis(b2, fam))
-        v = transformation_matrix(s1, s2)
+        v = overlaps(s1, s2)
         eye = np.eye(2)
         d = b1 - b2
         want = np.block([[np.cos(d) * eye, np.sin(d) * eye],
                          [-np.sin(d) * eye, np.cos(d) * eye]])
         np.testing.assert_allclose(v, want, atol=1e-12)
         np.testing.assert_allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
-
-    def test_requires_rank1(self):
-        p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-        coarse = MeasurementSetting(label="c", m_qubits=2, outcomes=("a", "b"),
-                                    projectors=(p, np.eye(4) - p))
-        with pytest.raises(UnsupportedSettingError):
-            transformation_matrix(coarse, tensor_setting("zz"))
 
 
 class TestEqualityAndProtocols:
