@@ -37,19 +37,16 @@ from steerlab import (  # noqa: E402
 )
 from steerlab.linalg import hermiticity_residuals  # noqa: E402
 from steerlab.states import _low_rank_psd  # noqa: E402
-from steerlab.steering import _unvalidated_states  # noqa: E402
+from steerlab.steering import _unvalidated_states, _validated_states  # noqa: E402
 
 
 def unvalidated_sets(state, protocol):
-    return tuple(_unvalidated_states(state, protocol, k) for k in (1, 2))
+    # certify's one joint contraction of both settings
+    return _unvalidated_states(state, protocol, (1, 2))
 
 
 def validated_sets(state, protocol):
-    sets = unvalidated_sets(state, protocol)
-    rho_b = bob_marginal(state, protocol.alice_qubits)
-    for cs in sets:
-        cs.validate(rho_b)
-    return sets
+    return _validated_states(state, protocol, (1, 2))
 
 
 def validate_both(sets, rho_b):

@@ -41,8 +41,8 @@ from .steering import (
     PARADOX,
     ConditionalStateSet,
     ParadoxReport,
+    _validated_states,
     certify,
-    conditional_states,
 )
 
 # each demo's state and protocol, given the mixing angle (ignored by product)
@@ -140,8 +140,7 @@ def _load_pair(
 def _lp_problem(
     state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, tol: float
 ) -> tuple[ConditionalStateSet, ConditionalStateSet, lhs_lp.LpProblem, bool]:
-    set1 = conditional_states(state, protocol, 1)
-    set2 = conditional_states(state, protocol, 2)
+    set1, set2 = _validated_states(state, protocol, (1, 2))
     problem, relative = lhs_lp.problem_for(set1, set2, tol=tol)
     return set1, set2, problem, relative
 

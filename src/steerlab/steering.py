@@ -17,7 +17,11 @@ with basis vectors u_a this is rho_a = W_a W_a^H, whose columns are the
 branches w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a).  The T x T Gram
 matrix G_a = W_a^H W_a has the same nonzero eigenvalues as rho_a, so the PSD
 test, the purity tr(G_a^2) / tr(G_a)^2 and the principal vector
-W_a g / ||W_a g|| (g the top eigenvector of G_a) are all read from it.
+W_a g / ||W_a g|| (g the top eigenvector of G_a) are all read from it.  A
+density matrix is contracted for both settings in one banded pass: the two
+flattened projector stacks, stacked, multiply rho one band of Bob's rows at
+a time, so with two or more Bob qubits the pass builds no full-size array;
+the density matrix's own kept copy is the only one.
 Summing the traces over both complete settings always gives 2.  A
 local-hidden-state explanation forces the same total down to tr(rho_B) = 1
 whenever two structural requirements hold: every nonzero-probability
@@ -42,6 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    TILE,
     ComplexArray,
     as_complex,
     canonical_phase,
@@ -84,10 +89,11 @@ class ConditionalStateSet:
 
     ``branches`` is None or a read-only (K, T, d_B) array whose row
     (a, alpha) is the branch w_{a,alpha}, so that rho_a = sum_alpha
-    w w^H.  Only ``conditional_states`` sets it, together with the operators
-    it builds from it; the PSD test, purities and principal vectors then
-    come from the T x T Gram stack G_a = W_a^H W_a, formed once, and
-    hermiticity and the marginal from the operators.
+    w w^H.  Only the contraction behind ``conditional_states`` and
+    ``certify`` sets it, for an ensemble under a rank-1 setting, together
+    with the operators it builds from it; the PSD test, purities and
+    principal vectors then come from the T x T Gram stack G_a = W_a^H W_a,
+    formed once, and hermiticity and the marginal from the operators.
 
     ``counted``, ``purities`` and ``principal_vectors``, the evidence every
     stage reads, are computed on first use and kept.
@@ -223,21 +229,63 @@ def conditional_states(
     rho_a = W_a W_a^H from them; the set keeps the branches, so its evidence
     comes from the T x T Gram matrices W_a^H W_a, which share rho_a's
     nonzero eigenvalues.  Other ensembles are contracted with the projector
-    stack, and a density matrix in one product of the flattened projector
-    stack with the reordered matrix.  The set is validated against Bob's
-    marginal.
+    stack.  A density matrix is contracted with the flattened projector
+    stack in the banded pass of ``_banded_product``, one band of Bob's rows
+    at a time.  The set is validated against Bob's marginal.
     """
-    out = _unvalidated_states(state, protocol, which)
-    out.validate(bob_marginal(state, protocol.alice_qubits))
-    return out
+    return _validated_states(state, protocol, (which,))[0]
+
+
+def _validated_states(
+    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, which: tuple[int, ...]
+) -> tuple[ConditionalStateSet, ...]:
+    """The sets of ``_unvalidated_states``, each validated against one Bob marginal."""
+    sets = _unvalidated_states(state, protocol, which)
+    rho_b = bob_marginal(state, protocol.alice_qubits)
+    for cs in sets:
+        cs.validate(rho_b)
+    return sets
+
+
+def _banded_product(matrix: ComplexArray, stack: ComplexArray, d_a: int, d_b: int) -> ComplexArray:
+    """rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)] for each row P_a of ``stack``.
+
+    ``stack`` holds the flattened (d_A, d_A) projectors, one per row.  With
+    rho's axes ordered (t, c, j, l) all outcomes are one product over
+    (t, c); it is taken one band J of TILE // d_A Bob rows j at a time:
+    rho.reshape(d_A, d_B, d_A, d_B)[:, J], copied into (t, c, j, l) order,
+    times the whole stack gives rho_a[j, l] for j in J.  Each entry is still
+    one sum over all of (t, c) in one product, so the result is bitwise the
+    unbanded product's, and the only temporary is one band of TILE rows of
+    rho, or of one Bob row when d_A > TILE.  A band is at least 4 columns
+    wide, as the unbanded product is (d_B^2 >= 4): OpenBLAS computes a
+    narrower product with edge kernels that round differently, so with
+    d_B = 2 the one band is the whole matrix.
+    """
+    k = len(stack)
+    operators = np.empty((k, d_b, d_b), dtype=np.complex128)
+    flat = operators.reshape(k, d_b * d_b)
+    rows = max(1, TILE // d_a, 4 // d_b)
+    blocks = matrix.reshape(d_a, d_b, d_a, d_b)
+    for j in range(0, d_b, rows):
+        band = blocks[:, j : j + rows].transpose(2, 0, 1, 3).reshape(d_a * d_a, -1)
+        np.matmul(stack, band, out=flat[:, j * d_b : (j + rows) * d_b])
+    return operators
 
 
 def _unvalidated_states(
-    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, which: int
-) -> ConditionalStateSet:
-    """``conditional_states`` without the validation against Bob's marginal."""
-    if which not in (1, 2):
-        raise DimensionError(f"which must be 1 or 2, got {which}")
+    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, which: tuple[int, ...]
+) -> tuple[ConditionalStateSet, ...]:
+    """The sets of the settings ``which`` (each 1 or 2), before validation.
+
+    A density matrix is contracted once for all of them: their flattened
+    projector stacks, stacked into one (K1 + K2, 4^M) matrix, go through
+    one ``_banded_product``.  That stacked copy has as many entries as the
+    settings' own projector arrays.
+    """
+    for k in which:
+        if k not in (1, 2):
+            raise DimensionError(f"which must be 1 or 2, got {k}")
     m = protocol.alice_qubits
     n = state.n_qubits
     if protocol.n_qubits is not None and protocol.n_qubits != n:
@@ -246,38 +294,42 @@ def _unvalidated_states(
         )
     if m >= n:
         raise DimensionError(f"alice_qubits={m} leaves Bob empty for n={n}")
-    setting = protocol.settings[which - 1]
+    settings = [protocol.settings[k - 1] for k in which]
     d_a, d_b = 2**m, 2 ** (n - m)
-    k = setting.n_outcomes
-    branches = None
+    parts: list[tuple[ComplexArray, ComplexArray | None]] = []
     if isinstance(state, EnsembleState):
         phi = _amplitudes(state, m)
-        if setting.vectors is not None:
-            branches = _branches(phi, setting.vectors)
-            operators = branches.swapaxes(1, 2) @ branches.conj()
-        else:
-            # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
-            # projected[a, alpha] over alpha is one product with the terms
-            # stacked along the rows
-            projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
-            operators = phi.reshape(-1, d_b).T @ projected.reshape(k, -1, d_b)
+        for setting in settings:
+            if setting.vectors is not None:
+                branches = _branches(phi, setting.vectors)
+                parts.append((branches.swapaxes(1, 2) @ branches.conj(), branches))
+            else:
+                # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
+                # projected[a, alpha] over alpha is one product with the terms
+                # stacked along the rows
+                projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
+                projected = projected.reshape(setting.n_outcomes, -1, d_b)
+                parts.append((phi.reshape(-1, d_b).T @ projected, None))
     else:
-        # rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)]: with rho's axes
-        # ordered (t, c, j, l), all outcomes are one product over (t, c)
-        r = state.matrix.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3)
-        operators = (
-            setting.projectors.reshape(k, d_a * d_a) @ r.reshape(d_a * d_a, d_b * d_b)
-        ).reshape(k, d_b, d_b)
-    out = ConditionalStateSet(
-        setting_index=which,
-        setting_label=setting.label,
-        bob_qubits=n - m,
-        outcomes=setting.outcomes,
-        operators=operators,
-    )
-    if branches is not None:
-        object.__setattr__(out, "branches", read_only_copy(branches))
-    return out
+        stack = np.concatenate([s.projectors.reshape(s.n_outcomes, d_a * d_a) for s in settings])
+        operators = _banded_product(state.matrix, stack, d_a, d_b)
+        start = 0
+        for setting in settings:
+            parts.append((operators[start : start + setting.n_outcomes], None))
+            start += setting.n_outcomes
+    sets = []
+    for k, setting, (operators, branches) in zip(which, settings, parts):
+        out = ConditionalStateSet(
+            setting_index=k,
+            setting_label=setting.label,
+            bob_qubits=n - m,
+            outcomes=setting.outcomes,
+            operators=operators,
+        )
+        if branches is not None:
+            object.__setattr__(out, "branches", read_only_copy(branches))
+        sets.append(out)
+    return tuple(sets)
 
 
 @dataclass(frozen=True)
@@ -568,12 +620,8 @@ def certify(
         decomposition = DECOMPOSITION_EIGEN
     else:
         raise ValidationError(f"cannot certify a {type(state).__name__}")
-    # both sets are validated against one marginal, formed once
-    set1 = _unvalidated_states(state, protocol, 1)
-    rho_b = bob_marginal(state, protocol.alice_qubits)
-    set1.validate(rho_b)
-    set2 = _unvalidated_states(state, protocol, 2)
-    set2.validate(rho_b)
+    # both sets from one contraction, validated against one marginal
+    set1, set2 = _validated_states(state, protocol, (1, 2))
     quantum = float(np.sum(set1.probabilities) + np.sum(set2.probabilities))
     check = purity_requirement(set1, set2, tol)
 

@@ -1,6 +1,7 @@
 """Conditional states, the two requirements, verdicts and report rendering."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -370,6 +371,53 @@ class TestDensityContraction:
             got = conditional_states(rho, protocol, which).operators
             want = loop_conditional(rho.matrix, setting.projectors, n, m)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def one_product(matrix, stack, d_a, d_b):
+    """rho_a for each flattened projector row of ``stack``: the whole matrix,
+    reordered to (t, c, j, l), in one product; reference for the banded pass."""
+    r = matrix.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3)
+    return (stack @ r.reshape(d_a * d_a, d_b * d_b)).reshape(-1, d_b, d_b)
+
+
+class TestBandedContraction:
+    """Both settings' density contraction, one band of Bob rows at a time."""
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 10) for m in range(1, n)])
+    def test_banded_product_bitwise(self, n, m):
+        rng = np.random.default_rng([n, m])
+        d_a, d_b = 2**m, 2 ** (n - m)
+        matrix = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        stack = rng.normal(size=(3, d_a * d_a)) + 1j * rng.normal(size=(3, d_a * d_a))
+        got = steerlab.steering._banded_product(matrix, stack, d_a, d_b)
+        assert np.array_equal(got, one_product(matrix, stack, d_a, d_b))
+
+    # an M = 8 setting holds 256 dense 256 x 256 projectors (268 MB); the
+    # bitwise test above covers that band shape
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 10) for m in range(1, min(n, 8))])
+    def test_joint_sets_match_one_product_and_loop(self, n, m):
+        rho = density_of(random_mixed(n, 1 + n % 3, 100 * n + m))
+        protocol = replace(random_protocol(m, n), setting_2=coarse_haar_setting(m, n))
+        d_a, d_b = 2**m, 2 ** (n - m)
+        joint = steerlab.steering._validated_states(rho, protocol, (1, 2))
+        for which, (cs, setting) in enumerate(zip(joint, protocol.settings), start=1):
+            stack = setting.projectors.reshape(setting.n_outcomes, d_a * d_a)
+            assert np.array_equal(cs.operators, one_product(rho.matrix, stack, d_a, d_b))
+            want = loop_conditional(rho.matrix, setting.projectors, n, m)
+            np.testing.assert_allclose(cs.operators, want, rtol=0, atol=1e-15)
+            alone = conditional_states(rho, protocol, which).operators
+            assert np.array_equal(alone, cs.operators)
+
+    def test_certify_peak_below_matrix_size(self):
+        rho = density_of(random_mixed(9, 2, 5))
+        protocol = random_protocol(4, 5)
+        tracemalloc.start()
+        try:
+            certify(rho, protocol)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.matrix.nbytes
 
 
 class TestAmplitudePath:
