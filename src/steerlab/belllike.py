@@ -21,9 +21,10 @@ import numpy as np
 
 from . import config
 from .errors import DimensionError, ValidationError
-from .linalg import ComplexArray, as_complex, phase_equal
+from .linalg import ComplexArray, as_complex, phase_coincidences
 from .measurements import BellLikeBasis, computational_family
 from .states import EnsembleState
+from .steering import _branches
 
 MULTI_SLOT = "multi-slot support"
 PRODUCT_FORM = "product form"
@@ -31,6 +32,15 @@ COINCIDENT_PAIR = "coincident collapse pair"
 SHARED_SLOT = "shared slot"
 
 FamilyPairs = tuple[tuple[ComplexArray, ComplexArray], ...]
+
+
+def _two_term(
+    c: complex, s: complex, pair: tuple[ComplexArray, ComplexArray],
+    eta_p: ComplexArray, eta_m: ComplexArray,
+) -> ComplexArray:
+    """c |pair plus>|eta+> + s |pair minus>|eta->, on the full n-qubit space."""
+    plus, minus = pair
+    return c * np.kron(plus, eta_p) + s * np.kron(minus, eta_m)
 
 
 def _family_pairs(
@@ -81,11 +91,8 @@ class TwoTermForm:
 
     def component_vector(self, alpha: int) -> ComplexArray:
         """Rebuild |psi_alpha> on the full n-qubit space."""
-        slot = self.slots[alpha]
-        sp, sm = self.coefficients[alpha]
-        plus, minus = self.family[slot]
-        eta_p, eta_m = self.bob_pairs[alpha]
-        return sp * np.kron(plus, eta_p) + sm * np.kron(minus, eta_m)
+        return _two_term(*self.coefficients[alpha], self.family[self.slots[alpha]],
+                         *self.bob_pairs[alpha])
 
 
 @dataclass(frozen=True)
@@ -104,14 +111,14 @@ def two_term_extract(
     ensemble: EnsembleState,
     family: BellLikeBasis | Sequence[tuple[ComplexArray, ComplexArray]],
     alice_qubits: int,
-    support_tol: float = config.SUPPORT_TOL,
 ) -> TwoTermExtraction:
     """Try to rewrite every component in the one-slot two-term shape.
 
     Failures are returned as data, one (component, reason) pair each:
     components spread over several slots, components missing one of the two
     terms (product form), pairs whose Bob collapses coincide up to phase, and
-    slots claimed by more than one component.
+    slots claimed by more than one component.  A slot or a term is present
+    when its squared mass exceeds ``config.SUPPORT_TOL``.
     """
     pairs = _family_pairs(family)
     n = ensemble.n_qubits
@@ -125,86 +132,80 @@ def two_term_extract(
             f"expected {d_a} of dim {d_a}"
         )
 
-    violations: list[tuple[int, str]] = []
-    slots: list[int] = []
-    coeffs: list[tuple[complex, complex]] = []
-    bob_pairs: list[tuple[ComplexArray, ComplexArray]] = []
-    for alpha, psi in enumerate(ensemble.vectors):
-        block = psi.reshape(d_a, d_b)
-        projections = [
-            (plus.conj() @ block, minus.conj() @ block) for plus, minus in pairs
-        ]
-        masses = [
-            float(np.linalg.norm(p) ** 2 + np.linalg.norm(m) ** 2)
-            for p, m in projections
-        ]
-        support = [i for i, mass in enumerate(masses) if mass > support_tol]
-        if len(support) != 1:
-            violations.append((alpha, MULTI_SLOT))
-            continue
-        slot = support[0]
-        p_proj, m_proj = projections[slot]
-        sp = float(np.linalg.norm(p_proj))
-        sm = float(np.linalg.norm(m_proj))
-        if sp**2 <= support_tol or sm**2 <= support_tol:
-            violations.append((alpha, PRODUCT_FORM))
-            continue
-        eta_p, eta_m = p_proj / sp, m_proj / sm
-        if phase_equal(eta_p, eta_m):
-            violations.append((alpha, COINCIDENT_PAIR))
-            continue
-        slots.append(slot)
-        coeffs.append((complex(sp), complex(sm)))
-        bob_pairs.append((eta_p, eta_m))
-
-    seen: dict[int, list[int]] = {}
-    survivors = [a for a in range(ensemble.n_terms) if a not in {v[0] for v in violations}]
-    for idx, alpha in enumerate(survivors):
-        seen.setdefault(slots[idx], []).append(alpha)
-    for slot, alphas in sorted(seen.items()):
-        if len(alphas) > 1:
-            violations.extend((alpha, SHARED_SLOT) for alpha in alphas)
+    # projections[q, sign, alpha] = (<pair_q sign| (x) 1)|psi_alpha>, plus first
+    terms = ensemble.vectors.reshape(ensemble.n_terms, d_a, d_b)
+    projections = _branches(terms, np.reshape(pairs, (d_a, d_a)))
+    projections = projections.reshape(len(pairs), 2, ensemble.n_terms, d_b)
+    norms = np.linalg.norm(projections, axis=-1)
+    support = np.sum(norms**2, axis=1) > config.SUPPORT_TOL
+    multi = np.sum(support, axis=0) != 1
+    alphas = np.arange(ensemble.n_terms)
+    slots = np.argmax(support, axis=0)
+    coefficients = norms[slots, :, alphas]
+    product = ~multi & np.any(coefficients**2 <= config.SUPPORT_TOL, axis=1)
+    two_term = alphas[~multi & ~product]
+    bob = projections[slots[two_term], :, two_term] / coefficients[two_term, :, None]
+    coincident = np.diagonal(phase_coincidences(bob.reshape(-1, d_b))[::2, 1::2])
+    kept = two_term[~coincident]
+    shared = np.bincount(slots[kept], minlength=len(pairs))[slots[kept]] > 1
+    violations = sorted(
+        [(int(a), MULTI_SLOT) for a in alphas[multi]]
+        + [(int(a), PRODUCT_FORM) for a in alphas[product]]
+        + [(int(a), COINCIDENT_PAIR) for a in two_term[coincident]]
+        + [(int(a), SHARED_SLOT) for a in kept[shared]]
+    )
     if violations:
-        return TwoTermExtraction(form=None, violations=tuple(sorted(violations)))
+        return TwoTermExtraction(form=None, violations=tuple(violations))
     form = TwoTermForm(
         n_qubits=n,
         alice_qubits=alice_qubits,
         family=pairs,
         weights=ensemble.weights,
-        slots=tuple(slots),
-        coefficients=tuple(coeffs),
-        bob_pairs=tuple(bob_pairs),
+        slots=tuple(int(q) for q in slots),
+        coefficients=tuple((complex(sp), complex(sm)) for sp, sm in coefficients),
+        bob_pairs=tuple((eta_p, eta_m) for eta_p, eta_m in bob),
     )
     return TwoTermExtraction(form=form, violations=())
 
 
-def no_shared_component_check(form: TwoTermForm, tol: float = config.REQUIREMENT_TOL) -> bool:
+def no_shared_component_check(form: TwoTermForm) -> bool:
     """True when no two components of the form coincide up to a global phase.
 
-    Forms produced by two_term_extract pass by construction (their slots are
-    distinct, so the components are orthogonal); this is the standalone
-    checker for hand-built forms.
+    Two coincide when ``phase_coincidences`` says so at
+    ``config.REQUIREMENT_TOL``.  Forms produced by two_term_extract pass by
+    construction (their slots are distinct, so the components are
+    orthogonal); this is the standalone checker for hand-built forms.
     """
-    vectors = [form.component_vector(a) for a in range(form.n_components)]
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if phase_equal(vectors[i], vectors[j], tol):
-                return False
-    return True
-
-
-def _haar_vector(rng: np.random.Generator, dim: int) -> ComplexArray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    vectors = np.array([form.component_vector(a) for a in range(form.n_components)])
+    return not np.triu(phase_coincidences(vectors), 1).any()
 
 
 def _distinct_vector(
-    rng: np.random.Generator, dim: int, existing: list[ComplexArray], cap: float = 0.999
+    rng: np.random.Generator, dim: int, existing: list[ComplexArray]
 ) -> ComplexArray:
+    """A Haar-random unit vector with overlap at most 0.999 with each of ``existing``."""
     while True:
-        v = _haar_vector(rng, dim)
-        if all(abs(np.vdot(u, v)) <= cap for u in existing):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v = v / np.linalg.norm(v)
+        if all(abs(np.vdot(u, v)) <= 0.999 for u in existing):
             return v
+
+
+def _drawn_component(
+    rng: np.random.Generator, pair: tuple[ComplexArray, ComplexArray], d_b: int,
+    drawn: list[ComplexArray],
+) -> ComplexArray:
+    """A two-term component on ``pair`` from a mixing angle and two Bob vectors.
+
+    The angle is drawn away from the product-form boundaries; each Bob
+    vector is a ``_distinct_vector`` from ``drawn`` and joins it.
+    """
+    tau = rng.uniform(0.2, np.pi / 2 - 0.2)
+    eta_p = _distinct_vector(rng, d_b, drawn)
+    drawn.append(eta_p)
+    eta_m = _distinct_vector(rng, d_b, drawn)
+    drawn.append(eta_m)
+    return _two_term(np.cos(tau), np.sin(tau), pair, eta_p, eta_m)
 
 
 def max_rank_family(n_qubits: int, alice_qubits: int, seed: int) -> EnsembleState:
@@ -228,16 +229,7 @@ def max_rank_family(n_qubits: int, alice_qubits: int, seed: int) -> EnsembleStat
     d_b = 2 ** (n_qubits - alice_qubits)
     n_slots = len(pairs)
     drawn: list[ComplexArray] = []
-    vectors = []
-    for slot in range(n_slots):
-        tau = rng.uniform(0.2, np.pi / 2 - 0.2)
-        eta_p = _distinct_vector(rng, d_b, drawn)
-        drawn.append(eta_p)
-        eta_m = _distinct_vector(rng, d_b, drawn)
-        drawn.append(eta_m)
-        plus, minus = pairs[slot]
-        psi = np.cos(tau) * np.kron(plus, eta_p) + np.sin(tau) * np.kron(minus, eta_m)
-        vectors.append(psi)
+    vectors = [_drawn_component(rng, pair, d_b, drawn) for pair in pairs]
     if n_slots == 1:
         return EnsembleState(n_qubits, (1.0,), tuple(vectors))
     weights = rng.dirichlet(np.ones(n_slots))
@@ -249,9 +241,9 @@ def max_rank_family(n_qubits: int, alice_qubits: int, seed: int) -> EnsembleStat
 
 
 def add_shared_slot_component(
-    ensemble: EnsembleState, alice_qubits: int, seed: int, slot: int = 0
+    ensemble: EnsembleState, alice_qubits: int, seed: int
 ) -> EnsembleState:
-    """Append one more two-term component on an already occupied slot.
+    """Append one more two-term component on slot 0, which is already occupied.
 
     The result exceeds the rank ceiling and loses the paradox: the slot's
     conditional states become genuine mixtures.
@@ -259,15 +251,8 @@ def add_shared_slot_component(
     # keyed stream: plain default_rng(seed) would replay the exact draws
     # max_rank_family(…, seed) made and append a copy of component 0
     rng = np.random.default_rng([seed, 1])
-    pairs = computational_family(alice_qubits)
-    if not 0 <= slot < len(pairs):
-        raise DimensionError(f"slot {slot} out of range for {alice_qubits} Alice qubits")
-    d_b = 2 ** (ensemble.n_qubits - alice_qubits)
-    tau = rng.uniform(0.2, np.pi / 2 - 0.2)
-    eta_p = _haar_vector(rng, d_b)
-    eta_m = _distinct_vector(rng, d_b, [eta_p])
-    plus, minus = pairs[slot]
-    psi = np.cos(tau) * np.kron(plus, eta_p) + np.sin(tau) * np.kron(minus, eta_m)
+    pair = computational_family(alice_qubits)[0]
+    psi = _drawn_component(rng, pair, 2 ** (ensemble.n_qubits - alice_qubits), [])
     extra = float(rng.uniform(0.2, 0.4))
     weights = tuple(w * (1.0 - extra) for w in ensemble.weights) + (extra,)
     return EnsembleState(ensemble.n_qubits, weights, np.vstack([ensemble.vectors, psi]))

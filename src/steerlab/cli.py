@@ -39,9 +39,8 @@ from .steering import (
     NO_PARADOX_CROSS_DUPLICATE,
     NO_PARADOX_PURITY,
     PARADOX,
-    ConditionalStateSet,
     ParadoxReport,
-    _validated_states,
+    _certify,
     certify,
 )
 
@@ -127,22 +126,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def _load_pair(
     args: argparse.Namespace,
 ) -> tuple[EnsembleState | DensityMatrix, SteeringProtocol]:
-    state = load_state(args.state.read_text())
-    protocol = load_protocol(args.protocol.read_text())
-    if protocol.alice_qubits >= state.n_qubits:
-        raise DimensionError(
-            f"protocol measures {protocol.alice_qubits} qubits but the state only has "
-            f"{state.n_qubits}; Bob needs at least one"
-        )
-    return state, protocol
-
-
-def _lp_problem(
-    state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, tol: float
-) -> tuple[ConditionalStateSet, ConditionalStateSet, lhs_lp.LpProblem, bool]:
-    set1, set2 = _validated_states(state, protocol, (1, 2))
-    problem, relative = lhs_lp.problem_for(set1, set2, tol=tol)
-    return set1, set2, problem, relative
+    return load_state(args.state.read_text()), load_protocol(args.protocol.read_text())
 
 
 def _write_lp(path: Path, problem: lhs_lp.LpProblem, relative: bool) -> None:
@@ -153,10 +137,12 @@ def _write_lp(path: Path, problem: lhs_lp.LpProblem, relative: bool) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    report = certify(state, protocol, lp=args.lp, tol=args.tol)
+    report, _, _, built = _certify(
+        state, protocol, lp=args.lp, candidates=None, tol=args.tol,
+        assemble=args.dump_lp is not None,
+    )
     if args.dump_lp is not None:
-        _, _, problem, relative = _lp_problem(state, protocol, args.tol)
-        _write_lp(args.dump_lp, problem, relative)
+        _write_lp(args.dump_lp, *built)
     _emit_report(report, args.fmt)
     return 0
 
@@ -180,10 +166,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise DimensionError(
                 f"protocol measures {fixed.alice_qubits} qubits, sweep says {args.alice_qubits}"
             )
-    if args.alice_qubits >= args.n_qubits:
-        raise DimensionError(
-            f"alice_qubits={args.alice_qubits} leaves Bob empty for n={args.n_qubits}"
-        )
     counts = {PARADOX: 0, NO_PARADOX_PURITY: 0, NO_PARADOX_CROSS_DUPLICATE: 0}
     samples = []
     for i in range(args.count):
@@ -221,7 +203,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_lhs(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    set1, set2, problem, relative = _lp_problem(state, protocol, args.tol)
+    _, set1, set2, (problem, relative) = _certify(
+        state, protocol, lp=False, candidates=None, tol=args.tol, assemble=True
+    )
     if args.dump_lp is not None:
         _write_lp(args.dump_lp, problem, relative)
     result = lhs_lp.solve_feasibility(problem)

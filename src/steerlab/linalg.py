@@ -97,34 +97,24 @@ def purities(stack: ComplexArray) -> npt.NDArray[np.float64]:
     return np.einsum("kij,kji->k", stack, stack).real / tr.real**2
 
 
-def phase_equal(
-    u: npt.ArrayLike, v: npt.ArrayLike, tol: float = config.REQUIREMENT_TOL
-) -> bool:
-    """Whether two vectors agree up to a global phase.
-
-    Compares 1 - |<u|v>| of the normalized vectors against ``tol``; a zero
-    vector raises DegenerateInputError.
-    """
-    u = as_complex(u).ravel()
-    v = as_complex(v).ravel()
-    if u.shape != v.shape:
-        raise DimensionError(f"phase_equal got shapes {u.shape} and {v.shape}")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < config.ZERO_FLOOR or nv < config.ZERO_FLOOR:
-        raise DegenerateInputError("phase comparison with a zero vector is undefined")
-    return bool(1.0 - abs(np.vdot(u, v)) / (nu * nv) < tol)
-
-
 def phase_coincidences(
     rows: ComplexArray, tol: float = config.REQUIREMENT_TOL
 ) -> npt.NDArray[np.bool_]:
     """Which rows agree with which up to a global phase.
 
-    Entry (i, j) is 1 - |<r_i|r_j>| < ``tol``.  The rows must be unit vectors,
-    as principal vectors are; this is the row-stacked ``phase_equal`` without
-    the normalization, one matrix product for all pairs.
+    Entry (i, j) is 1 - |<r_i|r_j>| / (|r_i| |r_j|) < ``tol``, from one
+    matrix product for all pairs, so the rows need not be unit vectors; a
+    zero row raises DegenerateInputError.  The relation is not transitive:
+    u may coincide with v and v with w while u does not coincide with w.
+    So the greedy ``_first_kept`` behind ``lhs_lp.candidate_ensemble``
+    keeps a vector unless it coincides with one kept before it, and which
+    vectors it keeps depends on their order.
     """
-    return 1.0 - np.abs(rows.conj() @ rows.T) < tol
+    gram = rows.conj() @ rows.T
+    norms = np.sqrt(gram.diagonal().real)
+    if norms.min(initial=np.inf) < config.ZERO_FLOOR:
+        raise DegenerateInputError("phase comparison with a zero vector is undefined")
+    return 1.0 - np.abs(gram) / (norms[:, None] * norms) < tol
 
 
 def canonical_phase(v: npt.ArrayLike) -> ComplexArray:

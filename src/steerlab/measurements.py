@@ -38,7 +38,7 @@ from .linalg import (
     hermiticity_residuals,
     n_qubits_of,
     outers,
-    phase_equal,
+    phase_coincidences,
     read_only_copy,
     stacked,
 )
@@ -125,14 +125,17 @@ def computational_family(m_qubits: int) -> tuple[tuple[ComplexArray, ComplexArra
     return tuple((eye[:, 2 * i].copy(), eye[:, 2 * i + 1].copy()) for i in range(dim // 2))
 
 
-def same_family(a: BellLikeBasis, b: BellLikeBasis, tol: float = config.REQUIREMENT_TOL) -> bool:
-    """Whether two bases are built over the same pairing (up to per-vector phases)."""
+def same_family(a: BellLikeBasis, b: BellLikeBasis) -> bool:
+    """Whether two bases are built over the same pairing (up to per-vector phases).
+
+    Each vector of ``a`` must coincide with its partner in ``b`` under
+    ``config.REQUIREMENT_TOL``.
+    """
     if a.n_slots != b.n_slots:
         return False
-    return all(
-        phase_equal(pa[0], pb[0], tol) and phase_equal(pa[1], pb[1], tol)
-        for pa, pb in zip(a.pairs, b.pairs)
-    )
+    rows = np.array([v for basis in (a, b) for pair in basis.pairs for v in pair])
+    k = 2 * a.n_slots
+    return bool(np.all(np.diagonal(phase_coincidences(rows)[:k, k:])))
 
 
 @dataclass(frozen=True)
@@ -275,19 +278,17 @@ def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
     return _rank1_setting(f"bell_like(beta={basis.beta:.6g})", vectors, basis)
 
 
-def settings_equal(
-    a: MeasurementSetting, b: MeasurementSetting, tol: float = config.SETTING_TOL
-) -> bool:
+def settings_equal(a: MeasurementSetting, b: MeasurementSetting) -> bool:
     """Whether two settings have the same projector set (labels ignored).
 
     Each projector of ``a`` takes the first still unmatched projector of ``b``
-    within ``tol``, entrywise.
+    within ``config.SETTING_TOL``, entrywise.
     """
     if a.m_qubits != b.m_qubits or a.n_outcomes != b.n_outcomes:
         return False
     unmatched = np.ones(b.n_outcomes, dtype=bool)
     for p in a.projectors:
-        close = np.max(np.abs(b.projectors - p), axis=(1, 2)) <= tol
+        close = np.max(np.abs(b.projectors - p), axis=(1, 2)) <= config.SETTING_TOL
         match = np.flatnonzero(unmatched & close)
         if match.size == 0:
             return False

@@ -33,8 +33,9 @@ the full per-outcome evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,15 +49,18 @@ from .errors import (
 from .linalg import (
     TILE,
     ComplexArray,
-    as_complex,
     canonical_phase,
     hermiticity_residuals,
     phase_coincidences,
     read_only_copy,
+    stacked,
 )
 from .linalg import purities as stack_purities
 from .measurements import MeasurementSetting, SteeringProtocol, same_family
 from .states import DensityMatrix, EnsembleState
+
+if TYPE_CHECKING:
+    from .lhs_lp import LpProblem
 
 PARADOX = "PARADOX"
 NO_PARADOX_PURITY = "NO_PARADOX_PURITY"
@@ -110,12 +114,7 @@ class ConditionalStateSet:
         dim = 2**self.bob_qubits
         if len(self.operators) != len(self.outcomes):
             raise ValidationError("outcome labels and operators differ in count")
-        for op in self.operators:
-            if np.shape(op) != (dim, dim):
-                raise DimensionError(
-                    f"conditional operator has shape {np.shape(op)}, expected {(dim, dim)}"
-                )
-        operators = as_complex(self.operators).reshape(-1, dim, dim)
+        operators = stacked(self.operators, (dim, dim), "conditional operator")
         not_hermitian = np.flatnonzero(hermiticity_residuals(operators) > config.HERMITICITY_TOL)
         if not_hermitian.size:
             label = self.outcomes[not_hermitian[0]]
@@ -387,13 +386,21 @@ class OutcomeRecord:
     purity: float | None
 
 
+def _excluded(records: tuple[OutcomeRecord, ...]) -> tuple[tuple[int, str], ...]:
+    """(setting, outcome) of each record without a purity: below the probability floor."""
+    return tuple((r.setting, r.outcome) for r in records if r.purity is None)
+
+
 @dataclass(frozen=True)
 class PurityCheck:
     """Outcome of the pure state requirement, with its per-outcome records."""
 
     ok: bool
     records: tuple[OutcomeRecord, ...]
-    excluded: tuple[tuple[int, str], ...]
+
+    @property
+    def excluded(self) -> tuple[tuple[int, str], ...]:
+        return _excluded(self.records)
 
 
 def purity_requirement(
@@ -417,7 +424,6 @@ def purity_requirement(
     if not tol > 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
     records: list[OutcomeRecord] = []
-    excluded: list[tuple[int, str]] = []
     for cs in (set1, set2):
         q = np.zeros(len(cs.outcomes))
         q[cs.counted] = cs.purities
@@ -425,10 +431,8 @@ def purity_requirement(
             records.append(
                 OutcomeRecord(cs.setting_index, label, float(p), float(q_a) if kept else None)
             )
-            if not kept:
-                excluded.append((cs.setting_index, label))
     ok = not any(r.purity is not None and abs(r.purity - 1.0) >= tol for r in records)
-    return PurityCheck(ok=ok, records=tuple(records), excluded=tuple(excluded))
+    return PurityCheck(ok=ok, records=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -510,20 +514,36 @@ def rank_bound_check(rho: DensityMatrix, protocol: SteeringProtocol) -> RankBoun
 
 @dataclass(frozen=True)
 class ParadoxReport:
-    """Full certification outcome for one state-protocol pair."""
+    """Full certification outcome for one state-protocol pair.
+
+    ``lhs_trace_sum``, ``excluded_outcomes`` and ``ambiguous_duplicates``
+    are read from the verdict, the per-outcome records and the duplicate
+    pairs, so they cannot disagree with them.
+    """
 
     verdict: str
     quantum_trace_sum: float
-    lhs_trace_sum: float | None
     per_outcome: tuple[OutcomeRecord, ...]
     cross_setting_duplicates: tuple[tuple[str, str], ...]
     within_setting_duplicates: tuple[tuple[int, str, str], ...]
-    excluded_outcomes: tuple[tuple[int, str], ...]
-    ambiguous_duplicates: bool
     decomposition_used: str
     setting_labels: tuple[str, str]
     lp_verdict: str | None = None
     lp_residual: float | None = None
+
+    @property
+    def lhs_trace_sum(self) -> float | None:
+        """1.0, the trace sum a hidden-state model is forced to, under PARADOX; else None."""
+        return 1.0 if self.verdict == PARADOX else None
+
+    @property
+    def excluded_outcomes(self) -> tuple[tuple[int, str], ...]:
+        return _excluded(self.per_outcome)
+
+    @property
+    def ambiguous_duplicates(self) -> bool:
+        """Whether within-setting and cross-setting duplicates occur together."""
+        return bool(self.cross_setting_duplicates) and bool(self.within_setting_duplicates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -614,6 +634,23 @@ def certify(
     relative mode.  ``tol`` decides both requirements and the LP's candidate
     deduplication; it must be positive.
     """
+    return _certify(state, protocol, lp, candidates, tol)[0]
+
+
+def _certify(
+    state: EnsembleState | DensityMatrix,
+    protocol: SteeringProtocol,
+    lp: bool,
+    candidates: list[ComplexArray] | None,
+    tol: float,
+    assemble: bool = False,
+) -> tuple[ParadoxReport, ConditionalStateSet, ConditionalStateSet, tuple[LpProblem, bool] | None]:
+    """``certify``'s report, with the two sets it read and the program it built.
+
+    The last item is ``lhs_lp.problem_for``'s (problem, relative) when ``lp``
+    or ``assemble`` is set, else None; only ``lp`` solves it.  The command
+    line dumps that program, so it is assembled once per run.
+    """
     if isinstance(state, EnsembleState):
         decomposition = DECOMPOSITION_GIVEN
     elif isinstance(state, DensityMatrix):
@@ -627,7 +664,6 @@ def certify(
 
     cross: tuple[tuple[str, str], ...] = ()
     within: tuple[tuple[int, str, str], ...] = ()
-    ambiguous = False
     if not check.ok:
         verdict = NO_PARADOX_PURITY
     else:
@@ -637,30 +673,28 @@ def certify(
             (2, a, b) for a, b in dup.within_2
         )
         verdict = PARADOX if dup.ok else NO_PARADOX_CROSS_DUPLICATE
-        ambiguous = bool(cross) and bool(within)
 
+    built = None
+    lp_verdict = lp_residual = None
+    if lp or assemble:
+        from . import lhs_lp
+
+        built = lhs_lp.problem_for(set1, set2, candidates, tol)
+        if lp:
+            result = lhs_lp.solve_feasibility(built[0])
+            lp_verdict, lp_residual = lhs_lp.verdict_label(result, built[1]), result.residual
     report = ParadoxReport(
         verdict=verdict,
         quantum_trace_sum=quantum,
-        lhs_trace_sum=1.0 if verdict == PARADOX else None,
         per_outcome=check.records,
         cross_setting_duplicates=cross,
         within_setting_duplicates=within,
-        excluded_outcomes=check.excluded,
-        ambiguous_duplicates=ambiguous,
         decomposition_used=decomposition,
         setting_labels=(set1.setting_label, set2.setting_label),
+        lp_verdict=lp_verdict,
+        lp_residual=lp_residual,
     )
-    if not lp:
-        return report
-
-    from . import lhs_lp
-
-    problem, relative = lhs_lp.problem_for(set1, set2, candidates, tol)
-    result = lhs_lp.solve_feasibility(problem)
-    return replace(
-        report, lp_verdict=lhs_lp.verdict_label(result, relative), lp_residual=result.residual
-    )
+    return report, set1, set2, built
 
 
 __all__ = [

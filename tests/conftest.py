@@ -17,8 +17,25 @@ from steerlab import (
     settings_equal,
     tensor_protocol,
 )
-from steerlab import config
-from steerlab.linalg import as_complex, canonical_phase, phase_equal
+from steerlab import DegenerateInputError, DimensionError, config
+from steerlab.linalg import as_complex, canonical_phase
+
+
+def phase_equal(u, v, tol=config.REQUIREMENT_TOL):
+    """Whether two vectors agree up to a global phase, one pair at a time.
+
+    Reference for ``linalg.phase_coincidences``: 1 - |<u|v>| / (|u| |v|)
+    against ``tol``, from ``np.vdot`` and the two norms; a zero vector
+    raises DegenerateInputError.
+    """
+    u = as_complex(u).ravel()
+    v = as_complex(v).ravel()
+    if u.shape != v.shape:
+        raise DimensionError(f"phase_equal got shapes {u.shape} and {v.shape}")
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < config.ZERO_FLOOR or nv < config.ZERO_FLOOR:
+        raise DegenerateInputError("phase comparison with a zero vector is undefined")
+    return bool(1.0 - abs(np.vdot(u, v)) / (nu * nv) < tol)
 
 
 def brute_conditional(rho, projector, n_qubits, alice_qubits):
@@ -371,6 +388,41 @@ def loop_fallback_candidates(set1, set2, prob_floor=config.PROB_FLOOR):
         if w[i] > config.RANK_TOL:
             push(outer(v[:, i]))
     return np.array(candidates)
+
+
+def loop_two_term_violations(ensemble, pairs, alice_qubits):
+    """(violations, slots, coefficients, bob_pairs) of ``two_term_extract``, one component at a time.
+
+    Reference for the stacked extraction: each component's projections are
+    separate products with the pair vectors, and the coincident-pair test is
+    one ``phase_equal`` call.
+    """
+    d_a, d_b = 2**alice_qubits, 2 ** (ensemble.n_qubits - alice_qubits)
+    violations, slots, coefficients, bob_pairs = [], [], [], []
+    for alpha, psi in enumerate(ensemble.vectors):
+        block = psi.reshape(d_a, d_b)
+        projections = [(plus.conj() @ block, minus.conj() @ block) for plus, minus in pairs]
+        masses = [np.linalg.norm(p) ** 2 + np.linalg.norm(m) ** 2 for p, m in projections]
+        support = [q for q, mass in enumerate(masses) if mass > config.SUPPORT_TOL]
+        if len(support) != 1:
+            violations.append((alpha, "multi-slot support"))
+            continue
+        p_proj, m_proj = projections[support[0]]
+        sp, sm = np.linalg.norm(p_proj), np.linalg.norm(m_proj)
+        if min(sp, sm) ** 2 <= config.SUPPORT_TOL:
+            violations.append((alpha, "product form"))
+            continue
+        if phase_equal(p_proj / sp, m_proj / sm):
+            violations.append((alpha, "coincident collapse pair"))
+            continue
+        slots.append(support[0])
+        coefficients.append((sp, sm))
+        bob_pairs.append((p_proj / sp, m_proj / sm))
+    kept = [a for a in range(ensemble.n_terms) if a not in {v[0] for v in violations}]
+    for alpha, slot in zip(kept, slots):
+        if slots.count(slot) > 1:
+            violations.append((alpha, "shared slot"))
+    return sorted(violations), slots, coefficients, bob_pairs
 
 
 def form_ensemble(form):

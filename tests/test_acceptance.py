@@ -40,7 +40,7 @@ from steerlab import (
     verify_certificate,
     verify_model,
 )
-from steerlab.linalg import phase_equal
+from steerlab.linalg import phase_coincidences
 
 
 def _sets(state, protocol):
@@ -230,9 +230,10 @@ def test_criterion_7_property_suite():
         v = random_pure(2, seed=9900 + i)
         phi = float(rng.uniform(0.0, 2 * np.pi))
         scale = float(rng.uniform(0.5, 2.0))
-        assert phase_equal(v, scale * np.exp(1j * phi) * v, 1e-8)
         w = random_pure(2, seed=19900 + i)
-        assert phase_equal(v, w, 1e-8) == phase_equal(w, v, 1e-8)
+        hits = phase_coincidences(np.array([v, scale * np.exp(1j * phi) * v, w]), 1e-8)
+        assert hits[0, 1]
+        assert np.array_equal(hits, hits.T)
 
     # solver determinism: identical problems give identical runs
     for i in range(100):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import form_ensemble
+from conftest import form_ensemble, loop_two_term_violations
 from steerlab import (
     BellLikeBasis,
     DimensionError,
@@ -118,6 +118,42 @@ class TestTwoTermExtract:
             density_of(ens).matrix,
             atol=1e-10,
         )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_loop_reference(self, seed):
+        """Random faulty and clean mixes, and a rank-ceiling family that extracts cleanly."""
+        rng = np.random.default_rng(seed)
+        fam = computational_family(2)
+
+        def haar():
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            return v / np.linalg.norm(v)
+
+        def clean(slot):
+            tau = rng.uniform(0.2, 1.3)
+            return component(fam[slot], np.cos(tau), np.sin(tau), haar(), haar())
+
+        kinds = {
+            "clean": lambda: clean(int(rng.integers(2))),
+            "product": lambda: np.kron(fam[int(rng.integers(2))][int(rng.integers(2))], haar()),
+            "spread": lambda: clean(0) + clean(1),
+            "coincident": lambda: component(fam[int(rng.integers(2))], 0.6, 0.8, eta := haar(),
+                                            np.exp(1j * rng.uniform(0, 6)) * eta),
+        }
+        names = rng.choice(list(kinds), size=int(rng.integers(1, 5)), p=[0.55, 0.15, 0.15, 0.15])
+        vectors = [kinds[name]() for name in names]
+        mixed = EnsembleState(4, (1 / len(vectors),) * len(vectors),
+                              [v / np.linalg.norm(v) for v in vectors])
+        for ens, m in ((mixed, 2), (max_rank_family(5, 3, seed), 3)):
+            pairs = computational_family(m)
+            violations, slots, coefficients, bob_pairs = loop_two_term_violations(ens, pairs, m)
+            ext = two_term_extract(ens, pairs, alice_qubits=m)
+            assert list(ext.violations) == violations
+            if ext.ok:
+                assert list(ext.form.slots) == slots
+                np.testing.assert_allclose(ext.form.coefficients, coefficients, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(ext.form.bob_pairs, bob_pairs, rtol=0, atol=1e-14)
+        assert ext.ok
 
 
 class TestFormContainer:

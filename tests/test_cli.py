@@ -193,6 +193,45 @@ class TestAmplitudeInput:
         assert capsys.readouterr().out.startswith("lhs-lp: infeasible")
 
 
+class TestOnePass:
+    def test_check_lp_dump_lp_assembles_once(self, files, tmp_path, monkeypatch, capsys):
+        """The dumped program is the one the report's LP verdict came from."""
+        from steerlab import cli, lhs_lp, steering
+
+        calls = {"_unvalidated_states": 0, "problem_for": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(steering, "_unvalidated_states")
+        counted(lhs_lp, "problem_for")
+        dump = tmp_path / "lp.json"
+        assert cli.main(["check", "--state", files["lc4.json"], "--protocol", files["zzyx.json"],
+                         "--lp", "--dump-lp", str(dump)]) == 0
+        assert calls == {"_unvalidated_states": 1, "problem_for": 1}
+        assert json.loads(dump.read_text())["relative"] is False
+        assert "lhs-lp: infeasible" in capsys.readouterr().out
+
+
+class TestEmptyBob:
+    @pytest.mark.parametrize("command", ["check", "lhs", "sweep"])
+    def test_alice_covering_the_state_exit_2(self, files, command, capsys):
+        from steerlab import cli
+
+        if command == "sweep":
+            args = ["sweep", "--n-qubits", "2", "--alice-qubits", "2", "--count", "1"]
+        else:
+            args = [command, "--state", files["tq.json"], "--protocol", files["zzyx.json"]]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "error: alice_qubits=2 leaves Bob empty for n=2\n"
+
+
 class TestLhs:
     def test_feasible_mixture(self, files):
         r = run_cli("lhs", "--state", files["mix.json"], "--protocol", files["zx.json"],

@@ -44,20 +44,48 @@ def test_package_all_lists_exactly_its_imports():
     assert sorted(name for _, name in _package_imports()) == sorted(steerlab.__all__)
 
 
-def test_linalg_functions_have_library_callers():
-    """Every function ``linalg`` defines is imported by another package module."""
+def _names_outside_own_def(tree):
+    """Every name a tree reads or imports, except inside the def that defines it."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        )
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_module_functions_have_callers():
+    """Every module-level function is exported or named somewhere outside its own def.
+
+    The names are read from the package, ``scripts/`` and ``bench/``; tests
+    do not count, so a function only tests call fails here.
+    """
     package = Path(steerlab.__file__).parent
+    root = package.parents[1]
     defined = {
-        node.name
-        for node in ast.parse((package / "linalg.py").read_text()).body
+        f"{path.stem}.{node.name}": node.name
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
         if isinstance(node, ast.FunctionDef)
     }
-    imported = {
-        alias.name
-        for path in package.glob("*.py")
-        if path.name != "linalg.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
-        for alias in node.names
-    }
-    assert sorted(defined - imported) == []
+    named = set()
+    for path in [*package.glob("*.py"), *(root / "scripts").glob("*.py"),
+                 *(root / "bench").glob("*.py")]:
+        named |= _names_outside_own_def(ast.parse(path.read_text()))
+    uncalled = [
+        qualified for qualified, name in defined.items()
+        if name not in steerlab.__all__ and name not in named
+    ]
+    assert sorted(uncalled) == []

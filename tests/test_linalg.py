@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     outer,
     partial_trace,
+    phase_equal,
     plain_hermiticity_residuals,
     principal_vector,
     with_beta,
@@ -30,9 +31,11 @@ from steerlab.linalg import (
     hermiticity_residuals,
     n_qubits_of,
     outers,
-    phase_equal,
+    phase_coincidences,
     purities,
 )
+from steerlab.lhs_lp import _first_kept
+from steerlab.config import REQUIREMENT_TOL
 
 
 def haar_vector(rng, dim):
@@ -218,31 +221,65 @@ class TestStacks:
 
 
 class TestPhaseEquality:
+    """``phase_coincidences`` against the pairwise ``phase_equal`` oracle."""
+
+    @staticmethod
+    def oracle(rows, tol):
+        return np.array([[phase_equal(u, v, tol) for v in rows] for u in rows])
+
     @settings(max_examples=80)
     @given(st.integers(0, 10**6), st.floats(0.0, 2 * np.pi))
     def test_global_phase_invariance(self, seed, phi):
         v = haar_vector(np.random.default_rng(seed), 4)
-        assert phase_equal(v, np.exp(1j * phi) * v, 1e-8)
+        assert phase_coincidences(np.array([v, np.exp(1j * phi) * v]), 1e-8).all()
 
     @settings(max_examples=80)
     @given(st.integers(0, 10**6))
     def test_orthogonal_not_equal(self, seed):
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        assert not phase_equal(q[:, 0], q[:, 1], 1e-8)
+        assert np.array_equal(phase_coincidences(q.T, 1e-8), np.eye(4, dtype=bool))
 
     def test_symmetry(self):
         u = haar_vector(np.random.default_rng(1), 3)
         v = haar_vector(np.random.default_rng(2), 3)
-        assert phase_equal(u, v, 1e-8) == phase_equal(v, u, 1e-8)
+        hits = phase_coincidences(np.array([u, v, 1j * u]), 1e-8)
+        assert np.array_equal(hits, hits.T)
+        assert np.array_equal(hits, self.oracle([u, v, 1j * u], 1e-8))
 
     def test_scale_invariance(self):
         v = haar_vector(np.random.default_rng(4), 3)
-        assert phase_equal(v, 3.7 * v, 1e-8)
+        assert phase_coincidences(np.array([v, 3.7 * v, 1e-3 * v]), 1e-8).all()
 
     def test_zero_vector_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            phase_equal(np.zeros(3), np.ones(3))
+            phase_coincidences(np.array([np.zeros(3), np.ones(3)], dtype=complex))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_oracle(self, seed):
+        """Unnormalized rows, some near the tolerance from one another."""
+        rng = np.random.default_rng(seed)
+        base = np.array([haar_vector(rng, 4) for _ in range(3)])
+        tilts = [base[0] + 1e-4 * haar_vector(rng, 4), base[1] + 2e-5 * haar_vector(rng, 4)]
+        rows = np.concatenate([base, tilts]) * rng.uniform(0.5, 3.0, (5, 1))
+        assert np.array_equal(phase_coincidences(rows, 1e-8), self.oracle(rows, 1e-8))
+
+    def test_not_transitive(self):
+        """u ~ v and v ~ w, yet not u ~ w: greedy deduplication keeps u and w.
+
+        1 - |<u|v>| = 1 - cos(a) ~ a^2 / 2 = 6.05e-9 is below the
+        tolerance, and 1 - |<u|w>| = 1 - cos(2a) ~ 2 a^2 = 2.42e-8 is not.
+        """
+        a = 1.1e-4
+        u = np.array([1.0, 0.0], dtype=complex)
+        v = np.exp(0.7j) * np.array([np.cos(a), np.sin(a)])
+        w = np.array([np.cos(2 * a), np.sin(2 * a)], dtype=complex)
+        hits = phase_coincidences(np.array([u, v, w]), REQUIREMENT_TOL)
+        assert hits.tolist() == [[True, True, False], [True, True, True], [False, True, True]]
+        assert np.array_equal(hits, self.oracle([u, v, w], REQUIREMENT_TOL))
+        assert _first_kept(hits) == [0, 2]
+        # the middle vector first: it absorbs both others
+        assert _first_kept(phase_coincidences(np.array([v, u, w]), REQUIREMENT_TOL)) == [0]
 
     def test_canonical_phase_idempotent(self):
         v = haar_vector(np.random.default_rng(5), 4)

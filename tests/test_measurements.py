@@ -12,6 +12,7 @@ from conftest import (
     loop_conditional,
     outer,
     overlaps,
+    phase_equal,
     principal_vector,
     with_beta,
 )
@@ -39,7 +40,7 @@ from steerlab import (
     tensor_protocol,
     tensor_setting,
 )
-from steerlab.linalg import outers, phase_equal
+from steerlab.linalg import outers
 
 
 class TestPauliAndTensor:

@@ -17,6 +17,7 @@ from conftest import (
     pairwise_candidates,
     pairwise_duplicates,
     partial_trace,
+    phase_equal,
     random_protocol,
     reconstruct,
 )
@@ -60,7 +61,7 @@ from steerlab import (
     tensor_setting,
     two_qubit_theta_state,
 )
-from steerlab.linalg import phase_equal, purities
+from steerlab.linalg import purities
 
 
 def count_phase_fixes(monkeypatch):
