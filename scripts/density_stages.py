@@ -5,9 +5,12 @@ The pool is a benchmark workload's, rebuilt from ``bench/workloads.py``.
 Rows starting ``density.`` time the checks a ``DensityMatrix`` runs on
 construction (skipped when the pool holds no density matrix); rows starting
 ``certify.`` time the stages ``certify`` runs, one after another, on fresh
-inputs each repeat; ``op`` is the benchmark's timed operation.  Each row is
-the fastest of ``--repeats`` passes over the pool, divided by the pool size.
-BLAS runs on one thread, as in the benchmark.
+inputs each repeat; ``op`` is the benchmark's timed operation.
+``certify.principal_vectors`` times only the instances whose counted
+conditional states are all pure, the only ones whose vectors ``certify``
+reads, and adds nothing for the others; ``certify.duplicates`` includes it.
+Each row is the fastest of ``--repeats`` passes over the pool, divided by
+the pool size.  BLAS runs on one thread, as in the benchmark.
 
     python scripts/density_stages.py --workload density-large --seed 21
 """
@@ -54,6 +57,18 @@ def validate_both(sets, rho_b):
         cs.validate(rho_b)
 
 
+def pure_sets(state, protocol):
+    # certify reads principal vectors only when every counted state is pure;
+    # other instances time nothing in that row
+    sets = validated_sets(state, protocol)
+    return sets if purity_requirement(*sets).ok else ()
+
+
+def principal_vectors(*sets):
+    for cs in sets:
+        cs.principal_vectors
+
+
 def duplicates(set1, set2):
     # certify looks for coincidences only when every counted state is pure
     if purity_requirement(set1, set2).ok:
@@ -76,6 +91,7 @@ def stages(lp):
             validate_both,
         ),
         ("certify.purity", lambda i, s, p: validated_sets(s, p), purity_requirement),
+        ("certify.principal_vectors", lambda i, s, p: pure_sets(s, p), principal_vectors),
         ("certify.duplicates", lambda i, s, p: validated_sets(s, p), duplicates),
         ("certify.total", lambda i, s, p: (s, p), certify),
         ("op", lambda i, s, p: (i, lp), run_op),
@@ -110,7 +126,7 @@ def main() -> int:
     for name, prepare, run in stages(workload.lp):
         if name.startswith("density.") and not dense:
             continue
-        print(f"{name:22s} {best_ms(prepare, run, inputs, args.repeats):9.3f}")
+        print(f"{name:25s} {best_ms(prepare, run, inputs, args.repeats):9.3f}")
     return 0
 
 

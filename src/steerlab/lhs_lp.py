@@ -45,11 +45,10 @@ from .linalg import (
     ComplexArray,
     hermiticity_residuals,
     outers,
-    phase_coincidences,
     read_only_copy,
     stacked,
 )
-from .steering import ConditionalStateSet, purity_requirement
+from .steering import ConditionalStateSet, _coincidences, purity_requirement
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,15 @@ def candidate_ensemble(
         raise PreconditionError(
             "a conditional state is mixed; supply an explicit candidate list instead"
         )
+    return _deduplicated(set1, set2, _coincidences(set1, set2, tol))
+
+
+def _deduplicated(
+    set1: ConditionalStateSet, set2: ConditionalStateSet, hits: np.ndarray
+) -> ComplexArray:
+    """|v><v| for each principal vector that ``_first_kept`` keeps under ``hits``."""
     vectors = np.concatenate([set1.principal_vectors, set2.principal_vectors])
-    return outers(vectors[_first_kept(phase_coincidences(vectors, tol))])
+    return outers(vectors[_first_kept(hits)])
 
 
 def fallback_candidates(
@@ -248,13 +254,29 @@ def problem_for(
     tolerance of both requirements, as in ``certify``; the evidence is the
     sets' own, computed once per set whichever stage asks first.
     """
+    hits = None
+    if candidates is None and purity_requirement(set1, set2, tol).ok:
+        hits = _coincidences(set1, set2, tol)
+    return _problem_for(set1, set2, candidates, hits)
+
+
+def _problem_for(
+    set1: ConditionalStateSet,
+    set2: ConditionalStateSet,
+    candidates: list[ComplexArray] | None,
+    hits: np.ndarray | None,
+) -> tuple[LpProblem, bool]:
+    """``problem_for`` from evidence already computed.
+
+    ``hits`` is the sets' coincidence matrix when every counted state is
+    pure under the caller's tolerance, and None otherwise; ``certify``
+    passes the one its verdict read.
+    """
     if candidates is not None:
         return build_lp(set1, set2, candidates), True
-    try:
-        pure = candidate_ensemble(set1, set2, tol)
-    except PreconditionError:
+    if hits is None:
         return build_lp(set1, set2, fallback_candidates(set1, set2)), True
-    return build_lp(set1, set2, pure), False
+    return build_lp(set1, set2, _deduplicated(set1, set2, hits)), False
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ with basis vectors u_a this is rho_a = W_a W_a^H, whose columns are the
 branches w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a).  The T x T Gram
 matrix G_a = W_a^H W_a has the same nonzero eigenvalues as rho_a, so the PSD
 test, the purity tr(G_a^2) / tr(G_a)^2 and the principal vector
-W_a g / ||W_a g|| (g the top eigenvector of G_a) are all read from it.  A
+W_a g / ||W_a g|| are all read from it, where g is G_a's top eigenvector:
+for a pure outcome the normalized G_a(G_a e_j), two products, and for any
+other one the top eigenvector from ``eigh``.  A
 density matrix is contracted for both settings in one banded pass: the two
 flattened projector stacks, stacked, multiply rho one band of Bob's rows at
 a time, so with two or more Bob qubits the pass builds no full-size array;
@@ -68,6 +70,14 @@ NO_PARADOX_CROSS_DUPLICATE = "NO_PARADOX_CROSS_DUPLICATE"
 
 DECOMPOSITION_GIVEN = "given"
 DECOMPOSITION_EIGEN = "eigen"
+
+
+def _two_products(stack: ComplexArray) -> ComplexArray:
+    """E(E e_j), normalized, for each E of a (K, d, d) stack; j indexes E's largest diagonal."""
+    j = stack.diagonal(axis1=1, axis2=2).real.argmax(axis=1)
+    column = stack[np.arange(len(stack)), :, j]
+    v = (stack @ column[..., None])[..., 0]
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def _has_cholesky(a: ComplexArray) -> bool:
@@ -149,11 +159,25 @@ class ConditionalStateSet:
     def principal_vectors(self) -> ComplexArray:
         """Unit, phase-fixed principal vectors of the counted states, one row each.
 
-        One ``eigh`` of the counted evidence stack; with branches, the vector
-        is W_a g / ||W_a g|| for g the top eigenvector of G_a.
+        E is the evidence matrix: the operator, or G_a with branches.  A
+        pure outcome, |purity - 1| < ``config.REQUIREMENT_TOL``, takes two
+        batched products: v = E(E e_j), normalized, with j the index of E's
+        largest diagonal entry.  This is accurate because a purity gap g
+        leaves all eigenvalues but the top one, lambda_1, about g / 2 of the
+        trace, so lambda_2 / lambda_1 <~ g / 2; and E_jj >= tr(E) / d gives
+        the top eigenvector v_1 an entry |v_1j|^2 >~ 1 / d.  The other
+        eigenvectors then make up about (lambda_2 / lambda_1)^2 sqrt(d)
+        <~ 1e-15 of v.  Only the other outcomes, mixed ones that a ``tol``
+        above the default lets through or a direct call on a mixed set, take
+        one batched ``eigh``, whose top eigenvector is their principal
+        vector.  With branches, the vector is W_a g / ||W_a g|| for g the
+        vector found for G_a.
         """
-        _, v = np.linalg.eigh(self._evidence_stack[self.counted])
-        top = v[..., -1]
+        stack = self._evidence_stack[self.counted]
+        top = _two_products(stack)
+        mixed = np.abs(self.purities - 1.0) >= config.REQUIREMENT_TOL
+        if mixed.any():
+            top[mixed] = np.linalg.eigh(stack[mixed])[1][..., -1]
         if self.branches is not None:
             top = (top[:, None] @ self.branches[self.counted])[:, 0]
             top = top / np.linalg.norm(top, axis=1)[:, None]
@@ -445,12 +469,19 @@ class DuplicateCheck:
     within_2: tuple[tuple[str, str], ...]
 
 
-def _duplicates(set1: ConditionalStateSet, set2: ConditionalStateSet, tol: float) -> DuplicateCheck:
+def _coincidences(set1: ConditionalStateSet, set2: ConditionalStateSet, tol: float) -> np.ndarray:
+    """``phase_coincidences`` of both sets' principal vectors, setting 1's rows first."""
+    return phase_coincidences(np.concatenate([set1.principal_vectors, set2.principal_vectors]), tol)
+
+
+def _duplicates(
+    set1: ConditionalStateSet, set2: ConditionalStateSet, hits: np.ndarray
+) -> DuplicateCheck:
+    """The duplicate report read from ``hits``, the sets' ``_coincidences``."""
     labels_1, labels_2 = (
         tuple(label for label, kept in zip(cs.outcomes, cs.counted) if kept) for cs in (set1, set2)
     )
     k1 = len(labels_1)
-    hits = phase_coincidences(np.concatenate([set1.principal_vectors, set2.principal_vectors]), tol)
 
     def pairs(block, labels_a, labels_b):
         return tuple((labels_a[i], labels_b[j]) for i, j in np.argwhere(block))
@@ -484,7 +515,7 @@ def measurement_requirement(
             "a conditional state is mixed; the coincidence check is only defined "
             "for pure conditional states"
         )
-    return _duplicates(set1, set2, tol)
+    return _duplicates(set1, set2, _coincidences(set1, set2, tol))
 
 
 @dataclass(frozen=True)
@@ -648,8 +679,10 @@ def _certify(
     """``certify``'s report, with the two sets it read and the program it built.
 
     The last item is ``lhs_lp.problem_for``'s (problem, relative) when ``lp``
-    or ``assemble`` is set, else None; only ``lp`` solves it.  The command
-    line dumps that program, so it is assembled once per run.
+    or ``assemble`` is set, else None; only ``lp`` solves it.  It is built
+    from the purity check and coincidence matrix the verdict read, so each
+    is computed once.  The command line dumps that program, so it is
+    assembled once per run.
     """
     if isinstance(state, EnsembleState):
         decomposition = DECOMPOSITION_GIVEN
@@ -664,10 +697,12 @@ def _certify(
 
     cross: tuple[tuple[str, str], ...] = ()
     within: tuple[tuple[int, str, str], ...] = ()
+    hits = None
     if not check.ok:
         verdict = NO_PARADOX_PURITY
     else:
-        dup = _duplicates(set1, set2, tol)
+        hits = _coincidences(set1, set2, tol)
+        dup = _duplicates(set1, set2, hits)
         cross = dup.cross
         within = tuple((1, a, b) for a, b in dup.within_1) + tuple(
             (2, a, b) for a, b in dup.within_2
@@ -679,7 +714,8 @@ def _certify(
     if lp or assemble:
         from . import lhs_lp
 
-        built = lhs_lp.problem_for(set1, set2, candidates, tol)
+        # the LP is built from the evidence the verdict read
+        built = lhs_lp._problem_for(set1, set2, candidates, hits)
         if lp:
             result = lhs_lp.solve_feasibility(built[0])
             lp_verdict, lp_residual = lhs_lp.verdict_label(result, built[1]), result.residual

@@ -198,7 +198,7 @@ class TestOnePass:
         """The dumped program is the one the report's LP verdict came from."""
         from steerlab import cli, lhs_lp, steering
 
-        calls = {"_unvalidated_states": 0, "problem_for": 0}
+        calls = {"_unvalidated_states": 0, "build_lp": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -210,11 +210,11 @@ class TestOnePass:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(steering, "_unvalidated_states")
-        counted(lhs_lp, "problem_for")
+        counted(lhs_lp, "build_lp")
         dump = tmp_path / "lp.json"
         assert cli.main(["check", "--state", files["lc4.json"], "--protocol", files["zzyx.json"],
                          "--lp", "--dump-lp", str(dump)]) == 0
-        assert calls == {"_unvalidated_states": 1, "problem_for": 1}
+        assert calls == {"_unvalidated_states": 1, "build_lp": 1}
         assert json.loads(dump.read_text())["relative"] is False
         assert "lhs-lp: infeasible" in capsys.readouterr().out
 

@@ -18,9 +18,11 @@ from conftest import (
     pairwise_duplicates,
     partial_trace,
     phase_equal,
+    principal_vector,
     random_protocol,
     reconstruct,
 )
+import steerlab.lhs_lp
 import steerlab.states
 import steerlab.steering
 from steerlab import (
@@ -61,7 +63,7 @@ from steerlab import (
     tensor_setting,
     two_qubit_theta_state,
 )
-from steerlab.linalg import purities
+from steerlab.linalg import purities, read_only_copy
 
 
 def count_phase_fixes(monkeypatch):
@@ -620,6 +622,96 @@ class TestBranchEvidence:
         assert conditional_states(density_of(state), protocol, 2).branches is None
 
 
+def near_pure_branches(rng, d, p, gap, terms=3):
+    """(terms, d) branches whose rho = sum_alpha w w^H has trace p and purity 1 - gap.
+
+    rho = p ((1 - e) |u><u| + e |w><w|) for orthonormal Haar u, w, with e
+    solving 2e - 2e^2 = gap; a Haar unitary on the branch index spreads the
+    two rows over all ``terms`` rows without changing rho.
+    """
+    e = (1.0 - np.sqrt(1.0 - 2.0 * gap)) / 2.0
+
+    def haar_columns(rows, cols):
+        z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(z)[0]
+
+    u, w = haar_columns(d, 2).T
+    rows = np.zeros((terms, d), dtype=complex)
+    rows[0], rows[1] = np.sqrt(p * (1.0 - e)) * u, np.sqrt(p * e) * w
+    return haar_columns(terms, terms) @ rows
+
+
+def branch_set(branches):
+    """A set whose evidence is the Gram stack of ``branches`` (K, T, d), as certify builds it."""
+    operators = branches.swapaxes(1, 2) @ branches.conj()
+    outcomes = tuple(str(a) for a in range(len(branches)))
+    d = branches.shape[-1]
+    cs = ConditionalStateSet(1, "s", d.bit_length() - 1, outcomes, operators)
+    object.__setattr__(cs, "branches", read_only_copy(branches))
+    return cs
+
+
+def count_eigh(monkeypatch):
+    """Record the shape of every ``np.linalg.eigh`` argument."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes
+
+
+PROBABILITIES = (1e-6, 1e-4, 1e-2, 1.0)
+
+
+class TestPurePrincipalVectors:
+    """Principal vectors of pure outcomes, from two products, against ``eigh``."""
+
+    @pytest.mark.parametrize("branches", [False, True])
+    @pytest.mark.parametrize("d", [2, 4, 32, 128])
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-10, 3e-9, 9e-9])
+    def test_matches_eigh(self, gap, d, branches, monkeypatch):
+        rng = np.random.default_rng([d, int(gap * 1e12), branches])
+        stack = np.array([near_pure_branches(rng, d, p, gap) for p in PROBABILITIES])
+        cs = branch_set(stack)
+        if not branches:
+            cs = operator_twin(cs)
+        np.testing.assert_allclose(cs.probabilities, PROBABILITIES, rtol=1e-12)
+        np.testing.assert_allclose(1.0 - cs.purities, gap, rtol=0, atol=1e-14)
+        want = np.array([principal_vector(op) for op in cs.operators])
+        calls = count_eigh(monkeypatch)
+        np.testing.assert_allclose(cs.principal_vectors, want, rtol=0, atol=1e-14)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_mixed_rows_take_eigh(self, d, monkeypatch):
+        # pure and mixed outcomes in one set: only the mixed ones, whose gap
+        # is at or above the tolerance, go to eigh, and they keep its bits
+        rng = np.random.default_rng(d)
+        gaps = (0.0, 2e-8, 3e-9, 0.3, 1e-12, 1e-6)
+        stack = np.array([near_pure_branches(rng, d, 0.5, g) for g in gaps])
+        cs = operator_twin(branch_set(stack))
+        mixed = np.abs(cs.purities - 1.0) >= config.REQUIREMENT_TOL
+        np.testing.assert_array_equal(mixed, [False, True, False, True, False, True])
+        want = np.array([principal_vector(op) for op in cs.operators])
+        calls = count_eigh(monkeypatch)
+        got = cs.principal_vectors
+        assert calls == [(3, d, d)]
+        np.testing.assert_array_equal(got[mixed], want[mixed])
+        np.testing.assert_allclose(got[~mixed], want[~mixed], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_paradox_density_makes_no_eigh(self, seed, monkeypatch):
+        state, protocol = evidence_instance("haar", seed)
+        rho = density_of(state)
+        calls = count_eigh(monkeypatch)
+        assert certify(rho, protocol).verdict == PARADOX
+        assert calls == []
+
+
 class TestCollapseDecomposition:
     def test_two_qubit_z_slots(self):
         theta = np.pi / 5
@@ -784,10 +876,12 @@ class TestOverlapMatrixDifferential:
             (1, a, b) for a, b in within_1
         ) + tuple((2, a, b) for a, b in within_2)
 
+        # the candidates come from the two-product principal vectors, the
+        # reference's from eigh: they agree to rounding, measured <= 1.0e-15
         got, want = candidate_ensemble(s1, s2), pairwise_candidates(s1, s2)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
 
 
 def bob_rotated(state, alice_qubits, rng):
@@ -948,6 +1042,26 @@ class TestCertify:
         report = certify(state, protocol, lp=lp)
         assert report.verdict == PARADOX
         assert computed == [2, 2]
+
+    def test_lp_reads_the_verdicts_evidence(self, monkeypatch):
+        # certify(lp=True) builds the program from the purity check and the
+        # coincidence matrix its verdict read: one call of each in total
+        calls = {"purity_requirement": 0, "phase_coincidences": 0}
+        for module in (steerlab.steering, steerlab.lhs_lp):
+            for name in calls:
+                if not hasattr(module, name):
+                    continue
+                original = getattr(module, name)
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+        state, protocol = lc4_mixed(0.6), tensor_protocol("zz", "yx", n_qubits=4)
+        report = certify(state, protocol, lp=True)
+        assert (report.verdict, report.lp_verdict) == (PARADOX, "infeasible")
+        assert calls == {"purity_requirement": 1, "phase_coincidences": 1}
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_staged_requirements_share_evidence(self, dense, monkeypatch):
