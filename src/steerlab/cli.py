@@ -137,12 +137,9 @@ def _write_lp(path: Path, problem: lhs_lp.LpProblem, relative: bool) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    report, _, _, built = _certify(
-        state, protocol, lp=args.lp, candidates=None, tol=args.tol,
-        assemble=args.dump_lp is not None,
-    )
+    report, evidence, built = _certify(state, protocol, args.lp, args.tol)
     if args.dump_lp is not None:
-        _write_lp(args.dump_lp, *built)
+        _write_lp(args.dump_lp, *(built or lhs_lp._problem(evidence)))
     _emit_report(report, args.fmt)
     return 0
 
@@ -203,16 +200,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_lhs(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    _, set1, set2, (problem, relative) = _certify(
-        state, protocol, lp=False, candidates=None, tol=args.tol, assemble=True
-    )
+    _, evidence, _ = _certify(state, protocol, False, args.tol)
+    problem, relative = lhs_lp._problem(evidence)
     if args.dump_lp is not None:
         _write_lp(args.dump_lp, problem, relative)
     result = lhs_lp.solve_feasibility(problem)
     verdict = lhs_lp.verdict_label(result, relative)
     residual = margin = None
     if result.feasible:
-        residual = lhs_lp.verify_model(result.model, set1, set2)
+        residual = lhs_lp.verify_model(result.model, evidence.set1, evidence.set2)
     else:
         margin = lhs_lp.verify_certificate(problem, result.certificate)
     if args.fmt == "json":

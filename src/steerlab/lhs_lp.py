@@ -37,7 +37,6 @@ from . import config
 from ._schema import complex_entry
 from .errors import (
     DimensionError,
-    PreconditionError,
     SolverLimitError,
     ValidationError,
 )
@@ -48,7 +47,7 @@ from .linalg import (
     read_only_copy,
     stacked,
 )
-from .steering import ConditionalStateSet, _coincidences, purity_requirement
+from .steering import ConditionalStateSet, _Evidence, _evidence
 
 
 @dataclass(frozen=True)
@@ -63,36 +62,6 @@ class LhsModel:
     member_states: ComplexArray = field(repr=False)  # (members, d_B, d_B)
     responses: tuple[np.ndarray, np.ndarray] = field(repr=False)
     outcome_labels: tuple[tuple[str, ...], tuple[str, ...]]
-
-
-def candidate_ensemble(
-    set1: ConditionalStateSet,
-    set2: ConditionalStateSet,
-    tol: float = config.REQUIREMENT_TOL,
-) -> ComplexArray:
-    """Deduplicated normalized conditional states across both settings, as one array.
-
-    Zero-probability outcomes contribute nothing.  Every surviving state must
-    be pure under ``tol`` (``purity_requirement``: PreconditionError when
-    not, ValidationError unless ``tol`` is positive); the general mode with a
-    caller supplied candidate list has no such restriction.  The sets'
-    ``principal_vectors`` are taken in outcome order, setting 1 first, and
-    one is kept unless 1 - |<u|v>| < ``tol`` for a vector u kept before it,
-    the one tolerance of both requirements in ``certify``.
-    """
-    if not purity_requirement(set1, set2, tol).ok:
-        raise PreconditionError(
-            "a conditional state is mixed; supply an explicit candidate list instead"
-        )
-    return _deduplicated(set1, set2, _coincidences(set1, set2, tol))
-
-
-def _deduplicated(
-    set1: ConditionalStateSet, set2: ConditionalStateSet, hits: np.ndarray
-) -> ComplexArray:
-    """|v><v| for each principal vector that ``_first_kept`` keeps under ``hits``."""
-    vectors = np.concatenate([set1.principal_vectors, set2.principal_vectors])
-    return outers(vectors[_first_kept(hits)])
 
 
 def fallback_candidates(
@@ -118,7 +87,11 @@ def fallback_candidates(
 
 
 def _first_kept(hits: np.ndarray) -> list[int]:
-    """Greedy deduplication: index i is kept unless it hits an index kept before it."""
+    """Greedy deduplication: index i is kept unless it hits an index kept before it.
+
+    ``hits`` need not be transitive (``phase_coincidences`` is not), so
+    which indices are kept depends on their order.
+    """
     kept: list[int] = []
     for i in range(len(hits)):
         if not hits[kept, i].any():
@@ -242,41 +215,33 @@ def build_lp(
 def problem_for(
     set1: ConditionalStateSet,
     set2: ConditionalStateSet,
-    candidates: list[ComplexArray] | None = None,
     tol: float = config.REQUIREMENT_TOL,
 ) -> tuple[LpProblem, bool]:
     """Build the program with the right candidate source.
 
     Returns (problem, relative): ``relative`` is False only when the
     candidates came from the pure-state completeness argument, in which case
-    an infeasible verdict rules out every hidden-state model.  Without
-    explicit candidates, ``tol`` decides purity and deduplication, the one
-    tolerance of both requirements, as in ``certify``; the evidence is the
-    sets' own, computed once per set whichever stage asks first.
+    an infeasible verdict rules out every hidden-state model.  ``tol``
+    decides purity and deduplication, the one tolerance of both requirements,
+    as in ``certify``; the evidence is the sets' own, computed once per set
+    whichever stage asks first.  Explicit candidates go to ``build_lp``.
     """
-    hits = None
-    if candidates is None and purity_requirement(set1, set2, tol).ok:
-        hits = _coincidences(set1, set2, tol)
-    return _problem_for(set1, set2, candidates, hits)
+    return _problem(_evidence(set1, set2, tol))
 
 
-def _problem_for(
-    set1: ConditionalStateSet,
-    set2: ConditionalStateSet,
-    candidates: list[ComplexArray] | None,
-    hits: np.ndarray | None,
-) -> tuple[LpProblem, bool]:
-    """``problem_for`` from evidence already computed.
+def _problem(evidence: _Evidence) -> tuple[LpProblem, bool]:
+    """``problem_for`` from evidence already computed, such as the verdict's.
 
-    ``hits`` is the sets' coincidence matrix when every counted state is
-    pure under the caller's tolerance, and None otherwise; ``certify``
-    passes the one its verdict read.
+    With a mixed counted state the candidates are ``fallback_candidates``
+    (relative).  Otherwise they are |v><v| for the principal vectors v that
+    ``_first_kept`` keeps under the coincidences, setting 1's first in
+    outcome order: one is kept unless 1 - |<u|v>| < ``tol`` for a u kept
+    before it.
     """
-    if candidates is not None:
-        return build_lp(set1, set2, candidates), True
-    if hits is None:
+    set1, set2 = evidence.set1, evidence.set2
+    if evidence.vectors is None:
         return build_lp(set1, set2, fallback_candidates(set1, set2)), True
-    return build_lp(set1, set2, _deduplicated(set1, set2, hits)), False
+    return build_lp(set1, set2, outers(evidence.vectors[_first_kept(evidence.hits)])), False
 
 
 @dataclass(frozen=True)
@@ -447,7 +412,6 @@ __all__ = [
     "LhsModel",
     "LpProblem",
     "build_lp",
-    "candidate_ensemble",
     "fallback_candidates",
     "problem_for",
     "solve_feasibility",

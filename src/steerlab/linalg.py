@@ -106,9 +106,6 @@ def phase_coincidences(
     matrix product for all pairs, so the rows need not be unit vectors; a
     zero row raises DegenerateInputError.  The relation is not transitive:
     u may coincide with v and v with w while u does not coincide with w.
-    So the greedy ``_first_kept`` behind ``lhs_lp.candidate_ensemble``
-    keeps a vector unless it coincides with one kept before it, and which
-    vectors it keeps depends on their order.
     """
     gram = rows.conj() @ rows.T
     norms = np.sqrt(gram.diagonal().real)

@@ -469,17 +469,39 @@ class DuplicateCheck:
     within_2: tuple[tuple[str, str], ...]
 
 
-def _coincidences(set1: ConditionalStateSet, set2: ConditionalStateSet, tol: float) -> np.ndarray:
-    """``phase_coincidences`` of both sets' principal vectors, setting 1's rows first."""
-    return phase_coincidences(np.concatenate([set1.principal_vectors, set2.principal_vectors]), tol)
+@dataclass(frozen=True)
+class _Evidence:
+    """What the verdict and the LP read from one pair of sets, computed once.
+
+    When every counted state is pure under the caller's ``tol``,
+    ``vectors`` stacks both sets' counted ``principal_vectors``, setting 1's
+    rows first, and ``hits`` is their ``phase_coincidences`` at that
+    ``tol``; otherwise both are None.  The duplicate report and the LP's
+    candidate list read the rows in this one order.
+    """
+
+    set1: ConditionalStateSet
+    set2: ConditionalStateSet
+    purity: PurityCheck
+    vectors: ComplexArray | None
+    hits: np.ndarray | None
 
 
-def _duplicates(
-    set1: ConditionalStateSet, set2: ConditionalStateSet, hits: np.ndarray
-) -> DuplicateCheck:
-    """The duplicate report read from ``hits``, the sets' ``_coincidences``."""
+def _evidence(set1: ConditionalStateSet, set2: ConditionalStateSet, tol: float) -> _Evidence:
+    """The pair's ``_Evidence``: the purity check, then the coincidences if it holds."""
+    purity = purity_requirement(set1, set2, tol)
+    if not purity.ok:
+        return _Evidence(set1, set2, purity, None, None)
+    vectors = np.concatenate([set1.principal_vectors, set2.principal_vectors])
+    return _Evidence(set1, set2, purity, vectors, phase_coincidences(vectors, tol))
+
+
+def _duplicates(evidence: _Evidence) -> DuplicateCheck:
+    """The duplicate report read from the coincidences of pure ``evidence``."""
+    hits = evidence.hits
     labels_1, labels_2 = (
-        tuple(label for label, kept in zip(cs.outcomes, cs.counted) if kept) for cs in (set1, set2)
+        tuple(label for label, kept in zip(cs.outcomes, cs.counted) if kept)
+        for cs in (evidence.set1, evidence.set2)
     )
     k1 = len(labels_1)
 
@@ -510,12 +532,13 @@ def measurement_requirement(
     setting 2; within-setting coincidences never block a paradox and are
     reported as context.
     """
-    if not purity_requirement(set1, set2, tol).ok:
+    evidence = _evidence(set1, set2, tol)
+    if evidence.hits is None:
         raise PreconditionError(
             "a conditional state is mixed; the coincidence check is only defined "
             "for pure conditional states"
         )
-    return _duplicates(set1, set2, _coincidences(set1, set2, tol))
+    return _duplicates(evidence)
 
 
 @dataclass(frozen=True)
@@ -652,7 +675,6 @@ def certify(
     state: EnsembleState | DensityMatrix,
     protocol: SteeringProtocol,
     lp: bool = False,
-    candidates: list[ComplexArray] | None = None,
     tol: float = config.REQUIREMENT_TOL,
 ) -> ParadoxReport:
     """Run both requirement checks and classify the state-protocol pair.
@@ -661,28 +683,27 @@ def certify(
     state is pure and no cross-setting coincidence exists; the 2-vs-1 trace
     ledger is then forced.  With ``lp=True`` the independent LHS feasibility
     oracle (lhs_lp, nonnegative least squares) adds its verdict and residual,
-    or raises SolverLimitError; an explicit candidate list switches it to the
-    relative mode.  ``tol`` decides both requirements and the LP's candidate
-    deduplication; it must be positive.
+    or raises SolverLimitError; its program is ``lhs_lp.problem_for``'s, whose
+    candidates are the pure conditional states, or the relative-mode
+    ``fallback_candidates`` when one is mixed.  ``tol`` decides both
+    requirements and the LP's candidate deduplication; it must be positive.
     """
-    return _certify(state, protocol, lp, candidates, tol)[0]
+    return _certify(state, protocol, lp, tol)[0]
 
 
 def _certify(
     state: EnsembleState | DensityMatrix,
     protocol: SteeringProtocol,
     lp: bool,
-    candidates: list[ComplexArray] | None,
     tol: float,
-    assemble: bool = False,
-) -> tuple[ParadoxReport, ConditionalStateSet, ConditionalStateSet, tuple[LpProblem, bool] | None]:
-    """``certify``'s report, with the two sets it read and the program it built.
+) -> tuple[ParadoxReport, _Evidence, tuple[LpProblem, bool] | None]:
+    """``certify``'s report, with the evidence it read and the program it solved.
 
     The last item is ``lhs_lp.problem_for``'s (problem, relative) when ``lp``
-    or ``assemble`` is set, else None; only ``lp`` solves it.  It is built
-    from the purity check and coincidence matrix the verdict read, so each
-    is computed once.  The command line dumps that program, so it is
-    assembled once per run.
+    is set, else None.  The program is built from the evidence the verdict
+    read, so the purity check and the coincidence matrix are computed once;
+    a caller that needs the program without solving it builds it with
+    ``lhs_lp._problem`` from the same evidence.
     """
     if isinstance(state, EnsembleState):
         decomposition = DECOMPOSITION_GIVEN
@@ -693,16 +714,14 @@ def _certify(
     # both sets from one contraction, validated against one marginal
     set1, set2 = _validated_states(state, protocol, (1, 2))
     quantum = float(np.sum(set1.probabilities) + np.sum(set2.probabilities))
-    check = purity_requirement(set1, set2, tol)
+    evidence = _evidence(set1, set2, tol)
 
     cross: tuple[tuple[str, str], ...] = ()
     within: tuple[tuple[int, str, str], ...] = ()
-    hits = None
-    if not check.ok:
+    if evidence.hits is None:
         verdict = NO_PARADOX_PURITY
     else:
-        hits = _coincidences(set1, set2, tol)
-        dup = _duplicates(set1, set2, hits)
+        dup = _duplicates(evidence)
         cross = dup.cross
         within = tuple((1, a, b) for a, b in dup.within_1) + tuple(
             (2, a, b) for a, b in dup.within_2
@@ -711,18 +730,16 @@ def _certify(
 
     built = None
     lp_verdict = lp_residual = None
-    if lp or assemble:
+    if lp:
         from . import lhs_lp
 
-        # the LP is built from the evidence the verdict read
-        built = lhs_lp._problem_for(set1, set2, candidates, hits)
-        if lp:
-            result = lhs_lp.solve_feasibility(built[0])
-            lp_verdict, lp_residual = lhs_lp.verdict_label(result, built[1]), result.residual
+        built = lhs_lp._problem(evidence)
+        result = lhs_lp.solve_feasibility(built[0])
+        lp_verdict, lp_residual = lhs_lp.verdict_label(result, built[1]), result.residual
     report = ParadoxReport(
         verdict=verdict,
         quantum_trace_sum=quantum,
-        per_outcome=check.records,
+        per_outcome=evidence.purity.records,
         cross_setting_duplicates=cross,
         within_setting_duplicates=within,
         decomposition_used=decomposition,
@@ -730,7 +747,7 @@ def _certify(
         lp_verdict=lp_verdict,
         lp_residual=lp_residual,
     )
-    return report, set1, set2, built
+    return report, evidence, built
 
 
 __all__ = [

@@ -12,6 +12,7 @@ import pytest
 from steerlab import (
     BellLikeBasis,
     EnsembleState,
+    MeasurementSetting,
     SteeringProtocol,
     random_rank1_setting,
     settings_equal,
@@ -443,6 +444,35 @@ def random_protocol(m_qubits, seed):
     while settings_equal(s1, s2):
         s2 = random_rank1_setting(m_qubits, rng, label="s2")
     return SteeringProtocol(alice_qubits=m_qubits, setting_1=s1, setting_2=s2)
+
+
+def partial_duplicate_instance(shared, seed):
+    """psi = sum_a c_a u_a (x) v_a on n = 4, M = 2, with Haar c, u_a and v_a, and its protocol.
+
+    Setting 1 measures {u_a}; setting 2 keeps the first ``shared`` of the u_a
+    and Haar-rotates the rest within their span.  Every conditional state is
+    pure, and setting 2's first ``shared`` outcomes repeat setting 1's, so
+    ``shared`` > 0 gives a cross duplicate whose LP is still infeasible.
+    """
+    rng = np.random.default_rng([seed, 23])
+
+    def haar(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    c = haar(4)
+    c /= np.linalg.norm(c)
+    u, _ = np.linalg.qr(haar((4, 4)))
+    u = u.T  # rows u_a
+    v = haar((4, 4))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    psi = sum(c[a] * np.kron(u[a], v[a]) for a in range(4))
+    rotation, _ = np.linalg.qr(haar((4 - shared, 4 - shared)))
+    u2 = np.concatenate([u[:shared], rotation @ u[shared:]])
+    outcomes = ("00", "01", "10", "11")
+    s1 = MeasurementSetting("u", 2, outcomes, vectors=u)
+    s2 = MeasurementSetting("u-rotated", 2, outcomes, vectors=u2)
+    state = EnsembleState(4, (1.0,), (psi / np.linalg.norm(psi),))
+    return state, SteeringProtocol(alice_qubits=2, setting_1=s1, setting_2=s2)
 
 
 @pytest.fixture

@@ -194,29 +194,51 @@ class TestAmplitudeInput:
 
 
 class TestOnePass:
-    def test_check_lp_dump_lp_assembles_once(self, files, tmp_path, monkeypatch, capsys):
-        """The dumped program is the one the report's LP verdict came from."""
-        from steerlab import cli, lhs_lp, steering
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the contraction, the assembly and the solve during one run."""
+        from steerlab import lhs_lp, steering
 
-        calls = {"_unvalidated_states": 0, "build_lp": 0}
-
-        def counted(module, name):
+        calls = {"_unvalidated_states": 0, "build_lp": 0, "solve_feasibility": 0}
+        for module, name in ((steering, "_unvalidated_states"), (lhs_lp, "build_lp"),
+                             (lhs_lp, "solve_feasibility")):
             original = getattr(module, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
+        return calls
 
-        counted(steering, "_unvalidated_states")
-        counted(lhs_lp, "build_lp")
+    def test_check_lp_dump_lp_assembles_once(self, files, tmp_path, calls, capsys):
+        """The dumped program is the one the report's LP verdict came from."""
+        from steerlab import cli
+
         dump = tmp_path / "lp.json"
         assert cli.main(["check", "--state", files["lc4.json"], "--protocol", files["zzyx.json"],
                          "--lp", "--dump-lp", str(dump)]) == 0
-        assert calls == {"_unvalidated_states": 1, "build_lp": 1}
+        assert calls == {"_unvalidated_states": 1, "build_lp": 1, "solve_feasibility": 1}
         assert json.loads(dump.read_text())["relative"] is False
         assert "lhs-lp: infeasible" in capsys.readouterr().out
+
+    def test_check_dump_lp_without_lp_solves_nothing(self, files, tmp_path, calls):
+        """Without --lp the program is assembled once, not solved, and dumped unchanged."""
+        from steerlab import cli
+
+        pair = ["--state", files["lc4.json"], "--protocol", files["zzyx.json"]]
+        alone, solved = tmp_path / "alone.json", tmp_path / "solved.json"
+        assert cli.main(["check", *pair, "--dump-lp", str(alone)]) == 0
+        assert calls == {"_unvalidated_states": 1, "build_lp": 1, "solve_feasibility": 0}
+        assert cli.main(["check", *pair, "--lp", "--dump-lp", str(solved)]) == 0
+        assert alone.read_bytes() == solved.read_bytes()
+
+    def test_lhs_dump_lp_assembles_once(self, files, tmp_path, calls):
+        from steerlab import cli
+
+        assert cli.main(["lhs", "--state", files["lc4.json"], "--protocol", files["zzyx.json"],
+                         "--dump-lp", str(tmp_path / "lp.json")]) == 0
+        assert calls == {"_unvalidated_states": 1, "build_lp": 1, "solve_feasibility": 1}
 
 
 class TestEmptyBob:

@@ -89,3 +89,63 @@ def test_module_functions_have_callers():
         if name not in steerlab.__all__ and name not in named
     ]
     assert sorted(uncalled) == []
+
+
+# defaults no call outside the tests sets, each with its reason
+UNSET_DEFAULTS_ALLOWED = {
+    # public stages that take certify's one documented tolerance
+    "lhs_lp.problem_for(tol)",
+    "steering.measurement_requirement(tol)",
+    # the console entry point reads sys.argv when called without arguments
+    "cli.main(argv)",
+}
+
+
+def _parameters_set(calls, positional):
+    """Names the calls set, by keyword or by position in the order ``positional``.
+
+    A call that unpacks ``*args`` or ``**kwargs`` may set any parameter: None.
+    """
+    found = set()
+    for call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            return None
+        found.update(positional[: len(call.args)])
+        found.update(k.arg for k in call.keywords)
+    return found
+
+
+def test_defaults_have_setters():
+    """Every default parameter of a module-level function is set by some call.
+
+    A call sets a parameter by keyword or by position; calls are matched to
+    the function by name, as in ``test_module_functions_have_callers``.  The
+    calls are read from the package, ``scripts/`` and ``bench/``; tests do
+    not count, so a default only tests override is an option no caller uses.
+    """
+    package = Path(steerlab.__file__).parent
+    root = package.parents[1]
+    calls = {}
+    for path in [*package.glob("*.py"), *(root / "scripts").glob("*.py"),
+                 *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            found = _parameters_set(calls.get(node.name, []), positional)
+            if found is not None:
+                unset += [f"{path.stem}.{node.name}({p})" for p in defaulted if p not in found]
+    assert sorted(unset) == sorted(UNSET_DEFAULTS_ALLOWED)

@@ -22,12 +22,10 @@ from steerlab import (
     ConditionalStateSet,
     EnsembleState,
     LhsModel,
-    PreconditionError,
     SolverLimitError,
     SteeringProtocol,
     basis_ket,
     build_lp,
-    candidate_ensemble,
     conditional_states,
     density_of,
     fallback_candidates,
@@ -65,30 +63,30 @@ def two_qubit_sets(theta=np.pi / 4):
 class TestCandidates:
     def test_two_qubit_candidate_count(self):
         s1, s2 = two_qubit_sets()
-        assert len(candidate_ensemble(s1, s2)) == 4
+        assert len(problem_for(s1, s2)[0].candidates) == 4
 
     def test_product_single_candidate(self):
         ens = EnsembleState(2, (1.0,), (basis_ket(2, 0),))
         s1, s2 = sets_for(ens, tensor_protocol("z", "x", n_qubits=2))
-        assert len(candidate_ensemble(s1, s2)) == 1
+        assert len(problem_for(s1, s2)[0].candidates) == 1
 
     def test_lc4_candidate_count(self):
         s1, s2 = sets_for(lc4_mixed(np.pi / 4), tensor_protocol("zz", "yx", n_qubits=4))
-        assert len(candidate_ensemble(s1, s2)) == 4
+        assert len(problem_for(s1, s2)[0].candidates) == 4
 
     def test_candidates_are_projectors(self):
         s1, s2 = two_qubit_sets(np.pi / 6)
-        for c in candidate_ensemble(s1, s2):
+        for c in problem_for(s1, s2)[0].candidates:
             np.testing.assert_allclose(c @ c, c, atol=1e-10)
             np.testing.assert_allclose(np.trace(c), 1.0, atol=1e-10)
 
     def test_mixed_conditionals_rejected(self):
+        # mixed conditionals leave the pure-state list for the fallback one
         mix = EnsembleState(2, (0.5, 0.5), (basis_ket(2, 0), basis_ket(2, 3)))
         s1, s2 = sets_for(mix, tensor_protocol("z", "x", n_qubits=2))
-        with pytest.raises(PreconditionError):
-            candidate_ensemble(s1, s2)
         fallback = fallback_candidates(s1, s2)
         assert len(fallback) >= 2
+        assert problem_for(s1, s2)[0].candidates.tobytes() == fallback.tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fallback_matches_loop_reference(self, seed):
@@ -132,7 +130,7 @@ class TestCandidates:
 class TestProblemAssembly:
     def test_variable_layout(self):
         s1, s2 = two_qubit_sets()
-        problem = build_lp(s1, s2, candidate_ensemble(s1, s2))
+        problem, _ = problem_for(s1, s2)
         assert problem.n_members == 4
         assert problem.n_variables == 4 * (2 + 2) + 4 == 20
         # matching rows: 2 settings x 2 outcomes x (2x2 entries x re/im)
@@ -196,7 +194,7 @@ class TestProblemAssembly:
         s1, s2 = sets_for(
             EnsembleState(2, (1.0,), (basis_ket(2, 0),)), tensor_protocol("z", "x", n_qubits=2)
         )
-        source = np.array(candidate_ensemble(s1, s2))
+        source = np.array(problem_for(s1, s2)[0].candidates)
         problem = build_lp(s1, s2, source)
         model = solve_feasibility(problem).model
         kept = problem.candidates.tobytes()

@@ -16,6 +16,7 @@ from conftest import (
     outer,
     pairwise_candidates,
     pairwise_duplicates,
+    partial_duplicate_instance,
     partial_trace,
     phase_equal,
     principal_vector,
@@ -42,7 +43,7 @@ from steerlab import (
     basis_ket,
     bell_like_setting,
     bob_marginal,
-    candidate_ensemble,
+    build_lp,
     certify,
     collapse_decomposition,
     computational_family,
@@ -243,7 +244,7 @@ class TestConditionalStates:
 
     def test_non_hermitian_set_reaches_no_stage(self):
         # a set that purity_requirement, measurement_requirement and
-        # candidate_ensemble would read without an error: construction,
+        # problem_for would read without an error: construction,
         # the only way to a set, refuses it
         ops = np.array([[[0.5, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]], dtype=complex)
         with pytest.raises(ValidationError, match="'0' is not Hermitian"):
@@ -878,7 +879,7 @@ class TestOverlapMatrixDifferential:
 
         # the candidates come from the two-product principal vectors, the
         # reference's from eigh: they agree to rounding, measured <= 1.0e-15
-        got, want = candidate_ensemble(s1, s2), pairwise_candidates(s1, s2)
+        got, want = problem_for(s1, s2)[0].candidates, pairwise_candidates(s1, s2)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
@@ -1002,9 +1003,10 @@ class TestCertify:
 
     def test_lp_relative_candidates(self):
         state, _, protocol = two_qubit_setup(np.pi / 4)
+        s1, s2 = (conditional_states(state, protocol, k) for k in (1, 2))
         wrong = (np.diag([1.0, 0.0]).astype(complex),)
-        report = certify(state, protocol, lp=True, candidates=wrong)
-        assert report.lp_verdict == "infeasible-relative-to-candidates"
+        result = steerlab.lhs_lp.solve_feasibility(build_lp(s1, s2, wrong))
+        assert steerlab.lhs_lp.verdict_label(result, True) == "infeasible-relative-to-candidates"
 
     def test_lp_uses_callers_purity_tolerance(self):
         # setting 1's outcome 0 has purity 1 - 4e-8: pure at tol=1e-6, so the
@@ -1023,7 +1025,7 @@ class TestCertify:
             certify(state, protocol, tol=tol)
         sets = [conditional_states(state, protocol, which) for which in (1, 2)]
         with pytest.raises(ValidationError, match="tolerance"):
-            candidate_ensemble(*sets, tol)
+            problem_for(*sets, tol)
         with pytest.raises(ValidationError, match="tolerance"):
             problem_for(*sets, tol=tol)
 
@@ -1062,6 +1064,27 @@ class TestCertify:
         report = certify(state, protocol, lp=True)
         assert (report.verdict, report.lp_verdict) == (PARADOX, "infeasible")
         assert calls == {"purity_requirement": 1, "phase_coincidences": 1}
+
+    @pytest.mark.parametrize("tol", [config.REQUIREMENT_TOL, 1e-6])
+    @pytest.mark.parametrize("case", ["haar", "product", "partial-duplicate", "rank2"])
+    def test_problem_for_is_certifys_program(self, case, tol):
+        # the public stage and certify(lp=True) build one program, bit for bit
+        if case == "haar":
+            state, protocol = EnsembleState(4, (1.0,), (random_pure(4, 3),)), random_protocol(2, 3)
+        elif case == "product":
+            state = EnsembleState(2, (1.0,), (basis_ket(2, 0),))
+            protocol = tensor_protocol("z", "x", n_qubits=2)
+        elif case == "partial-duplicate":
+            state, protocol = partial_duplicate_instance(1, 0)
+        else:
+            state, protocol = random_mixed(4, 2, 3), random_protocol(2, 3)
+        _, _, (problem, relative) = steerlab.steering._certify(state, protocol, True, tol)
+        want, want_relative = problem_for(
+            conditional_states(state, protocol, 1), conditional_states(state, protocol, 2), tol
+        )
+        assert relative is want_relative is (case == "rank2")
+        for name in ("a_eq", "b_eq", "candidates"):
+            assert getattr(problem, name).tobytes() == getattr(want, name).tobytes()
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_staged_requirements_share_evidence(self, dense, monkeypatch):
