@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -9,6 +10,23 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import ComplexArray
+
+
+def parse_json(doc: str | Mapping, path: str) -> Any:
+    """``doc`` parsed when it is JSON text, else ``doc`` itself."""
+    if not isinstance(doc, str):
+        return doc
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", path) from None
+
+
+def required(mapping: Mapping, key: str, path: str) -> Any:
+    """``mapping[key]``; a missing key is a ParseError at ``path``."""
+    if key not in mapping:
+        raise ParseError("missing required key", path)
+    return mapping[key]
 
 
 def expect_mapping(node: Any, path: str) -> Mapping:

@@ -41,6 +41,7 @@ from .steering import (
     PARADOX,
     ParadoxReport,
     _certify,
+    _Evidence,
     certify,
 )
 
@@ -129,17 +130,23 @@ def _load_pair(
     return load_state(args.state.read_text()), load_protocol(args.protocol.read_text())
 
 
-def _write_lp(path: Path, problem: lhs_lp.LpProblem, relative: bool) -> None:
-    doc = problem.to_json_dict()
-    doc["relative"] = relative
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _program(evidence: _Evidence, dump: Path | None) -> tuple[lhs_lp.LpProblem, bool]:
+    """The pair's (problem, relative), written to ``dump`` before anything solves it."""
+    problem, relative = lhs_lp._problem(evidence)
+    if dump is not None:
+        doc = problem.to_json_dict()
+        doc["relative"] = relative
+        dump.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return problem, relative
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    report, evidence, built = _certify(state, protocol, args.lp, args.tol)
-    if args.dump_lp is not None:
-        _write_lp(args.dump_lp, *(built or lhs_lp._problem(evidence)))
+    report, evidence = _certify(state, protocol, args.tol)
+    if args.lp or args.dump_lp is not None:
+        problem, relative = _program(evidence, args.dump_lp)
+        if args.lp:
+            report = lhs_lp._judged(report, problem, relative)
     _emit_report(report, args.fmt)
     return 0
 
@@ -200,10 +207,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_lhs(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    _, evidence, _ = _certify(state, protocol, False, args.tol)
-    problem, relative = lhs_lp._problem(evidence)
-    if args.dump_lp is not None:
-        _write_lp(args.dump_lp, problem, relative)
+    evidence = _certify(state, protocol, args.tol)[1]
+    problem, relative = _program(evidence, args.dump_lp)
     result = lhs_lp.solve_feasibility(problem)
     verdict = lhs_lp.verdict_label(result, relative)
     residual = margin = None

@@ -29,7 +29,7 @@ margin, and anything else raises SolverLimitError.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .linalg import (
     read_only_copy,
     stacked,
 )
-from .steering import ConditionalStateSet, _Evidence, _evidence
+from .steering import ConditionalStateSet, ParadoxReport, _Evidence, _evidence
 
 
 @dataclass(frozen=True)
@@ -382,6 +382,16 @@ def verdict_label(result: FeasibilityResult, relative: bool) -> str:
     if result.feasible:
         return "feasible"
     return "infeasible-relative-to-candidates" if relative else "infeasible"
+
+
+def _judged(report: ParadoxReport, problem: LpProblem, relative: bool) -> ParadoxReport:
+    """``report`` with the LP verdict and residual of ``problem``, solved once.
+
+    The one place an LP answer enters a report; SolverLimitError passes
+    through when the solver decides nothing.
+    """
+    result = solve_feasibility(problem)
+    return replace(report, lp_verdict=verdict_label(result, relative), lp_residual=result.residual)
 
 
 def verify_model(

@@ -9,7 +9,6 @@ basis vectors.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -23,7 +22,9 @@ from ._schema import (
     expect_list,
     expect_mapping,
     expect_number,
+    parse_json,
     parse_vector,
+    required,
 )
 from .errors import (
     DimensionError,
@@ -380,12 +381,7 @@ def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
         {"type": "bell_like", "beta": 0.5,
          "phi_family": "computational" | [[[re, im], ...], ...]}
     """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path) from None
-    root = expect_mapping(doc, path or "measurement")
+    root = expect_mapping(parse_json(doc, path), path or "measurement")
     kind = root.get("type")
     prefix = f"{path}." if path else ""
     if kind == "tensor_pauli":
@@ -409,9 +405,7 @@ def load_measurement(doc: str | Mapping, path: str = "") -> MeasurementSetting:
         except ValidationError as exc:
             raise ParseError(str(exc), f"{prefix}vectors") from None
     if kind == "bell_like":
-        if "beta" not in root:
-            raise ParseError("missing required key", f"{prefix}beta")
-        beta = expect_number(root["beta"], f"{prefix}beta")
+        beta = expect_number(required(root, "beta", f"{prefix}beta"), f"{prefix}beta")
         family = root.get("phi_family", "computational")
         if family == "computational":
             m = root.get("m_qubits", 1)
@@ -464,21 +458,11 @@ def load_protocol(doc: str | Mapping) -> SteeringProtocol:
 
         {"alice_qubits": M, "setting_1": <measurement>, "setting_2": <measurement>}
     """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-    root = expect_mapping(doc, "")
-    if "alice_qubits" not in root:
-        raise ParseError("missing required key", "alice_qubits")
-    m = expect_int(root["alice_qubits"], "alice_qubits")
-    settings = []
-    for key in ("setting_1", "setting_2"):
-        if key not in root:
-            raise ParseError("missing required key", key)
-        settings.append(load_measurement(root[key], key))
-    for key, s in zip(("setting_1", "setting_2"), settings):
+    root = expect_mapping(parse_json(doc, ""), "")
+    m = expect_int(required(root, "alice_qubits", "alice_qubits"), "alice_qubits")
+    keys = ("setting_1", "setting_2")
+    settings = [load_measurement(required(root, key, key), key) for key in keys]
+    for key, s in zip(keys, settings):
         if s.m_qubits != m:
             raise ParseError(
                 f"setting acts on {s.m_qubits} qubits but alice_qubits is {m}", key

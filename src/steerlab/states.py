@@ -8,7 +8,6 @@ factor.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -23,7 +22,9 @@ from ._schema import (
     expect_mapping,
     expect_number,
     parse_matrix,
+    parse_json,
     parse_vector,
+    required,
 )
 from .errors import DimensionError, ParseError, ValidationError
 from .linalg import (
@@ -326,20 +327,11 @@ def load_state(doc: str | Mapping) -> EnsembleState | DensityMatrix:
     state node.  Schema problems raise ParseError with the offending path;
     well-formed documents that break a state invariant raise ValidationError.
     """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-    root = expect_mapping(doc, "")
-    if "n_qubits" not in root:
-        raise ParseError("missing required key", "n_qubits")
-    n = expect_int(root["n_qubits"], "n_qubits")
+    root = expect_mapping(parse_json(doc, ""), "")
+    n = expect_int(required(root, "n_qubits", "n_qubits"), "n_qubits")
     if n < 1:
         raise ParseError(f"n_qubits must be positive, got {n}", "n_qubits")
-    if "state" not in root:
-        raise ParseError("missing required key", "state")
-    state = expect_mapping(root["state"], "state")
+    state = expect_mapping(required(root, "state", "state"), "state")
     kind = state.get("type")
     dim = 2**n
     if kind == "ensemble":
@@ -351,12 +343,9 @@ def load_state(doc: str | Mapping) -> EnsembleState | DensityMatrix:
         for i, term in enumerate(terms):
             tpath = f"state.terms[{i}]"
             tmap = expect_mapping(term, tpath)
-            if "weight" not in tmap:
-                raise ParseError("missing required key", f"{tpath}.weight")
-            weights.append(expect_number(tmap["weight"], f"{tpath}.weight"))
-            if "vector" not in tmap:
-                raise ParseError("missing required key", f"{tpath}.vector")
-            vec = parse_vector(tmap["vector"], f"{tpath}.vector")
+            weight = required(tmap, "weight", f"{tpath}.weight")
+            weights.append(expect_number(weight, f"{tpath}.weight"))
+            vec = parse_vector(required(tmap, "vector", f"{tpath}.vector"), f"{tpath}.vector")
             if vec.shape[0] != dim:
                 raise ParseError(
                     f"vector has {vec.shape[0]} amplitudes, expected {dim}", f"{tpath}.vector"
@@ -364,9 +353,7 @@ def load_state(doc: str | Mapping) -> EnsembleState | DensityMatrix:
             vectors.append(vec)
         return EnsembleState(n, tuple(weights), tuple(vectors))
     if kind == "density":
-        if "matrix" not in state:
-            raise ParseError("missing required key", "state.matrix")
-        m = parse_matrix(state["matrix"], "state.matrix")
+        m = parse_matrix(required(state, "matrix", "state.matrix"), "state.matrix")
         if m.shape != (dim, dim):
             raise ParseError(f"matrix has shape {m.shape}, expected {(dim, dim)}", "state.matrix")
         return DensityMatrix(n, m)

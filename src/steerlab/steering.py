@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,9 +59,6 @@ from .linalg import (
 from .linalg import purities as stack_purities
 from .measurements import MeasurementSetting, SteeringProtocol, same_family
 from .states import DensityMatrix, EnsembleState
-
-if TYPE_CHECKING:
-    from .lhs_lp import LpProblem
 
 PARADOX = "PARADOX"
 NO_PARADOX_PURITY = "NO_PARADOX_PURITY"
@@ -572,7 +568,11 @@ class ParadoxReport:
 
     ``lhs_trace_sum``, ``excluded_outcomes`` and ``ambiguous_duplicates``
     are read from the verdict, the per-outcome records and the duplicate
-    pairs, so they cannot disagree with them.
+    pairs, so they cannot disagree with them.  ``decomposition_used`` names
+    the input kind, ``"given"`` for an ensemble and ``"eigen"`` for a density
+    matrix; ``certify`` never eigen-decomposes the input, and on a PARADOX
+    density input runs no eigen decomposition at all.  ``lp_verdict`` and
+    ``lp_residual`` are set only by the LP stage that follows the verdict.
     """
 
     verdict: str
@@ -682,28 +682,30 @@ def certify(
     The verdict is PARADOX exactly when every nonzero-probability conditional
     state is pure and no cross-setting coincidence exists; the 2-vs-1 trace
     ledger is then forced.  With ``lp=True`` the independent LHS feasibility
-    oracle (lhs_lp, nonnegative least squares) adds its verdict and residual,
-    or raises SolverLimitError; its program is ``lhs_lp.problem_for``'s, whose
+    oracle (lhs_lp, nonnegative least squares) then checks the verdict,
+    adding its verdict and residual or raising SolverLimitError; its program
+    is ``lhs_lp.problem_for``'s, built from the verdict's evidence, whose
     candidates are the pure conditional states, or the relative-mode
     ``fallback_candidates`` when one is mixed.  ``tol`` decides both
     requirements and the LP's candidate deduplication; it must be positive.
     """
-    return _certify(state, protocol, lp, tol)[0]
+    report, evidence = _certify(state, protocol, tol)
+    if not lp:
+        return report
+    from . import lhs_lp
+
+    return lhs_lp._judged(report, *lhs_lp._problem(evidence))
 
 
 def _certify(
     state: EnsembleState | DensityMatrix,
     protocol: SteeringProtocol,
-    lp: bool,
     tol: float,
-) -> tuple[ParadoxReport, _Evidence, tuple[LpProblem, bool] | None]:
-    """``certify``'s report, with the evidence it read and the program it solved.
+) -> tuple[ParadoxReport, _Evidence]:
+    """The verdict's report, without an LP answer, and the evidence it read.
 
-    The last item is ``lhs_lp.problem_for``'s (problem, relative) when ``lp``
-    is set, else None.  The program is built from the evidence the verdict
-    read, so the purity check and the coincidence matrix are computed once;
-    a caller that needs the program without solving it builds it with
-    ``lhs_lp._problem`` from the same evidence.
+    ``lhs_lp._problem`` builds the LP stage's program from that evidence, so
+    the purity check and the coincidence matrix are computed once per run.
     """
     if isinstance(state, EnsembleState):
         decomposition = DECOMPOSITION_GIVEN
@@ -727,16 +729,7 @@ def _certify(
             (2, a, b) for a, b in dup.within_2
         )
         verdict = PARADOX if dup.ok else NO_PARADOX_CROSS_DUPLICATE
-
-    built = None
-    lp_verdict = lp_residual = None
-    if lp:
-        from . import lhs_lp
-
-        built = lhs_lp._problem(evidence)
-        result = lhs_lp.solve_feasibility(built[0])
-        lp_verdict, lp_residual = lhs_lp.verdict_label(result, built[1]), result.residual
-    report = ParadoxReport(
+    return ParadoxReport(
         verdict=verdict,
         quantum_trace_sum=quantum,
         per_outcome=evidence.purity.records,
@@ -744,10 +737,7 @@ def _certify(
         within_setting_duplicates=within,
         decomposition_used=decomposition,
         setting_labels=(set1.setting_label, set2.setting_label),
-        lp_verdict=lp_verdict,
-        lp_residual=lp_residual,
-    )
-    return report, evidence, built
+    ), evidence
 
 
 __all__ = [

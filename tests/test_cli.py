@@ -241,6 +241,32 @@ class TestOnePass:
         assert calls == {"_unvalidated_states": 1, "build_lp": 1, "solve_feasibility": 1}
 
 
+class TestSolverGivesUp:
+    @pytest.mark.parametrize("command", ["check", "lhs", "demo"])
+    def test_exit_3_keeps_the_dump(self, files, tmp_path, command, monkeypatch, capsys):
+        """A solver that decides nothing exits 3; the program was dumped before the solve."""
+        from steerlab import SolverLimitError, cli, lhs_lp
+
+        pair = ["--state", files["lc4.json"], "--protocol", files["zzyx.json"]]
+        argv = {"check": ["check", *pair, "--lp"], "lhs": ["lhs", *pair],
+                "demo": ["demo", "lc4", "--lp"]}[command]
+        dumps = command != "demo"
+        if dumps:
+            assert cli.main([*argv, "--dump-lp", str(tmp_path / "decided.json")]) == 0
+            argv += ["--dump-lp", str(tmp_path / "undecided.json")]
+        capsys.readouterr()
+
+        def give_up(problem, max_iter=None):
+            raise SolverLimitError("NNLS gave up")
+
+        monkeypatch.setattr(lhs_lp, "solve_feasibility", give_up)
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", "error: NNLS gave up\n")
+        if dumps:
+            decided = (tmp_path / "decided.json").read_bytes()
+            assert (tmp_path / "undecided.json").read_bytes() == decided
+
+
 class TestEmptyBob:
     @pytest.mark.parametrize("command", ["check", "lhs", "sweep"])
     def test_alice_covering_the_state_exit_2(self, files, command, capsys):

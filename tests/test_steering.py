@@ -1067,8 +1067,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("tol", [config.REQUIREMENT_TOL, 1e-6])
     @pytest.mark.parametrize("case", ["haar", "product", "partial-duplicate", "rank2"])
-    def test_problem_for_is_certifys_program(self, case, tol):
-        # the public stage and certify(lp=True) build one program, bit for bit
+    def test_problem_for_is_certifys_program(self, case, tol, monkeypatch):
+        # the program certify(lp=True) hands the solver, and the relative flag
+        # its LP verdict is labelled with, are problem_for's, bit for bit
         if case == "haar":
             state, protocol = EnsembleState(4, (1.0,), (random_pure(4, 3),)), random_protocol(2, 3)
         elif case == "product":
@@ -1078,7 +1079,14 @@ class TestCertify:
             state, protocol = partial_duplicate_instance(1, 0)
         else:
             state, protocol = random_mixed(4, 2, 3), random_protocol(2, 3)
-        _, _, (problem, relative) = steerlab.steering._certify(state, protocol, True, tol)
+        solved, labelled = [], []
+        solve, label = steerlab.lhs_lp.solve_feasibility, steerlab.lhs_lp.verdict_label
+        monkeypatch.setattr(steerlab.lhs_lp, "solve_feasibility",
+                            lambda problem: solved.append(problem) or solve(problem))
+        monkeypatch.setattr(steerlab.lhs_lp, "verdict_label",
+                            lambda result, relative: labelled.append(relative) or label(result, relative))
+        certify(state, protocol, lp=True, tol=tol)
+        (problem,), (relative,) = solved, labelled
         want, want_relative = problem_for(
             conditional_states(state, protocol, 1), conditional_states(state, protocol, 2), tol
         )
