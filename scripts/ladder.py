@@ -6,8 +6,9 @@ qubits, given as a one-term ensemble, under two Haar-random rank-1 settings
 on Alice's M qubits, both drawn from a generator seeded with (n, M).  The
 time is the best of three calls; the peak is the largest traced allocation
 (``tracemalloc``) of one further call, made after the timed ones.  BLAS
-runs on one thread.  ``--max-n`` skips the rungs with more qubits; the
-(9, 4) LP rung alone peaks near 1.1 GB.
+runs on one thread.  ``--max-n`` skips the rungs with more qubits.  The
+LP rungs never build the program's constraint matrix, so the largest, (9, 4),
+peaks near 27 MB.
 
     python scripts/ladder.py --max-n 8
 """

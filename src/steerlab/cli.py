@@ -41,7 +41,9 @@ from .steering import (
     PARADOX,
     ParadoxReport,
     _certify,
+    _evidence,
     _Evidence,
+    _validated_states,
     certify,
 )
 
@@ -207,7 +209,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_lhs(args: argparse.Namespace) -> int:
     state, protocol = _load_pair(args)
-    evidence = _certify(state, protocol, args.tol)[1]
+    evidence = _evidence(*_validated_states(state, protocol, (1, 2)), args.tol)
     problem, relative = _program(evidence, args.dump_lp)
     result = lhs_lp.solve_feasibility(problem)
     verdict = lhs_lp.verdict_label(result, relative)

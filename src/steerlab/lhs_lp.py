@@ -18,18 +18,25 @@ states themselves: any member contributing to a pure mixture must equal it.
 Feasibility is decided by nonnegative least squares (Lawson and Hanson 1974,
 ch. 23): a zero residual b - Ax gives the model, and a nonzero one is, by
 Farkas' lemma, a proof that none exists, which ``verify_certificate`` checks.
-The solver works on the Gram matrix A^T A, formed once, in the normal-equation
-form of Bro and De Jong (J. Chemometrics 11, 393 (1997)); A is not reduced by
-QR.  That squares the condition number of every passive-set solve, which is
-safe only because no answer is taken on trust: a model must meet the
-residual tolerance, an infeasible verdict needs a positive certificate
-margin, and anything else raises SolverLimitError.
+The solver works on the Gram matrix A^T A in the normal-equation form of Bro
+and De Jong (J. Chemometrics 11, 393 (1997)), and A itself is never built
+for it: the matching columns of one outcome are the candidates C_xi read as
+real vectors, and columns of different outcomes are orthogonal, so A^T A is
+the same K x K block Re tr(C_xi C_xi') in every outcome plus the coupling
+and normalization terms; A^T b, ||A||_1, the residual and A^T y are read
+from the candidates and Bob's d_B x d_B conditional states in the same way.
+The passive block's Cholesky factor is grown one column at a time, not
+refactored per step.  Normal equations square the condition number of every
+passive-set solve, which is safe only because no answer is taken on trust:
+a model must meet the residual tolerance, an infeasible verdict needs a
+positive certificate margin, and anything else raises SolverLimitError.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +106,11 @@ def _first_kept(hits: np.ndarray) -> list[int]:
     return kept
 
 
+def _real_rows(matrices: ComplexArray) -> np.ndarray:
+    """Each matrix as one real row: Re and Im of every entry, entry by entry."""
+    return np.stack([matrices.real, matrices.imag], axis=-1).reshape(len(matrices), -1)
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """Equality-form feasibility program over nonnegative variables.
@@ -106,9 +118,10 @@ class LpProblem:
     Variable layout: the w block first, member-major then setting-major then
     outcome (w_xi(a|k) at xi*(n1+n2) + offset_k + a), followed by one weight
     variable per member.  Row groups are recorded as (start, stop) slices.
+    The solver reads the program from ``candidates`` and ``b_eq`` alone;
+    ``a_eq`` is built, once, only when asked for.
     """
 
-    a_eq: np.ndarray = field(repr=False)
     b_eq: np.ndarray = field(repr=False)
     n_members: int
     n_outcomes: tuple[int, int]
@@ -120,11 +133,38 @@ class LpProblem:
 
     @property
     def n_variables(self) -> int:
-        return self.a_eq.shape[1]
+        return self.n_members * (sum(self.n_outcomes) + 1)
 
     def weight_index(self, member: int) -> int:
         n1, n2 = self.n_outcomes
         return self.n_members * (n1 + n2) + member
+
+    @cached_property
+    def a_eq(self) -> np.ndarray:
+        """The constraint matrix, its rows those of ``b_eq``.
+
+        Matching row (o, r, c, part) holds part(cand[r, c]) in column
+        w(xi, o) of every member xi; coupling row (xi, k) holds
+        sum_a w_xi(a|k) - p_xi; the normalization row sums the weights.
+        """
+        k = self.n_members
+        n1, n2 = self.n_outcomes
+        n_out = n1 + n2
+        n_w = self.weight_index(0)
+        n_matching = self.matching_rows[1]
+        a = np.zeros((len(self.b_eq), self.n_variables))
+        members = np.arange(k)
+        outcomes = np.arange(n_out)  # both settings, setting 1 first
+        w_cols = members * n_out + outcomes[:, None]
+        a[:n_matching].reshape(n_out, n_matching // n_out, -1)[outcomes[:, None], :, w_cols] = (
+            _real_rows(self.candidates)
+        )
+        setting_of = np.repeat([0, 1], [n1, n2])
+        a[n_matching + 2 * members[:, None] + setting_of, w_cols.T] = 1.0
+        a[n_matching + np.arange(2 * k), n_w + members.repeat(2)] = -1.0
+        a[self.normalization_row, n_w:] = 1.0
+        a.setflags(write=False)  # every reader shares the one cached copy
+        return a
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,7 +194,8 @@ def build_lp(
 
     Rows: Re and Im of every Bob matrix entry for every outcome of both
     settings (matching), one coupling row per member and setting, and the
-    single weight-normalization row.
+    single weight-normalization row.  Only ``b_eq`` is filled in; the
+    matrix is ``LpProblem.a_eq``.
     """
     if len(candidates) == 0:
         raise ValidationError("candidate list is empty")
@@ -170,45 +211,20 @@ def build_lp(
         flaw = "is not Hermitian" if not_hermitian[i] else "does not have unit trace"
         raise ValidationError(f"candidate {i} {flaw}")
     n1, n2 = len(set1.operators), len(set2.operators)
-    n_out = n1 + n2
     k = len(cands)
-    n_w = k * n_out  # the w block; one weight column per member follows it
-    entries = 2 * dim * dim  # Re and Im of every Bob matrix entry
-    n_matching = entries * n_out
-    n_rows = n_matching + 2 * k + 1
-    a = np.zeros((n_rows, n_w + k))
-    b = np.zeros(n_rows)
-    members = np.arange(k)
-    outcomes = np.arange(n_out)  # both settings, setting 1 first
-
-    # matching row (o, r, c, part) holds part(cand[r, c]) in column w(xi, o)
-    # of every member xi, and part(rho_o[r, c]) in b
-    parts = np.stack([cands.real, cands.imag], axis=-1).reshape(k, entries)
-    w_cols = members * n_out + outcomes[:, None]
-    a[:n_matching].reshape(n_out, entries, -1)[outcomes[:, None], :, w_cols] = parts
-    ops = np.concatenate([set1.operators, set2.operators])
-    b[:n_matching] = np.stack([ops.real, ops.imag], axis=-1).ravel()
-    matching_rows = (0, n_matching)
-
-    # coupling row (xi, k): sum_a w_xi(a|k) - p_xi = 0
-    coupling_rows = (n_matching, n_matching + 2 * k)
-    setting_of = np.repeat([0, 1], [n1, n2])
-    a[n_matching + 2 * members[:, None] + setting_of, w_cols.T] = 1.0
-    a[n_matching + np.arange(2 * k), n_w + members.repeat(2)] = -1.0
-    normalization_row = n_rows - 1
-    a[normalization_row, n_w:] = 1.0
-    b[normalization_row] = 1.0
-
+    n_matching = 2 * dim * dim * (n1 + n2)  # Re and Im of every Bob matrix entry
+    b = np.zeros(n_matching + 2 * k + 1)
+    b[:n_matching] = _real_rows(np.concatenate([set1.operators, set2.operators])).ravel()
+    b[-1] = 1.0
     return LpProblem(
-        a_eq=a,
         b_eq=b,
         n_members=k,
         n_outcomes=(n1, n2),
         outcome_labels=(set1.outcomes, set2.outcomes),
         candidates=cands,
-        matching_rows=matching_rows,
-        coupling_rows=coupling_rows,
-        normalization_row=normalization_row,
+        matching_rows=(0, n_matching),
+        coupling_rows=(n_matching, n_matching + 2 * k),
+        normalization_row=n_matching + 2 * k,
     )
 
 
@@ -258,57 +274,138 @@ class FeasibilityResult:
     certificate: np.ndarray | None = field(default=None, repr=False)
 
 
-def _nnls(a: np.ndarray, b: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
-    """Minimize ||Ax - b|| over x >= 0 by Lawson and Hanson's active-set method.
+def _normal_equations(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A^T A, A^T b, 10 eps ||A||_1 max(m, n)) of the program, without A.
 
-    Returns (x, iterations), one iteration per passive-set solve.  An
-    entering variable whose solved value is not positive is passed over
-    (round-off); the dual tolerance is 10 eps ||A||_1 max(m, n).  G = A^T A
-    and A^T b are formed once, as in Bro and De Jong's fast NNLS: each
-    passive set P is solved from G[P, P] z_P = (A^T b)_P, and the dual is
-    A^T b - G x.  G has A's condition number squared, which the callers
-    may accept only because every answer is checked afterwards; an exactly
-    singular passive block raises SolverLimitError.
+    No matching row holds two outcomes, and the matching columns of outcome
+    o are the candidates' real rows, so the matching part of A^T A is the
+    K x K block Re tr(C_xi C_xi') on every outcome's columns and that of
+    A^T b is Re tr(C_xi rho_o).  Each w column also has a 1 in one
+    coupling row; each weight column has -1 in two and 1 in the
+    normalization row, whose b is 1.
     """
-    m, n = a.shape
-    tol = 10 * np.finfo(float).eps * np.linalg.norm(a, 1) * max(m, n)
-    gram = a.T @ a
-    atb = a.T @ b
+    k = problem.n_members
+    n1, n2 = problem.n_outcomes
+    n_out = n1 + n2
+    n_w = problem.weight_index(0)
+    n = problem.n_variables
+    parts = _real_rows(problem.candidates)
+    states = problem.b_eq[slice(*problem.matching_rows)].reshape(n_out, -1)
+    members = np.arange(k)
+    w_cols = members * n_out + np.arange(n_out)[:, None]  # (outcome, member)
+    same_setting = np.repeat(np.repeat(np.eye(2), [n1, n2], axis=0), [n1, n2], axis=1)
+    gram = np.zeros((n, n))
+    gram[w_cols[:, :, None], w_cols[:, None, :]] = parts @ parts.T
+    gram[w_cols.T[:, :, None], w_cols.T[:, None, :]] += same_setting
+    gram[w_cols, n_w + members] = gram[n_w + members, w_cols] = -1.0
+    gram[n_w:, n_w:] = 2.0 * np.eye(k) + 1.0
+    atb = np.concatenate([(parts @ states.T).ravel(), np.ones(k)])
+    norm = max(float(np.max(np.sum(np.abs(parts), axis=1))) + 1.0, 3.0)
+    return gram, atb, 10 * np.finfo(float).eps * norm * max(len(problem.b_eq), n)
+
+
+def _residual(problem: LpProblem, x: np.ndarray) -> np.ndarray:
+    """b_eq - a_eq x, row for row, without a_eq: rho_o - sum_xi w_xi(o) C_xi and the sums."""
+    n1 = problem.n_outcomes[0]
+    n_w = problem.weight_index(0)
+    w, weights = x[:n_w].reshape(problem.n_members, -1), x[n_w:]
+    r = problem.b_eq.copy()
+    r[slice(*problem.matching_rows)] -= (w.T @ _real_rows(problem.candidates)).ravel()
+    sums = np.stack([np.sum(w[:, :n1], axis=1), np.sum(w[:, n1:], axis=1)], axis=1)
+    r[slice(*problem.coupling_rows)] -= (sums - weights[:, None]).ravel()
+    r[problem.normalization_row] -= np.sum(weights)
+    return r
+
+
+def _transposed(problem: LpProblem, y: np.ndarray) -> np.ndarray:
+    """a_eq^T y without a_eq: tr(C_xi Y_o) plus the coupling and normalization terms."""
+    n1, n2 = problem.n_outcomes
+    matching = y[slice(*problem.matching_rows)].reshape(n1 + n2, -1)
+    coupling = y[slice(*problem.coupling_rows)].reshape(problem.n_members, 2)
+    w = _real_rows(problem.candidates) @ matching.T + np.repeat(coupling, [n1, n2], axis=1)
+    weights = y[problem.normalization_row] - np.sum(coupling, axis=1)
+    return np.concatenate([w.ravel(), weights])
+
+
+def _nnls(
+    gram: np.ndarray, atb: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, int]:
+    """Minimize ||Ax - b|| over x >= 0 from G = A^T A and A^T b (Lawson and Hanson).
+
+    Returns (x, iterations), one iteration per passive-set solve.  ``tol``
+    is the dual tolerance, 10 eps ||A||_1 max(m, n); an entering variable
+    whose solved value is not positive is passed over (round-off).  As in
+    Bro and De Jong's fast NNLS, each passive set P is solved from
+    G[P, P] z_P = (A^T b)_P and the dual is A^T b - G x.  The passive
+    columns are held in the order they entered, with rows[k] = G[order[k]]
+    and R = L^-1 for the Cholesky factor L of their Gram block, so
+    z_P = R^T R (A^T b)_P.  An entering column grows R by one row
+    (y = R g, pivot G_ee - y.y); one passed over drops that row again; only
+    after a column leaves is R refactored, from the kept columns.  A pivot
+    that is not positive means a singular passive block and raises
+    SolverLimitError.  G has A's condition number squared, which the
+    callers may accept only because every answer is checked afterwards.
+    """
+    n = len(atb)
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
+    order = np.empty(n, dtype=np.intp)  # the p passive columns, in the order they entered
+    rows = np.empty((n, n))
+    inv = np.zeros((n, n))  # R in its leading p x p block; never written above the diagonal
+    p = 0
     dual = atb.copy()
     iterations = 0
 
-    def passive_solution() -> np.ndarray:
+    def count() -> None:
         nonlocal iterations
         iterations += 1
         if iterations > max_iter:
             raise SolverLimitError(f"NNLS exceeded {max_iter} iterations without converging")
-        cols = np.flatnonzero(passive)
+
+    def grow(col: int) -> None:
+        nonlocal p
+        r = inv[:p, :p]
+        y = r @ rows[:p, col]
+        pivot = gram[col, col] - y @ y
+        if not pivot > 0.0:
+            raise SolverLimitError(f"NNLS passive Gram block ({p + 1} x {p + 1}) is singular")
+        d = np.sqrt(pivot)
+        inv[p, :p] = (y @ r) / -d
+        inv[p, p] = 1.0 / d
+        rows[p] = gram[col]
+        order[p] = col
+        p += 1
+
+    def passive_solution() -> np.ndarray:
+        r = inv[:p, :p]
         z = np.zeros(n)
-        try:
-            z[cols] = np.linalg.solve(gram[cols][:, cols], atb[cols])
-        except np.linalg.LinAlgError:
-            k = cols.size
-            raise SolverLimitError(f"NNLS passive Gram block ({k} x {k}) is singular") from None
+        z[order[:p]] = (r @ atb[order[:p]]) @ r
         return z
 
-    while not passive.all():
+    while p < n:
         entering = int(np.argmax(np.where(passive, -np.inf, dual)))
         if dual[entering] <= tol:
             break
+        count()
+        grow(entering)
         passive[entering] = True
         z = passive_solution()
         if z[entering] <= 0.0:
+            p -= 1
             passive[entering] = False
             dual[entering] = 0.0
             continue
         while (cut := passive & (z <= 0.0)).any():
             x += np.min(x[cut] / (x[cut] - z[cut])) * (z - x)
             passive &= x > tol
+            count()
+            kept = order[:p][passive[order[:p]]]
+            p = 0
+            for j in kept:
+                grow(j)
             z = passive_solution()
         x = z
-        dual = atb - gram @ x
+        dual = atb - z[order[:p]] @ rows[:p]
     return x, iterations
 
 
@@ -322,7 +419,7 @@ def verify_certificate(problem: LpProblem, y: np.ndarray) -> float:
     gain = float(problem.b_eq @ y)
     if not gain > 0.0:
         return -np.inf
-    bound = 3.0 * max(0.0, float(np.max(problem.a_eq.T @ y)))
+    bound = 3.0 * max(0.0, float(np.max(_transposed(problem, y))))
     return (gain - bound) / gain
 
 
@@ -340,8 +437,8 @@ def solve_feasibility(
     """
     if max_iter is None:
         max_iter = 3 * problem.n_variables
-    x, iterations = _nnls(problem.a_eq, problem.b_eq, max_iter)
-    r = problem.b_eq - problem.a_eq @ x
+    x, iterations = _nnls(*_normal_equations(problem), max_iter)
+    r = _residual(problem, x)
     residual = float(np.max(np.abs(r)))
     tol = config.LP_FEASIBILITY_TOL
     if residual > tol:

@@ -240,6 +240,20 @@ class TestOnePass:
                          "--dump-lp", str(tmp_path / "lp.json")]) == 0
         assert calls == {"_unvalidated_states": 1, "build_lp": 1, "solve_feasibility": 1}
 
+    def test_lhs_reads_the_evidence_without_a_verdict(self, files, monkeypatch):
+        """``lhs`` builds the pair's evidence alone: no duplicate report, no verdict."""
+        from steerlab import cli, steering
+
+        duplicates = []
+        original = steering._duplicates
+        monkeypatch.setattr(steering, "_duplicates",
+                            lambda evidence: duplicates.append(1) or original(evidence))
+        pair = ["--state", files["lc4.json"], "--protocol", files["zzyx.json"]]
+        assert cli.main(["lhs", *pair]) == 0
+        assert duplicates == []
+        assert cli.main(["check", *pair]) == 0
+        assert duplicates == [1]
+
 
 class TestSolverGivesUp:
     @pytest.mark.parametrize("command", ["check", "lhs", "demo"])

@@ -1,6 +1,7 @@
 """Feasibility program assembly, the NNLS decision and its certificate, and external cross-checks."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from steerlab import (
     SteeringProtocol,
     basis_ket,
     build_lp,
+    certify,
     conditional_states,
     density_of,
     fallback_candidates,
@@ -41,7 +43,7 @@ from steerlab import (
     verify_model,
 )
 from steerlab import config, lhs_lp
-from steerlab.lhs_lp import _nnls
+from steerlab.lhs_lp import _nnls, _normal_equations, _residual, _transposed
 
 # explicit cap for direct solver calls: the benchmark's budget, well above
 # the three solves per column that any program here needs
@@ -323,9 +325,9 @@ class TestSolver:
     def test_default_cap_is_three_solves_per_variable(self, monkeypatch):
         caps = []
 
-        def recording(a, b, max_iter):
+        def recording(gram, atb, tol, max_iter):
             caps.append(max_iter)
-            return _nnls(a, b, max_iter)
+            return _nnls(gram, atb, tol, max_iter)
 
         monkeypatch.setattr(lhs_lp, "_nnls", recording)
         problem, _ = problem_for(*two_qubit_sets())
@@ -346,13 +348,25 @@ class TestSolver:
         assert time.perf_counter() - start < 1.0
 
     def test_singular_passive_block_raises(self, monkeypatch):
-        def singular(matrix, rhs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        """A zero Gram diagonal at the first entering column is a zero pivot."""
         problem, _ = problem_for(*two_qubit_sets())
+
+        def zero_pivot(problem):
+            gram, atb, tol = _normal_equations(problem)
+            entering = np.argmax(atb)
+            gram[entering, entering] = 0.0
+            return gram, atb, tol
+
+        monkeypatch.setattr(lhs_lp, "_normal_equations", zero_pivot)
         with pytest.raises(SolverLimitError, match=r"^NNLS passive Gram block \(1 x 1\) is singular$"):
             solve_feasibility(problem)
+
+    def test_dependent_entering_column_raises(self):
+        """A column opposite to the passive one leaves a pivot of 0: the 2 x 2 block is singular."""
+        gram = np.array([[1.0, -1.0], [-1.0, 1.0]])  # A's two columns are a and -a
+        atb = np.array([1.0, 0.5])  # no b gives this A^T b, so the second column still enters
+        with pytest.raises(SolverLimitError, match=r"^NNLS passive Gram block \(2 x 2\) is singular$"):
+            _nnls(gram, atb, 1e-12, NNLS_CAP)
 
     @pytest.mark.parametrize("sets", ["paradox-two-qubit-6", "feasible-mixture"])
     @pytest.mark.parametrize("kind", sorted(DEGENERATE_CANDIDATES))
@@ -406,9 +420,9 @@ class TestSolver:
         """
         problem, relative = _lp_oracle_instance(513, 137)
         assert relative
-        x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
+        x, _ = _nnls(*_normal_equations(problem), NNLS_CAP)
         far = x * 1e18
-        monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (far, 6))
+        monkeypatch.setattr(lhs_lp, "_nnls", lambda gram, atb, tol, max_iter: (far, 6))
         message = r"^NNLS residual \d\.\d+e\+\d\d is above .* certifies nothing \(margin -inf\)$"
         with pytest.raises(SolverLimitError, match=message):
             solve_feasibility(problem)
@@ -416,9 +430,9 @@ class TestSolver:
     def test_off_row_vertex_is_not_a_model(self, monkeypatch):
         """A solution whose rows miss b_eq by 2e-9 certifies nothing, so the solve raises."""
         problem, _ = problem_for(*LP_CASES["feasible-product"]())
-        x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
+        x, _ = _nnls(*_normal_equations(problem), NNLS_CAP)
         scaled = x * (1 + 2e-9)  # the coupling rows still hold, b_eq's largest rows do not
-        monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (scaled, 6))
+        monkeypatch.setattr(lhs_lp, "_nnls", lambda gram, atb, tol, max_iter: (scaled, 6))
         message = r"^NNLS residual 2e-09 is above the tolerance 1e-09 but certifies nothing"
         with pytest.raises(SolverLimitError, match=message):
             solve_feasibility(problem)
@@ -510,7 +524,7 @@ def _assert_matches_references(problem):
     Same verdict at the feasibility tolerance, and residual norms within
     1e-10 relative: the minimum is unique even where the minimizer is not.
     """
-    x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
+    x, _ = _nnls(*_normal_equations(problem), NNLS_CAP)
     looped = loop_nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
     assert looped is not None
     compiled, _ = scipy.optimize.nnls(
@@ -537,9 +551,7 @@ class TestSimplexDifferential:
         _assert_matches_references(problem_for(*LP_CASES[case]())[0])
 
     def test_given_candidates(self):
-        s1, s2 = two_qubit_sets()
-        problem = build_lp(s1, s2, [np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2])
-        _assert_matches_references(problem)
+        _assert_matches_references(_given_problem())
 
     @pytest.mark.parametrize("seed", [0, 4, 8])
     def test_stalled_solve_stops_alike(self, seed):
@@ -573,13 +585,73 @@ class TestSimplexDifferential:
 
     def test_wide_program(self):
         """More columns than rows, so the Gram matrix A^T A is singular: the same answer."""
-        s1, s2 = two_qubit_sets()
-        rng = np.random.default_rng(3)
-        vecs = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        problem = build_lp(s1, s2, [np.outer(v, v.conj()) for v in vecs])
+        problem = _wide_problem()
         assert problem.a_eq.shape[0] < problem.a_eq.shape[1]
         _assert_matches_references(problem)
+
+
+class TestClosedForm:
+    """The products the solver reads without A against the same products of ``a_eq``."""
+
+    @pytest.mark.parametrize("case", [*sorted(LP_CASES), "given", "wide"])
+    def test_matches_dense_products(self, case):
+        if case == "given":
+            problem = _given_problem()
+        elif case == "wide":
+            problem = _wide_problem()
+        else:
+            problem = problem_for(*LP_CASES[case]())[0]
+        a, b = problem.a_eq, problem.b_eq
+        m, n = a.shape
+        gram, atb, tol = _normal_equations(problem)
+        np.testing.assert_allclose(gram, a.T @ a, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(atb, a.T @ b, rtol=0, atol=1e-14)
+        norm = tol / (10 * np.finfo(float).eps * max(m, n))
+        assert norm == pytest.approx(np.linalg.norm(a, 1), rel=1e-14)
+        rng = np.random.default_rng(len(case))
+        x = rng.exponential(size=n) * (rng.random(n) < 0.5)  # half the columns at zero
+        y = rng.normal(size=m)
+        np.testing.assert_allclose(_residual(problem, x), b - a @ x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_transposed(problem, y), a.T @ y, rtol=0, atol=1e-14)
+
+    def test_large_program_builds_no_matrix(self, monkeypatch):
+        """``certify(lp=True)`` at n = 9, M = 4, ``scripts/ladder.py``'s instance.
+
+        The program's A would be 65 601 x 1056 (554 MB); the solve reads its
+        9 MB Gram instead, and never asks for ``a_eq``.
+        """
+        rng = np.random.default_rng([9, 4])
+        state = EnsembleState(9, (1.0,), (random_pure(9, int(rng.integers(2**32))),))
+        s1, s2 = (random_rank1_setting(4, rng, label=f"haar-{k}") for k in (1, 2))
+
+        def refuse(problem):
+            raise AssertionError("a_eq was built")
+
+        monkeypatch.setattr(lhs_lp.LpProblem, "a_eq", property(refuse))
+        tracemalloc.start()
+        try:
+            report = certify(state, SteeringProtocol(4, s1, s2), lp=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "PARADOX"
+        assert report.lp_verdict == "infeasible"
+        assert peak < 64 * 2**20
+
+
+def _given_problem():
+    """The two-qubit paradox pair against two caller-given members."""
+    s1, s2 = two_qubit_sets()
+    return build_lp(s1, s2, [np.diag([1.0, 0.0]).astype(complex), np.eye(2) / 2])
+
+
+def _wide_problem():
+    """The two-qubit paradox pair against 12 random pure members: 60 columns, 57 rows."""
+    s1, s2 = two_qubit_sets()
+    rng = np.random.default_rng(3)
+    vecs = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return build_lp(s1, s2, [np.outer(v, v.conj()) for v in vecs])
 
 
 def _separable(seed):
@@ -606,7 +678,7 @@ class TestModelArrays:
         problem, _ = problem_for(s1, s2)
         result = solve_feasibility(problem)
         assert result.feasible
-        x, _ = _nnls(problem.a_eq, problem.b_eq, NNLS_CAP)
+        x, _ = _nnls(*_normal_equations(problem), NNLS_CAP)
         weights, responses = loop_model_tables(problem, x)
         model = result.model
         assert np.array(model.member_weights).tobytes() == weights.tobytes()
@@ -626,7 +698,7 @@ class TestModelArrays:
         x[problem.weight_index(0) :] *= rng.uniform(0.0, 1.0, problem.n_members)
         weights, responses = loop_model_tables(problem, x)
         # an infinite tolerance lets any vertex through to the model tables
-        monkeypatch.setattr(lhs_lp, "_nnls", lambda a, b, max_iter: (x, 1))
+        monkeypatch.setattr(lhs_lp, "_nnls", lambda gram, atb, tol, max_iter: (x, 1))
         monkeypatch.setattr(config, "LP_FEASIBILITY_TOL", np.inf)
         model = solve_feasibility(problem).model
         assert np.array(model.member_weights).tobytes() == weights.tobytes()

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("lp_oracle_agreement.py", ["--seeds", "1", "--count", "6"]),
         ("pool_digest.py", ["--seeds", "1", "--count", "3"]),
         ("density_stages.py", ["--count", "2", "--repeats", "1"]),
-        ("ladder.py", ["--max-n", "5"]),
+        ("ladder.py", ["--max-n", "6"]),
     ],
 )
 def test_script_exits_zero(script, args):
