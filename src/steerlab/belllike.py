@@ -54,7 +54,7 @@ def _family_pairs(
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoTermForm:
     """Ensemble rewritten as one two-term component per family slot.
 
@@ -95,7 +95,7 @@ class TwoTermForm:
                          *self.bob_pairs[alpha])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoTermExtraction:
     """Result of two_term_extract: a form, or the per-component failures."""
 

@@ -57,7 +57,7 @@ from .linalg import (
 from .steering import ConditionalStateSet, ParadoxReport, _Evidence, _evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhsModel:
     """Explicit hidden-state ensemble with per-setting response tables.
 
@@ -111,7 +111,7 @@ def _real_rows(matrices: ComplexArray) -> np.ndarray:
     return np.stack([matrices.real, matrices.imag], axis=-1).reshape(len(matrices), -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """Equality-form feasibility program over nonnegative variables.
 
@@ -260,7 +260,7 @@ def _problem(evidence: _Evidence) -> tuple[LpProblem, bool]:
     return build_lp(set1, set2, outers(evidence.vectors[_first_kept(evidence.hits)])), False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """A model, or the residual b_eq - a_eq x as a certificate that none exists.
 

@@ -72,7 +72,7 @@ def bitstring(index: int, width: int) -> str:
     return format(index, f"0{width}b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellLikeBasis:
     """Angle-parametrized basis over a fixed pairing of orthonormal vectors.
 
@@ -139,7 +139,7 @@ def same_family(a: BellLikeBasis, b: BellLikeBasis) -> bool:
     return bool(np.all(np.diagonal(phase_coincidences(rows)[:k, k:])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
     """Complete projective measurement on Alice's M qubits.
 
@@ -297,7 +297,7 @@ def settings_equal(a: MeasurementSetting, b: MeasurementSetting) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteeringProtocol:
     """Two distinct complete settings on Alice's first M qubits.
 

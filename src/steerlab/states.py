@@ -41,7 +41,7 @@ class BoundaryThetaWarning(UserWarning):
     """A mixing angle sits on the boundary where one branch has weight zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleState:
     """Convex mixture of pure states, sum_a weights[a] |vectors[a]><vectors[a]|.
 
@@ -147,7 +147,7 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
     return bool(squared < tol**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density operator on n qubits.
 

@@ -19,7 +19,10 @@ matrix G_a = W_a^H W_a has the same nonzero eigenvalues as rho_a, so the PSD
 test, the purity tr(G_a^2) / tr(G_a)^2 and the principal vector
 W_a g / ||W_a g|| are all read from it, where g is G_a's top eigenvector:
 for a pure outcome the normalized G_a(G_a e_j), two products, and for any
-other one the top eigenvector from ``eigh``.  A
+other one the top eigenvector from ``eigh``.  Such a set holds only its
+branches: its probabilities are tr(G_a), its total sum_a rho_a is one
+product of the branches flattened to (K T, d_B), and its (K, d_B, d_B)
+operators are built on first read, which no verdict stage does.  A
 density matrix is contracted for both settings in one banded pass: the two
 flattened projector stacks, stacked, multiply rho one band of Bob's rows at
 a time, so with two or more Bob qubits the pass builds no full-size array;
@@ -85,7 +88,7 @@ def _has_cholesky(a: ComplexArray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalStateSet:
     """Bob's unnormalized conditional states for one setting.
 
@@ -97,16 +100,14 @@ class ConditionalStateSet:
     positivity, unit total probability and the non-signalling identity
     sum_a rho_a = rho_B.
 
-    ``branches`` is None or a read-only (K, T, d_B) array whose row
-    (a, alpha) is the branch w_{a,alpha}, so that rho_a = sum_alpha
-    w w^H.  Only the contraction behind ``conditional_states`` and
-    ``certify`` sets it, for an ensemble under a rank-1 setting, together
-    with the operators it builds from it; the PSD test, purities and
-    principal vectors then come from the T x T Gram stack G_a = W_a^H W_a,
-    formed once, and hermiticity and the marginal from the operators.
+    The contraction behind ``conditional_states`` and ``certify`` returns,
+    for an ensemble under a rank-1 setting, a set that holds only its
+    branches (``_BranchStates``): its operators are built on first read, and
+    its probabilities, total and evidence come from the branches.
 
     ``counted``, ``purities`` and ``principal_vectors``, the evidence every
-    stage reads, are computed on first use and kept.
+    stage reads, are computed on first use and kept.  Equality and hashing
+    go by identity.
     """
 
     setting_index: int
@@ -114,7 +115,6 @@ class ConditionalStateSet:
     bob_qubits: int
     outcomes: tuple[str, ...]
     operators: ComplexArray = field(repr=False)
-    branches: ComplexArray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = 2**self.bob_qubits
@@ -134,12 +134,14 @@ class ConditionalStateSet:
     def total(self) -> ComplexArray:
         return self.operators.sum(0)
 
-    @cached_property
+    @property
     def _evidence_stack(self) -> ComplexArray:
-        """The operators, or the Gram stack G_a = W_a^H W_a when branches are kept."""
-        if self.branches is None:
-            return self.operators
-        return self.branches.conj() @ self.branches.swapaxes(1, 2)
+        """The matrices the PSD test, purities and principal vectors read."""
+        return self.operators
+
+    def _lifted(self, top: ComplexArray) -> ComplexArray:
+        """The principal vectors of the states from those of ``_evidence_stack``."""
+        return top
 
     @cached_property
     def counted(self) -> np.ndarray:
@@ -148,36 +150,33 @@ class ConditionalStateSet:
 
     @cached_property
     def purities(self) -> np.ndarray:
-        """Purity of each counted state: tr(G^2) / tr(G)^2 with branches."""
+        """Purity of each counted state: tr(E^2) / tr(E)^2 of its evidence matrix E."""
         return read_only_copy(stack_purities(self._evidence_stack[self.counted]))
 
     @cached_property
     def principal_vectors(self) -> ComplexArray:
         """Unit, phase-fixed principal vectors of the counted states, one row each.
 
-        E is the evidence matrix: the operator, or G_a with branches.  A
-        pure outcome, |purity - 1| < ``config.REQUIREMENT_TOL``, takes two
-        batched products: v = E(E e_j), normalized, with j the index of E's
-        largest diagonal entry.  This is accurate because a purity gap g
-        leaves all eigenvalues but the top one, lambda_1, about g / 2 of the
-        trace, so lambda_2 / lambda_1 <~ g / 2; and E_jj >= tr(E) / d gives
-        the top eigenvector v_1 an entry |v_1j|^2 >~ 1 / d.  The other
-        eigenvectors then make up about (lambda_2 / lambda_1)^2 sqrt(d)
-        <~ 1e-15 of v.  Only the other outcomes, mixed ones that a ``tol``
-        above the default lets through or a direct call on a mixed set, take
-        one batched ``eigh``, whose top eigenvector is their principal
-        vector.  With branches, the vector is W_a g / ||W_a g|| for g the
-        vector found for G_a.
+        E is the evidence matrix: the operator, or G_a for a branch-backed
+        set.  A pure outcome, |purity - 1| < ``config.REQUIREMENT_TOL``,
+        takes two batched products: v = E(E e_j), normalized, with j the
+        index of E's largest diagonal entry.  This is accurate because a
+        purity gap g leaves all eigenvalues but the top one, lambda_1, about
+        g / 2 of the trace, so lambda_2 / lambda_1 <~ g / 2; and
+        E_jj >= tr(E) / d gives the top eigenvector v_1 an entry
+        |v_1j|^2 >~ 1 / d.  The other eigenvectors then make up about
+        (lambda_2 / lambda_1)^2 sqrt(d) <~ 1e-15 of v.  Only the other
+        outcomes, mixed ones that a ``tol`` above the default lets through or
+        a direct call on a mixed set, take one batched ``eigh``, whose top
+        eigenvector is their principal vector.  A branch-backed set lifts
+        the vector g found for G_a to W_a g / ||W_a g||.
         """
         stack = self._evidence_stack[self.counted]
         top = _two_products(stack)
         mixed = np.abs(self.purities - 1.0) >= config.REQUIREMENT_TOL
         if mixed.any():
             top[mixed] = np.linalg.eigh(stack[mixed])[1][..., -1]
-        if self.branches is not None:
-            top = (top[:, None] @ self.branches[self.counted])[:, 0]
-            top = top / np.linalg.norm(top, axis=1)[:, None]
-        return read_only_copy(canonical_phase(top))
+        return read_only_copy(canonical_phase(self._lifted(top)))
 
     def validate(self, rho_b: ComplexArray) -> None:
         """Check positivity, unit total probability and Bob's marginal ``rho_b``.
@@ -200,6 +199,56 @@ class ConditionalStateSet:
             raise ValidationError("outcome probabilities do not sum to 1")
         if np.linalg.norm(self.total() - rho_b) > config.MARGINAL_TOL:
             raise ValidationError("conditional states do not sum to Bob's marginal")
+
+
+class _BranchStates(ConditionalStateSet):
+    """A set held as its branches: an ensemble's states under a rank-1 setting.
+
+    ``branches`` is a read-only (K, T, d_B) array whose row (a, alpha) is the
+    branch w_{a,alpha}, so that rho_a = W_a W_a^H.  Only
+    ``_unvalidated_states`` builds one, from a fresh product of validated,
+    finite arrays, so the array is kept (marked read-only, not copied), and
+    the constructor's finiteness and Hermiticity checks are skipped: W W^H is
+    Hermitian by construction.  Every verdict quantity comes from the T x T
+    Gram stack G_a = W_a^H W_a, formed once, which has rho_a's nonzero
+    eigenvalues: the PSD test, the purities, the principal vectors and the
+    probabilities tr(G_a).  The total is one product of the flattened
+    (K T, d_B) branches, B^T B^*.  ``operators``, read only by the LP stage,
+    ``fallback_candidates`` and ``verify_model``, is built on first read as
+    branches^T @ branches^*, read-only, and kept.
+    """
+
+    def __init__(
+        self, setting_index: int, setting_label: str, bob_qubits: int,
+        outcomes: tuple[str, ...], branches: ComplexArray,
+    ) -> None:
+        branches.setflags(write=False)
+        vars(self).update(
+            setting_index=setting_index, setting_label=setting_label,
+            bob_qubits=bob_qubits, outcomes=outcomes, branches=branches,
+        )
+
+    @cached_property
+    def operators(self) -> ComplexArray:
+        out = self.branches.swapaxes(1, 2) @ self.branches.conj()
+        out.setflags(write=False)
+        return out
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return np.trace(self._evidence_stack, axis1=1, axis2=2).real
+
+    def total(self) -> ComplexArray:
+        flat = self.branches.reshape(-1, self.branches.shape[-1])
+        return flat.T @ flat.conj()
+
+    @cached_property
+    def _evidence_stack(self) -> ComplexArray:
+        return self.branches.conj() @ self.branches.swapaxes(1, 2)
+
+    def _lifted(self, top: ComplexArray) -> ComplexArray:
+        top = (top[:, None] @ self.branches[self.counted])[:, 0]
+        return top / np.linalg.norm(top, axis=1)[:, None]
 
 
 def _amplitudes(state: EnsembleState, alice_qubits: int) -> ComplexArray:
@@ -245,12 +294,13 @@ def conditional_states(
     validated on construction, is only weighted and reshaped.  Under a
     setting with basis vectors u_a it gives the branches
     w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a) in one product, and
-    rho_a = W_a W_a^H from them; the set keeps the branches, so its evidence
-    comes from the T x T Gram matrices W_a^H W_a, which share rho_a's
-    nonzero eigenvalues.  Other ensembles are contracted with the projector
-    stack.  A density matrix is contracted with the flattened projector
-    stack in the banded pass of ``_banded_product``, one band of Bob's rows
-    at a time.  The set is validated against Bob's marginal.
+    the set holds only them (``_BranchStates``): its evidence comes from the
+    T x T Gram matrices W_a^H W_a, which share rho_a's nonzero eigenvalues,
+    and rho_a = W_a W_a^H is built on first read.  Other ensembles are
+    contracted with the projector stack.  A density matrix is contracted
+    with the flattened projector stack in the banded pass of
+    ``_banded_product``, one band of Bob's rows at a time.  The set is
+    validated against Bob's marginal.
     """
     return _validated_states(state, protocol, (which,))[0]
 
@@ -297,6 +347,8 @@ def _unvalidated_states(
 ) -> tuple[ConditionalStateSet, ...]:
     """The sets of the settings ``which`` (each 1 or 2), before validation.
 
+    An ensemble under a rank-1 setting gives a ``_BranchStates``; every other
+    pair gives operators, checked by ``ConditionalStateSet``'s constructor.
     A density matrix is contracted once for all of them: their flattened
     projector stacks, stacked into one (K1 + K2, 4^M) matrix, go through
     one ``_banded_product``.  That stacked copy has as many entries as the
@@ -315,43 +367,31 @@ def _unvalidated_states(
         raise DimensionError(f"alice_qubits={m} leaves Bob empty for n={n}")
     settings = [protocol.settings[k - 1] for k in which]
     d_a, d_b = 2**m, 2 ** (n - m)
-    parts: list[tuple[ComplexArray, ComplexArray | None]] = []
+    heads = [(k, s.label, n - m, s.outcomes) for k, s in zip(which, settings)]
+    sets: list[ConditionalStateSet] = []
     if isinstance(state, EnsembleState):
         phi = _amplitudes(state, m)
-        for setting in settings:
+        for head, setting in zip(heads, settings):
             if setting.vectors is not None:
-                branches = _branches(phi, setting.vectors)
-                parts.append((branches.swapaxes(1, 2) @ branches.conj(), branches))
-            else:
-                # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
-                # projected[a, alpha] over alpha is one product with the terms
-                # stacked along the rows
-                projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
-                projected = projected.reshape(setting.n_outcomes, -1, d_b)
-                parts.append((phi.reshape(-1, d_b).T @ projected, None))
+                sets.append(_BranchStates(*head, _branches(phi, setting.vectors)))
+                continue
+            # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
+            # projected[a, alpha] over alpha is one product with the terms
+            # stacked along the rows
+            projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
+            projected = projected.reshape(setting.n_outcomes, -1, d_b)
+            sets.append(ConditionalStateSet(*head, phi.reshape(-1, d_b).T @ projected))
     else:
         stack = np.concatenate([s.projectors.reshape(s.n_outcomes, d_a * d_a) for s in settings])
         operators = _banded_product(state.matrix, stack, d_a, d_b)
         start = 0
-        for setting in settings:
-            parts.append((operators[start : start + setting.n_outcomes], None))
+        for head, setting in zip(heads, settings):
+            sets.append(ConditionalStateSet(*head, operators[start : start + setting.n_outcomes]))
             start += setting.n_outcomes
-    sets = []
-    for k, setting, (operators, branches) in zip(which, settings, parts):
-        out = ConditionalStateSet(
-            setting_index=k,
-            setting_label=setting.label,
-            bob_qubits=n - m,
-            outcomes=setting.outcomes,
-            operators=operators,
-        )
-        if branches is not None:
-            object.__setattr__(out, "branches", read_only_copy(branches))
-        sets.append(out)
     return tuple(sets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollapseDecomposition:
     """Per-component collapse data of an ensemble under one rank-1 setting.
 
@@ -436,7 +476,7 @@ def purity_requirement(
     every path to a verdict passes through here.  Outcomes with probability
     at or below ``config.PROB_FLOOR`` are excluded from the check and listed
     separately.  The purities are each set's own ``purities``: a set that
-    keeps branches W_a reads tr(G_a^2) / tr(G_a)^2 from the Gram matrix
+    holds branches W_a reads tr(G_a^2) / tr(G_a)^2 from the Gram matrix
     G_a = W_a^H W_a, which has the nonzero eigenvalues of rho_a = W_a W_a^H;
     any other set reads them from its operators.  No eigenvector is
     computed here.
@@ -465,7 +505,7 @@ class DuplicateCheck:
     within_2: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Evidence:
     """What the verdict and the LP read from one pair of sets, computed once.
 

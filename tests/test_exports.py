@@ -1,10 +1,15 @@
 """Public names: every export resolves and is declared in the module it comes from."""
 
 import ast
+import copy
+import dataclasses
+import functools
 import importlib
 import pkgutil
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steerlab
@@ -149,3 +154,74 @@ def test_defaults_have_setters():
             if found is not None:
                 unset += [f"{path.stem}.{node.name}({p})" for p in defaulted if p not in found]
     assert sorted(unset) == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
+def _holds_array(tp, seen=frozenset()) -> bool:
+    """Whether a type hint is an ndarray or contains one, through dataclass fields too."""
+    if tp is np.ndarray or typing.get_origin(tp) is np.ndarray:
+        return True
+    if isinstance(tp, type) and dataclasses.is_dataclass(tp):
+        return tp not in seen and any(
+            _holds_array(hint, seen | {tp}) for hint in typing.get_type_hints(tp).values()
+        )
+    return any(_holds_array(arg, seen) for arg in typing.get_args(tp))
+
+
+ARRAY_HOLDERS = sorted(
+    name for name in steerlab.__all__
+    if isinstance(getattr(steerlab, name), type) and _holds_array(getattr(steerlab, name))
+)
+
+
+@functools.cache
+def _array_holder_instances():
+    """One instance of each exported class that holds an array, by name."""
+    family = steerlab.computational_family(2)
+    basis = steerlab.BellLikeBasis(0.3, family, family_label="computational")
+    bell = steerlab.SteeringProtocol(
+        2, steerlab.bell_like_setting(basis),
+        steerlab.bell_like_setting(steerlab.BellLikeBasis(1.1, family)), 4,
+    )
+    # a product state has a hidden-state model: the LP finds one
+    product = steerlab.EnsembleState(
+        4, (1.0,), (np.kron(steerlab.random_pure(2, 1), steerlab.random_pure(2, 2)),)
+    )
+    protocol = steerlab.tensor_protocol("zz", "yx", n_qubits=4)
+    sets = [steerlab.conditional_states(product, protocol, k) for k in (1, 2)]
+    problem, _ = steerlab.problem_for(*sets)
+    result = steerlab.solve_feasibility(problem)
+    extraction = steerlab.two_term_extract(steerlab.max_rank_family(4, 2, 1), basis, 2)
+    return {
+        "EnsembleState": product,
+        "DensityMatrix": steerlab.density_of(product),
+        "BellLikeBasis": basis,
+        "MeasurementSetting": protocol.setting_1,
+        "SteeringProtocol": bell,
+        "ConditionalStateSet": sets[0],
+        "CollapseDecomposition": steerlab.collapse_decomposition(product, protocol.setting_1, 2),
+        "LpProblem": problem,
+        "FeasibilityResult": result,
+        "LhsModel": result.model,
+        "TwoTermForm": extraction.form,
+        "TwoTermExtraction": extraction,
+    }
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    """Equal copies of a class with an array field compare and hash without raising.
+
+    The generated field-wise ``==`` would ask an array for its truth value,
+    and the generated hash would hash an array; both go by identity instead.
+    """
+    cls = getattr(steerlab, name)
+    obj = _array_holder_instances()[name]
+    twin = copy.deepcopy(obj)
+    assert isinstance(obj, cls) and type(twin) is type(obj)
+    assert not cls.__dataclass_params__.eq
+    assert obj == obj and obj != twin and not obj == twin
+    assert hash(obj) == hash(obj) and len({obj, twin}) == 2
+
+
+def test_array_holders_are_found():
+    assert set(ARRAY_HOLDERS) == set(_array_holder_instances())

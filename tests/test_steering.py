@@ -64,7 +64,8 @@ from steerlab import (
     tensor_setting,
     two_qubit_theta_state,
 )
-from steerlab.linalg import purities, read_only_copy
+from steerlab.linalg import purities
+from steerlab.steering import _BranchStates
 
 
 def count_phase_fixes(monkeypatch):
@@ -178,16 +179,34 @@ class TestConditionalStates:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_reductions_match_loops(self, seed):
-        """Probabilities and total read off the stack are the per-operator loops' bits."""
+        """Probabilities and total read off the stack are the per-matrix loops' bits.
+
+        Density-input and projector-stack sets read their operators; a
+        branch-backed set reads the traces of its Gram stack, and its total,
+        one product of the flattened branches, is the operator loop's to 1e-15.
+        """
         state, protocol = haar_ensemble(4, 3, seed), random_protocol(2, seed)
-        for which in (1, 2):
-            cs = conditional_states(state, protocol, which)
-            total = np.zeros_like(cs.operators[0])
-            for op in cs.operators:
+
+        def loops(stack):
+            total = np.zeros_like(stack[0])
+            for op in stack:
                 total = total + op
-            traces = np.array([float(np.trace(op).real) for op in cs.operators])
+            return total, np.array([float(np.trace(op).real) for op in stack])
+
+        operator_sets = [conditional_states(density_of(state), protocol, w) for w in (1, 2)]
+        operator_sets.append(conditional_states(state, coarse_protocol(), 1))
+        for cs in operator_sets:
+            assert type(cs) is ConditionalStateSet
+            total, traces = loops(cs.operators)
             assert cs.total().tobytes() == total.tobytes()
             assert cs.probabilities.tobytes() == traces.tobytes()
+        for which in (1, 2):
+            cs = conditional_states(state, protocol, which)
+            assert isinstance(cs, _BranchStates)
+            _, traces = loops(cs.branches.conj() @ cs.branches.swapaxes(1, 2))
+            assert cs.probabilities.tobytes() == traces.tobytes()
+            total, _ = loops(cs.operators)
+            np.testing.assert_allclose(cs.total(), total, rtol=0, atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         rho = density_of(two_qubit_theta_state(0.5))
@@ -315,9 +334,7 @@ class TestConditionalPsdBoundary:
         terms, d_b = 6, 4
         w = rng.standard_normal((4, terms, d_b)) + 1j * rng.standard_normal((4, terms, d_b))
         w *= np.sqrt(np.array(self.TRACES) / np.linalg.norm(w, axis=(1, 2)) ** 2)[:, None, None]
-        ops = w.swapaxes(1, 2) @ w.conj()
-        sset = ConditionalStateSet(1, "s", 2, self.LABELS, ops)
-        object.__setattr__(sset, "branches", w)
+        sset = _BranchStates(1, "s", 2, self.LABELS, w)
         sset.__dict__["_evidence_stack"] = self.stack(terms, planted, shift, rng)
         self.check(sset, sset.total(), planted, shift)
 
@@ -618,9 +635,78 @@ class TestBranchEvidence:
 
     def test_rank2_setting_keeps_operator_path(self):
         state, protocol = lc4_mixed(0.5), coarse_protocol()
-        assert conditional_states(state, protocol, 1).branches is None
-        assert conditional_states(state, protocol, 2).branches is not None
-        assert conditional_states(density_of(state), protocol, 2).branches is None
+        assert type(conditional_states(state, protocol, 1)) is ConditionalStateSet
+        assert isinstance(conditional_states(state, protocol, 2), _BranchStates)
+        assert type(conditional_states(density_of(state), protocol, 2)) is ConditionalStateSet
+
+
+class TestBranchStates:
+    """An ensemble's set under a rank-1 setting holds its branches; operators only when read."""
+
+    @pytest.mark.parametrize("n, m, terms", [(2, 1, 1), (4, 2, 3), (5, 2, 6), (6, 3, 2)])
+    def test_lazy_operators(self, n, m, terms):
+        seed = 10 * n + terms
+        state, protocol = haar_ensemble(n, terms, seed), random_protocol(m, seed)
+        rho = density_of(state).matrix
+        for which, setting in zip((1, 2), protocol.settings):
+            cs = conditional_states(state, protocol, which)
+            assert isinstance(cs, _BranchStates)
+            assert "operators" not in cs.__dict__
+            ops = cs.operators
+            assert cs.operators is ops and not ops.flags.writeable
+            want = cs.branches.swapaxes(1, 2) @ cs.branches.conj()
+            assert ops.tobytes() == want.tobytes()
+            np.testing.assert_allclose(
+                ops, loop_conditional(rho, setting.projectors, n, m), rtol=0, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                cs.probabilities, np.trace(ops, axis1=1, axis2=2).real, rtol=0, atol=1e-15
+            )
+            np.testing.assert_allclose(cs.total(), ops.sum(0), rtol=0, atol=1e-15)
+
+    def test_branches_kept_without_copy(self):
+        w = np.random.default_rng(0).standard_normal((2, 3, 4)).astype(complex)
+        cs = _BranchStates(1, "s", 2, ("a", "b"), w)
+        assert cs.branches is w and not w.flags.writeable
+
+    @pytest.mark.parametrize("terms", [1, 3])
+    def test_certify_builds_no_operators(self, terms):
+        state, protocol = haar_ensemble(6, terms, 8), random_protocol(3, 8)
+        report, evidence = steerlab.steering._certify(state, protocol, config.REQUIREMENT_TOL)
+        assert report.verdict == (PARADOX if terms == 1 else NO_PARADOX_PURITY)
+        for cs in (evidence.set1, evidence.set2):
+            assert isinstance(cs, _BranchStates)
+            assert "operators" not in cs.__dict__
+
+    def test_validate_rejects_marginal_mismatch(self):
+        state, protocol = haar_ensemble(4, 2, 5), random_protocol(2, 5)
+        cs = conditional_states(state, protocol, 1)
+        rho_b = bob_marginal(state, 2)
+        cs.validate(rho_b)
+        # trace kept, so only the marginal check can fail
+        off = rho_b + 1e-6 * np.diag([1.0, -1.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="do not sum to Bob's marginal"):
+            cs.validate(off)
+        assert "operators" not in cs.__dict__
+
+    def test_large_certify_peak(self):
+        """``certify`` on ``scripts/ladder.py``'s n = 12, M = 6 instance peaks below 4 MB.
+
+        Each setting's (64, 1, 64) branches take 64 KiB; the (64, 64, 64)
+        operator stack they stand for would take 4 MiB.
+        """
+        rng = np.random.default_rng([12, 6])
+        state = EnsembleState(12, (1.0,), (random_pure(12, int(rng.integers(2**32))),))
+        s1, s2 = (random_rank1_setting(6, rng, label=f"haar-{k}") for k in (1, 2))
+        protocol = SteeringProtocol(6, s1, s2)
+        tracemalloc.start()
+        try:
+            report = certify(state, protocol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == PARADOX
+        assert peak < 4 * 2**20
 
 
 def near_pure_branches(rng, d, p, gap, terms=3):
@@ -644,12 +730,8 @@ def near_pure_branches(rng, d, p, gap, terms=3):
 
 def branch_set(branches):
     """A set whose evidence is the Gram stack of ``branches`` (K, T, d), as certify builds it."""
-    operators = branches.swapaxes(1, 2) @ branches.conj()
     outcomes = tuple(str(a) for a in range(len(branches)))
-    d = branches.shape[-1]
-    cs = ConditionalStateSet(1, "s", d.bit_length() - 1, outcomes, operators)
-    object.__setattr__(cs, "branches", read_only_copy(branches))
-    return cs
+    return _BranchStates(1, "s", branches.shape[-1].bit_length() - 1, outcomes, branches)
 
 
 def count_eigh(monkeypatch):
