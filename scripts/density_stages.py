@@ -6,9 +6,13 @@ Rows starting ``density.`` time the checks a ``DensityMatrix`` runs on
 construction (skipped when the pool holds no density matrix); rows starting
 ``certify.`` time the stages ``certify`` runs, one after another, on fresh
 inputs each repeat; ``op`` is the benchmark's timed operation.
-``certify.principal_vectors`` times only the instances whose counted
-conditional states are all pure, the only ones whose vectors ``certify``
-reads, and adds nothing for the others; ``certify.duplicates`` includes it.
+A density pool's header also says on how many instances the
+``DensityMatrix`` keeps its low-rank factor, which ``certify`` then
+contracts in place of the matrix, and the largest remainder ||L L^H - H||_F
+that ``_low_rank_psd`` returned.  ``certify.principal_vectors`` times only
+the instances whose counted conditional states are all pure, the only ones
+whose vectors ``certify`` reads, and adds nothing for the others;
+``certify.duplicates`` includes it.
 Each row is the fastest of ``--repeats`` passes over the pool, divided by
 the pool size.  BLAS runs on one thread, as in the benchmark.
 
@@ -123,6 +127,12 @@ def main() -> int:
     print(f"{args.workload} seed {args.seed}: {len(pool)} instances, "
           f"best of {args.repeats}, ms per operation")
     dense = all(inst.matrix is not None for inst in pool)
+    if dense:
+        kept = sum(state.factor is not None for _, state, _ in inputs)
+        proofs = [_low_rank_psd(inst.matrix, config.PSD_TOL) for inst in pool]
+        remainders = [proof[1] for proof in proofs if proof is not None]
+        largest = f"{max(remainders):.2e}" if remainders else "none"
+        print(f"factor kept on {kept} of {len(pool)}; largest remainder {largest}")
     for name, prepare, run in stages(workload.lp):
         if name.startswith("density.") and not dense:
             continue

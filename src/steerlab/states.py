@@ -94,8 +94,8 @@ class EnsembleState:
 _PIVOT_SHARE = 32
 
 
-def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
-    """Whether a pivoted partial Cholesky factor proves m + tol * I positive definite.
+def _low_rank_psd(m: ComplexArray, tol: float) -> tuple[ComplexArray, float] | None:
+    """A pivoted partial Cholesky factor that proves m + tol * I positive definite.
 
     m is read as the Hermitian operator H its lower triangle defines, the one
     ``np.linalg.cholesky`` factors.  Columns of H enter the factor L largest
@@ -107,7 +107,8 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
     temporary has more than TILE rows.  By Weyl,
     lambda_min(H + tol * I) >= tol - ||E||_2, so a Frobenius norm below tol
     (the diagonal's squares plus twice the strictly lower triangle's) is a
-    proof.  False means undecided, not indefinite.
+    proof.  Returns (L, ||E||_F), L a compact (len(m), r) copy of the taken
+    columns, when that proof holds; None means undecided, not indefinite.
     """
     dim = len(m)
     budget = dim // _PIVOT_SHARE
@@ -119,7 +120,7 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
         j = int(np.argmax(remaining))
         pivot = remaining[j]
         if k == budget or pivot <= 0.0:
-            return False
+            return None
         column = factor[:, k]
         column[j:] = m[j:, j]
         column[:j] = m[j, :j].conj()
@@ -144,7 +145,9 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> bool:
         squared += diagonal @ diagonal
         square *= strictly_lower[:rows, :rows]
         squared += 2.0 * np.vdot(block, block).real
-    return bool(squared < tol**2)
+    if not squared < tol**2:
+        return None
+    return taken.copy(), float(np.sqrt(squared))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +166,19 @@ class DensityMatrix:
     ``linalg.TILE``-sized blocks, so the only full-size array a low-rank
     input costs is ``matrix``, a read-only copy of the input; the full
     factor is taken on that copy, shifted in place and restored.
+
+    ``factor`` is that L, read-only and of shape (2**n_qubits, r), kept when
+    the matrix is its factor: ||E||_F and the largest entry of
+    |matrix - matrix^H| are both below ``config.ZERO_FLOOR``.  L stands for
+    the operator the lower triangle defines, so both are needed for
+    L L^H to stand for ``matrix``.  Otherwise ``factor`` is None: at
+    n_qubits <= 4, for a rank above the pivot budget, and for input whose
+    remainder or Hermiticity residual is larger than rounding.
     """
 
     n_qubits: int
     matrix: ComplexArray = field(repr=False)
+    factor: ComplexArray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         m = as_complex(self.matrix)
@@ -176,10 +188,12 @@ class DensityMatrix:
                 f"density matrix of shape {m.shape} does not act on {self.n_qubits} qubits"
             )
         config.capped_dim(self.n_qubits)
-        if hermiticity_residuals(m) > config.HERMITICITY_TOL:
+        residual = hermiticity_residuals(m)
+        if residual > config.HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
         kept = m.copy()
-        if not _low_rank_psd(kept, config.PSD_TOL):
+        proof = _low_rank_psd(kept, config.PSD_TOL)
+        if proof is None:
             # the kept copy is shifted in place for the full factor and its
             # diagonal then restored: m + PSD_TOL * eye(dim) would hold two
             # more 2^N x 2^N arrays
@@ -197,6 +211,10 @@ class DensityMatrix:
             raise ValidationError(f"density matrix trace {trace!r} is not 1")
         kept.setflags(write=False)
         object.__setattr__(self, "matrix", kept)
+        if proof is not None and max(proof[1], residual) < config.ZERO_FLOOR:
+            factor = proof[0]
+            factor.setflags(write=False)
+            object.__setattr__(self, "factor", factor)
 
     @property
     def dim(self) -> int:

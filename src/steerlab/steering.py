@@ -23,10 +23,14 @@ other one the top eigenvector from ``eigh``.  Such a set holds only its
 branches: its probabilities are tr(G_a), its total sum_a rho_a is one
 product of the branches flattened to (K T, d_B), and its (K, d_B, d_B)
 operators are built on first read, which no verdict stage does.  A
-density matrix is contracted for both settings in one banded pass: the two
-flattened projector stacks, stacked, multiply rho one band of Bob's rows at
-a time, so with two or more Bob qubits the pass builds no full-size array;
-the density matrix's own kept copy is the only one.
+density matrix kept with its low-rank ``factor`` L, rho = L L^H to rounding,
+is contracted the same way, with L's columns as the amplitudes.  Any other
+density matrix (n <= 4, a rank above the pivot budget, or input whose
+remainder or Hermiticity residual exceeds rounding) is contracted for both
+settings in one banded pass: each setting's flattened projector stack
+multiplies rho one band of Bob's rows at a time, so with two or more Bob
+qubits the pass builds no full-size array; the density matrix's own kept
+copy is the only one.
 Summing the traces over both complete settings always gives 2.  A
 local-hidden-state explanation forces the same total down to tr(rho_B) = 1
 whenever two structural requirements hold: every nonzero-probability
@@ -101,9 +105,10 @@ class ConditionalStateSet:
     sum_a rho_a = rho_B.
 
     The contraction behind ``conditional_states`` and ``certify`` returns,
-    for an ensemble under a rank-1 setting, a set that holds only its
-    branches (``_BranchStates``): its operators are built on first read, and
-    its probabilities, total and evidence come from the branches.
+    for an ensemble or a density matrix kept with its factor under a rank-1
+    setting, a set that holds only its branches (``_BranchStates``): its
+    operators are built on first read, and its probabilities, total and
+    evidence come from the branches.
 
     ``counted``, ``purities`` and ``principal_vectors``, the evidence every
     stage reads, are computed on first use and kept.  Equality and hashing
@@ -204,6 +209,7 @@ class ConditionalStateSet:
 class _BranchStates(ConditionalStateSet):
     """A set held as its branches: an ensemble's states under a rank-1 setting.
 
+    The ensemble may be a density matrix's factor L, one term per column.
     ``branches`` is a read-only (K, T, d_B) array whose row (a, alpha) is the
     branch w_{a,alpha}, so that rho_a = W_a W_a^H.  Only
     ``_unvalidated_states`` builds one, from a fresh product of validated,
@@ -251,10 +257,23 @@ class _BranchStates(ConditionalStateSet):
         return top / np.linalg.norm(top, axis=1)[:, None]
 
 
-def _amplitudes(state: EnsembleState, alice_qubits: int) -> ComplexArray:
-    """The terms sqrt(p_alpha) psi_alpha as d_A x d_B matrices, stacked on axis 0."""
+def _amplitudes(
+    state: EnsembleState | DensityMatrix, alice_qubits: int
+) -> ComplexArray | None:
+    """The terms of a state as d_A x d_B matrices, stacked on axis 0, or None.
+
+    An ensemble's terms are sqrt(p_alpha) psi_alpha; a density matrix kept
+    with its ``factor`` L has L's columns, since rho = L L^H.  A density
+    matrix without a factor has none.
+    """
     d_b = 2 ** (state.n_qubits - alice_qubits)
-    return (np.sqrt(state.weights)[:, None] * state.vectors).reshape(state.n_terms, -1, d_b)
+    if isinstance(state, EnsembleState):
+        terms = np.sqrt(state.weights)[:, None] * state.vectors
+    elif state.factor is not None:
+        terms = state.factor.T
+    else:
+        return None
+    return terms.reshape(len(terms), -1, d_b)
 
 
 def _branches(terms: ComplexArray, basis: ComplexArray) -> ComplexArray:
@@ -291,16 +310,18 @@ def conditional_states(
     """Bob's conditional states for setting ``which`` (1 or 2) of the protocol.
 
     Both inputs are contracted for every outcome at once.  An ensemble,
-    validated on construction, is only weighted and reshaped.  Under a
-    setting with basis vectors u_a it gives the branches
+    validated on construction, is only weighted and reshaped; so is a
+    density matrix kept with its ``factor`` L, whose columns are its terms.
+    Under a setting with basis vectors u_a the terms give the branches
     w_{a,alpha} = sqrt(p_alpha) Psi_alpha^T conj(u_a) in one product, and
     the set holds only them (``_BranchStates``): its evidence comes from the
     T x T Gram matrices W_a^H W_a, which share rho_a's nonzero eigenvalues,
-    and rho_a = W_a W_a^H is built on first read.  Other ensembles are
-    contracted with the projector stack.  A density matrix is contracted
-    with the flattened projector stack in the banded pass of
-    ``_banded_product``, one band of Bob's rows at a time.  The set is
-    validated against Bob's marginal.
+    and rho_a = W_a W_a^H is built on first read.  Under other settings the
+    terms are contracted with the projector stack.  A density matrix without
+    a factor is contracted with the flattened projector stack in the banded
+    pass of ``_banded_product``, one band of Bob's rows at a time.  The set
+    is validated against Bob's marginal, for a density matrix the exact
+    partial trace of its kept ``matrix``.
     """
     return _validated_states(state, protocol, (which,))[0]
 
@@ -316,29 +337,32 @@ def _validated_states(
     return sets
 
 
-def _banded_product(matrix: ComplexArray, stack: ComplexArray, d_a: int, d_b: int) -> ComplexArray:
-    """rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)] for each row P_a of ``stack``.
+def _banded_product(
+    matrix: ComplexArray, stacks: tuple[ComplexArray, ...], d_a: int, d_b: int
+) -> list[ComplexArray]:
+    """rho_a[j, l] = sum_{t, c} P_a[t, c] rho[(c, j), (t, l)] for each row P_a of each stack.
 
-    ``stack`` holds the flattened (d_A, d_A) projectors, one per row.  With
-    rho's axes ordered (t, c, j, l) all outcomes are one product over
-    (t, c); it is taken one band J of TILE // d_A Bob rows j at a time:
-    rho.reshape(d_A, d_B, d_A, d_B)[:, J], copied into (t, c, j, l) order,
-    times the whole stack gives rho_a[j, l] for j in J.  Each entry is still
-    one sum over all of (t, c) in one product, so the result is bitwise the
-    unbanded product's, and the only temporary is one band of TILE rows of
-    rho, or of one Bob row when d_A > TILE.  A band is at least 4 columns
-    wide, as the unbanded product is (d_B^2 >= 4): OpenBLAS computes a
-    narrower product with edge kernels that round differently, so with
-    d_B = 2 the one band is the whole matrix.
+    Each stack holds one setting's flattened (d_A, d_A) projectors, one per
+    row, and gives one (K, d_B, d_B) array.  With rho's axes ordered
+    (t, c, j, l) all outcomes are one product over (t, c); it is taken one
+    band J of TILE // d_A Bob rows j at a time: rho.reshape(d_A, d_B, d_A,
+    d_B)[:, J], copied into (t, c, j, l) order once, times each whole stack
+    gives rho_a[j, l] for j in J.  Each entry is still one sum over all of
+    (t, c) in one product, so the result is bitwise the unbanded product's,
+    and the only temporary is one band of TILE rows of rho, or of one Bob
+    row when d_A > TILE; the stacks are read where they are, never copied
+    into one.  A band is at least 4 columns wide, as the unbanded product is
+    (d_B^2 >= 4): OpenBLAS computes a narrower product with edge kernels
+    that round differently, so with d_B = 2 the one band is the whole matrix.
     """
-    k = len(stack)
-    operators = np.empty((k, d_b, d_b), dtype=np.complex128)
-    flat = operators.reshape(k, d_b * d_b)
+    operators = [np.empty((len(stack), d_b, d_b), dtype=np.complex128) for stack in stacks]
+    flats = [out.reshape(len(out), d_b * d_b) for out in operators]
     rows = max(1, TILE // d_a, 4 // d_b)
     blocks = matrix.reshape(d_a, d_b, d_a, d_b)
     for j in range(0, d_b, rows):
         band = blocks[:, j : j + rows].transpose(2, 0, 1, 3).reshape(d_a * d_a, -1)
-        np.matmul(stack, band, out=flat[:, j * d_b : (j + rows) * d_b])
+        for stack, flat in zip(stacks, flats):
+            np.matmul(stack, band, out=flat[:, j * d_b : (j + rows) * d_b])
     return operators
 
 
@@ -347,12 +371,12 @@ def _unvalidated_states(
 ) -> tuple[ConditionalStateSet, ...]:
     """The sets of the settings ``which`` (each 1 or 2), before validation.
 
-    An ensemble under a rank-1 setting gives a ``_BranchStates``; every other
+    A state with amplitudes, an ensemble or a density matrix kept with its
+    ``factor``, gives a ``_BranchStates`` under a rank-1 setting; every other
     pair gives operators, checked by ``ConditionalStateSet``'s constructor.
-    A density matrix is contracted once for all of them: their flattened
-    projector stacks, stacked into one (K1 + K2, 4^M) matrix, go through
-    one ``_banded_product``.  That stacked copy has as many entries as the
-    settings' own projector arrays.
+    A density matrix without a factor is contracted once for all of them:
+    each setting's flattened projector stack, a view of its own array,
+    multiplies the same bands of rho in one ``_banded_product``.
     """
     for k in which:
         if k not in (1, 2):
@@ -369,8 +393,8 @@ def _unvalidated_states(
     d_a, d_b = 2**m, 2 ** (n - m)
     heads = [(k, s.label, n - m, s.outcomes) for k, s in zip(which, settings)]
     sets: list[ConditionalStateSet] = []
-    if isinstance(state, EnsembleState):
-        phi = _amplitudes(state, m)
+    phi = _amplitudes(state, m)
+    if phi is not None:
         for head, setting in zip(heads, settings):
             if setting.vectors is not None:
                 sets.append(_BranchStates(*head, _branches(phi, setting.vectors)))
@@ -382,12 +406,9 @@ def _unvalidated_states(
             projected = projected.reshape(setting.n_outcomes, -1, d_b)
             sets.append(ConditionalStateSet(*head, phi.reshape(-1, d_b).T @ projected))
     else:
-        stack = np.concatenate([s.projectors.reshape(s.n_outcomes, d_a * d_a) for s in settings])
-        operators = _banded_product(state.matrix, stack, d_a, d_b)
-        start = 0
-        for head, setting in zip(heads, settings):
-            sets.append(ConditionalStateSet(*head, operators[start : start + setting.n_outcomes]))
-            start += setting.n_outcomes
+        stacks = tuple(s.projectors.reshape(s.n_outcomes, d_a * d_a) for s in settings)
+        operators = _banded_product(state.matrix, stacks, d_a, d_b)
+        sets.extend(ConditionalStateSet(*head, ops) for head, ops in zip(heads, operators))
     return tuple(sets)
 
 

@@ -22,8 +22,8 @@ from steerlab import (
     save_state,
     two_qubit_theta_state,
 )
-from conftest import untiled_low_rank_psd
-from steerlab import config, states
+from conftest import loop_conditional, random_protocol, untiled_low_rank_psd
+from steerlab import NO_PARADOX_PURITY, certify, conditional_states, config, states
 from steerlab.linalg import hermiticity_residuals
 
 
@@ -222,6 +222,39 @@ class TestPsdBoundary:
         assert DensityMatrix(9, m).matrix.tobytes() == m.tobytes()
 
 
+class TestFactorGate:
+    """A matrix keeps its factor L only when L L^H is the matrix to rounding."""
+
+    def test_non_hermitian_input_keeps_no_factor(self):
+        # L stands for the operator the lower triangle defines; an upper
+        # triangle 2e-11 away, within HERMITICITY_TOL, moves Bob's marginal
+        # by about 7e-9, so L's conditional states would not sum to it
+        m = density_of(random_mixed(9, 2, 3)).matrix + np.triu(np.full((512, 512), 2e-11), 1)
+        assert hermiticity_residuals(m) <= config.HERMITICITY_TOL
+        assert states._low_rank_psd(m, config.PSD_TOL)[1] < config.ZERO_FLOOR
+        rho = DensityMatrix(9, m)
+        assert rho.factor is None
+        assert certify(rho, random_protocol(4, 5)).verdict == NO_PARADOX_PURITY
+
+    @pytest.mark.parametrize("lam_min", [-0.5 * config.PSD_TOL, -1e-12])
+    def test_remainder_above_floor_keeps_no_factor(self, lam_min, monkeypatch):
+        # a rank-3 operator and one small negative eigenvalue: the low-rank
+        # proof holds, but its remainder is that eigenvalue, not rounding
+        m = boundary_density(9, 3, lam_min)
+        _, remainder = states._low_rank_psd(m, config.PSD_TOL)
+        assert config.ZERO_FLOOR <= remainder < config.PSD_TOL
+        protocol = random_protocol(4, 9)
+        refuse_full_factor(monkeypatch)
+        rho = DensityMatrix(9, m)
+        monkeypatch.undo()
+        assert rho.factor is None
+        for which, setting in enumerate(protocol.settings, start=1):
+            cs = conditional_states(rho, protocol, which)
+            assert not hasattr(cs, "branches")
+            want = loop_conditional(m, setting.projectors, 9, 4)
+            np.testing.assert_allclose(cs.operators, want, rtol=0, atol=1e-15)
+
+
 def test_tiled_remainder_matches_untiled():
     """``_low_rank_psd`` against the remainder formed whole, decision by decision.
 
@@ -237,7 +270,7 @@ def test_tiled_remainder_matches_untiled():
         for rank in range(1, 17):
             matrices.append(density_of(random_mixed(n, rank, seed=rank)).matrix)
             matrices.append(boundary_density(n, rank, -2.0 * config.PSD_TOL))
-    decisions = [states._low_rank_psd(m, config.PSD_TOL) for m in matrices]
+    decisions = [states._low_rank_psd(m, config.PSD_TOL) is not None for m in matrices]
     assert decisions == [untiled_low_rank_psd(m, config.PSD_TOL) for m in matrices]
     assert True in decisions and False in decisions
 

@@ -1,5 +1,6 @@
 """Conditional states, the two requirements, verdicts and report rendering."""
 
+import functools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -394,6 +395,16 @@ class TestDensityContraction:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def full_rank_density(n, seed):
+    """``random_mixed(n, 2**n, seed)`` as a density matrix, summed in one product.
+
+    Its rank exceeds the pivot budget 2**n // 32, so it keeps no factor and
+    takes the banded pass.
+    """
+    mixed = random_mixed(n, 2**n, seed)
+    return DensityMatrix(n, (mixed.vectors.T * mixed.weights) @ mixed.vectors.conj())
+
+
 def one_product(matrix, stack, d_a, d_b):
     """rho_a for each flattened projector row of ``stack``: the whole matrix,
     reordered to (t, c, j, l), in one product; reference for the banded pass."""
@@ -402,7 +413,11 @@ def one_product(matrix, stack, d_a, d_b):
 
 
 class TestBandedContraction:
-    """Both settings' density contraction, one band of Bob rows at a time."""
+    """Both settings' density contraction, one band of Bob rows at a time.
+
+    The banded pass serves density matrices kept without a factor, here of
+    full rank.
+    """
 
     @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 10) for m in range(1, n)])
     def test_banded_product_bitwise(self, n, m):
@@ -410,14 +425,16 @@ class TestBandedContraction:
         d_a, d_b = 2**m, 2 ** (n - m)
         matrix = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         stack = rng.normal(size=(3, d_a * d_a)) + 1j * rng.normal(size=(3, d_a * d_a))
-        got = steerlab.steering._banded_product(matrix, stack, d_a, d_b)
-        assert np.array_equal(got, one_product(matrix, stack, d_a, d_b))
+        got = steerlab.steering._banded_product(matrix, (stack, stack[1:]), d_a, d_b)
+        assert np.array_equal(got[0], one_product(matrix, stack, d_a, d_b))
+        assert np.array_equal(got[1], one_product(matrix, stack[1:], d_a, d_b))
 
     # an M = 8 setting holds 256 dense 256 x 256 projectors (268 MB); the
     # bitwise test above covers that band shape
     @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 10) for m in range(1, min(n, 8))])
     def test_joint_sets_match_one_product_and_loop(self, n, m):
-        rho = density_of(random_mixed(n, 1 + n % 3, 100 * n + m))
+        rho = full_rank_density(n, 100 * n + m)
+        assert rho.factor is None
         protocol = replace(random_protocol(m, n), setting_2=coarse_haar_setting(m, n))
         d_a, d_b = 2**m, 2 ** (n - m)
         joint = steerlab.steering._validated_states(rho, protocol, (1, 2))
@@ -439,6 +456,114 @@ class TestBandedContraction:
         finally:
             tracemalloc.stop()
         assert peak < rho.matrix.nbytes
+
+    @staticmethod
+    def certify_peak(rho, protocol):
+        """The tracemalloc peak of one ``certify``, in bytes."""
+        tracemalloc.start()
+        try:
+            certify(rho, protocol)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_certify_peak_below_matrix_size_full_rank(self):
+        rho = full_rank_density(9, 5)
+        assert rho.factor is None
+        assert self.certify_peak(rho, random_protocol(4, 5)) < rho.matrix.nbytes
+
+    def test_certify_peak_below_projector_bytes(self):
+        # each setting's stack multiplies the shared band where it lies; a
+        # stacked copy of both would peak at their whole 8.4 MB
+        protocol = random_protocol(6, 7)
+        projector_bytes = sum(s.projectors.nbytes for s in protocol.settings)
+        assert self.certify_peak(full_rank_density(7, 6), protocol) < projector_bytes / 8
+
+
+@functools.lru_cache(maxsize=1)
+def rank1_and_coarse_protocol(m_qubits, seed):
+    """``random_protocol`` with a ``coarse_haar_setting`` as setting 2.
+
+    The last pair is kept, so consecutive ranks of one (n, m) share it.
+    """
+    return replace(random_protocol(m_qubits, seed), setting_2=coarse_haar_setting(m_qubits, seed))
+
+
+class TestFactorContraction:
+    """Density input kept with its factor L, contracted from L's columns as amplitudes."""
+
+    @pytest.mark.parametrize(
+        "n, m, rank",
+        [
+            (n, m, rank)
+            for n in range(5, 10)
+            for m in range(1, min(n, 8))
+            for rank in range(1, 2**n // 32 + 1)
+        ],
+    )
+    def test_matches_einsum_loop(self, n, m, rank):
+        rho = density_of(random_mixed(n, rank, 1000 * n + 10 * m + rank))
+        assert rho.factor.shape == (2**n, rank)
+        protocol = rank1_and_coarse_protocol(m, n)
+        joint = steerlab.steering._validated_states(rho, protocol, (1, 2))
+        assert isinstance(joint[0], _BranchStates)
+        for cs, setting in zip(joint, protocol.settings):
+            want = loop_conditional(rho.matrix, setting.projectors, n, m)
+            np.testing.assert_allclose(cs.operators, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n, rank", [(5, 1), (7, 3), (9, 16)])
+    def test_factor_is_read_only_and_reproduces_matrix(self, n, rank):
+        rho = density_of(random_mixed(n, rank, n))
+        with pytest.raises(ValueError):
+            rho.factor[0, 0] = 0.0
+        gap = rho.factor @ rho.factor.conj().T - rho.matrix
+        assert np.linalg.norm(gap) < config.ZERO_FLOOR
+
+    @staticmethod
+    def instances():
+        """(ensemble, protocol) pairs whose verdicts cover all three labels."""
+        # ranks up to the pivot budget 2**n // 32
+        for n, m, ranks in ((5, 2, (1,)), (7, 3, (1, 2, 4)), (9, 4, (1, 3, 16))):
+            protocol = random_protocol(m, n)
+            for rank in ranks:
+                yield random_mixed(n, rank, 7 * n + rank), protocol
+            # Alice's part |0...0>: one outcome of the computational setting
+            # counts, the others are excluded, and every counted state is
+            # Bob's part, within and across the settings
+            product = np.kron(basis_ket(m, 0), random_pure(n - m, n))
+            yield (
+                EnsembleState(n, (1.0,), (product,)),
+                replace(protocol, setting_1=tensor_setting("z" * m)),
+            )
+
+    def test_certify_matches_ensemble(self):
+        verdicts = set()
+        for ensemble, protocol in self.instances():
+            rho = density_of(ensemble)
+            assert rho.factor is not None
+            got, want = certify(rho, protocol), certify(ensemble, protocol)
+            assert got.verdict == want.verdict
+            assert got.setting_labels == want.setting_labels
+            assert [(r.setting, r.outcome) for r in got.per_outcome] == [
+                (r.setting, r.outcome) for r in want.per_outcome
+            ]
+            assert got.excluded_outcomes == want.excluded_outcomes
+            assert got.cross_setting_duplicates == want.cross_setting_duplicates
+            assert got.within_setting_duplicates == want.within_setting_duplicates
+            verdicts.add(got.verdict)
+        assert verdicts == {PARADOX, NO_PARADOX_PURITY, NO_PARADOX_CROSS_DUPLICATE}
+
+    @pytest.mark.parametrize("n, m, rank", [(5, 2, 1), (6, 3, 2)])
+    def test_lp_verdict_matches_banded(self, n, m, rank):
+        rho = density_of(random_mixed(n, rank, n))
+        assert rho.factor is not None
+        banded = DensityMatrix(n, rho.matrix)
+        object.__setattr__(banded, "factor", None)
+        protocol = random_protocol(m, n)
+        got, want = certify(rho, protocol, lp=True), certify(banded, protocol, lp=True)
+        assert got.lp_verdict == want.lp_verdict
+        assert got.lp_residual == pytest.approx(want.lp_residual, abs=1e-10)
+        assert got.verdict == want.verdict
 
 
 class TestAmplitudePath:
