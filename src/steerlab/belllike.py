@@ -43,6 +43,12 @@ def _two_term(
     return c * np.kron(plus, eta_p) + s * np.kron(minus, eta_m)
 
 
+def _check_split(n_qubits: int, alice_qubits: int) -> None:
+    """DimensionError unless Alice and Bob each hold at least one qubit."""
+    if not 1 <= alice_qubits < n_qubits:
+        raise DimensionError(f"alice_qubits must lie in [1, {n_qubits - 1}], got {alice_qubits}")
+
+
 def _family_pairs(
     family: BellLikeBasis | Sequence[tuple[ComplexArray, ComplexArray]],
 ) -> FamilyPairs:
@@ -122,8 +128,7 @@ def two_term_extract(
     """
     pairs = _family_pairs(family)
     n = ensemble.n_qubits
-    if not 1 <= alice_qubits < n:
-        raise DimensionError(f"alice_qubits must lie in [1, {n - 1}], got {alice_qubits}")
+    _check_split(n, alice_qubits)
     d_a = 2**alice_qubits
     d_b = 2 ** (n - alice_qubits)
     if pairs[0][0].shape[0] != d_a or 2 * len(pairs) != d_a:
@@ -217,12 +222,7 @@ def max_rank_family(n_qubits: int, alice_qubits: int, seed: int) -> EnsembleStat
     zero.  Certifying with two paired-basis settings over the same family
     (angle difference away from multiples of pi/2) yields PARADOX.
     """
-    if alice_qubits < 1:
-        raise DimensionError(f"alice_qubits must be positive, got {alice_qubits}")
-    if n_qubits <= alice_qubits:
-        raise DimensionError(
-            f"n_qubits={n_qubits} leaves Bob empty for alice_qubits={alice_qubits}"
-        )
+    _check_split(n_qubits, alice_qubits)
     config.capped_dim(n_qubits)
     rng = np.random.default_rng(seed)
     pairs = computational_family(alice_qubits)
@@ -246,8 +246,10 @@ def add_shared_slot_component(
     """Append one more two-term component on slot 0, which is already occupied.
 
     The result exceeds the rank ceiling and loses the paradox: the slot's
-    conditional states become genuine mixtures.
+    conditional states become genuine mixtures.  Raises DimensionError
+    unless Bob keeps at least one qubit.
     """
+    _check_split(ensemble.n_qubits, alice_qubits)
     # keyed stream: plain default_rng(seed) would replay the exact draws
     # max_rank_family(…, seed) made and append a copy of component 0
     rng = np.random.default_rng([seed, 1])

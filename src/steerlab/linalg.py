@@ -86,6 +86,20 @@ def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
     return out[()]
 
 
+def has_cholesky(stack: ComplexArray) -> bool:
+    """Whether every matrix of a (..., d, d) stack has a Cholesky factor.
+
+    The PSD rule of every validated operator A, asked of A + ``config.PSD_TOL``
+    * I: it holds exactly when no eigenvalue of A lies below -``PSD_TOL``.
+    Only the lower triangle is read.
+    """
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def purities(stack: ComplexArray) -> npt.NDArray[np.float64]:
     """tr(A^2) / tr(A)^2 for each matrix A of a (K, d, d) stack; 1 for a pure state.
 

@@ -32,6 +32,7 @@ from .linalg import (
     ComplexArray,
     as_complex,
     canonical_phase,
+    has_cholesky,
     hermiticity_residuals,
     read_only_copy,
 )
@@ -94,8 +95,8 @@ class EnsembleState:
 _PIVOT_SHARE = 32
 
 
-def _low_rank_psd(m: ComplexArray, tol: float) -> tuple[ComplexArray, float] | None:
-    """A pivoted partial Cholesky factor that proves m + tol * I positive definite.
+def _low_rank_psd(m: ComplexArray, tol: float) -> ComplexArray | None:
+    """A pivoted partial Cholesky factor L with ||L L^H - H||_F < tol, or None.
 
     m is read as the Hermitian operator H its lower triangle defines, the one
     ``np.linalg.cholesky`` factors.  Columns of H enter the factor L largest
@@ -104,11 +105,11 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> tuple[ComplexArray, float] | N
     pivot is not positive, or len(m) // 32 columns are taken.  Only in the
     first case can the remainder E = L L^H - H be small, and only then is it
     formed: its lower triangle, one block of ``TILE`` rows at a time, so no
-    temporary has more than TILE rows.  By Weyl,
-    lambda_min(H + tol * I) >= tol - ||E||_2, so a Frobenius norm below tol
-    (the diagonal's squares plus twice the strictly lower triangle's) is a
-    proof.  Returns (L, ||E||_F), L a compact (len(m), r) copy of the taken
-    columns, when that proof holds; None means undecided, not indefinite.
+    temporary has more than TILE rows.  By Weyl every eigenvalue of H lies
+    above -||E||_2, so a Frobenius norm below tol (the diagonal's squares
+    plus twice the strictly lower triangle's) makes L a PSD proof as well as
+    H to within tol.  Returns L, a compact (len(m), r) copy of the taken
+    columns; None means undecided, not indefinite.
     """
     dim = len(m)
     budget = dim // _PIVOT_SHARE
@@ -145,9 +146,7 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> tuple[ComplexArray, float] | N
         squared += diagonal @ diagonal
         square *= strictly_lower[:rows, :rows]
         squared += 2.0 * np.vdot(block, block).real
-    if not squared < tol**2:
-        return None
-    return taken.copy(), float(np.sqrt(squared))
+    return taken.copy() if squared < tol**2 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,23 +156,18 @@ class DensityMatrix:
     Invariants: Hermitian within 1e-10, positive semidefinite within 1e-9
     (no eigenvalue below -1e-9), unit trace within 1e-10, checked in that
     order.  The PSD test reads only the lower triangle, so Hermiticity is
-    checked first.  A low-rank matrix is accepted from a pivoted partial
-    Cholesky factor L of at most 2**n_qubits // 32 columns when the remainder
-    E = matrix - L L^H has Frobenius norm below 1e-9 (see ``_low_rank_psd``);
-    otherwise, and always at n_qubits <= 4, matrix + 1e-9 * I must have a
-    full Cholesky factor, which holds exactly when no eigenvalue lies below
-    -1e-9.  The Hermiticity check and the remainder E read the matrix in
+    checked first.  A matrix is accepted on one of two paths.  When the
+    largest entry of |matrix - matrix^H| is below ``config.ZERO_FLOOR``, a
+    pivoted partial Cholesky factor L of at most 2**n_qubits // 32 columns
+    with ||matrix - L L^H||_F below ``ZERO_FLOOR`` (``_low_rank_psd``) is
+    both the PSD proof and ``factor``, read-only and (2**n_qubits, r); L
+    stands for the operator the lower triangle defines, hence the gate.
+    Otherwise, and always at n_qubits <= 4, matrix + 1e-9 * I must have a
+    full Cholesky factor (``linalg.has_cholesky``), and ``factor`` is None.
+    The Hermiticity check and the remainder read the matrix in
     ``linalg.TILE``-sized blocks, so the only full-size array a low-rank
     input costs is ``matrix``, a read-only copy of the input; the full
     factor is taken on that copy, shifted in place and restored.
-
-    ``factor`` is that L, read-only and of shape (2**n_qubits, r), kept when
-    the matrix is its factor: ||E||_F and the largest entry of
-    |matrix - matrix^H| are both below ``config.ZERO_FLOOR``.  L stands for
-    the operator the lower triangle defines, so both are needed for
-    L L^H to stand for ``matrix``.  Otherwise ``factor`` is None: at
-    n_qubits <= 4, for a rank above the pivot budget, and for input whose
-    remainder or Hermiticity residual is larger than rounding.
     """
 
     n_qubits: int
@@ -192,27 +186,22 @@ class DensityMatrix:
         if residual > config.HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
         kept = m.copy()
-        proof = _low_rank_psd(kept, config.PSD_TOL)
-        if proof is None:
+        factor = _low_rank_psd(kept, config.ZERO_FLOOR) if residual < config.ZERO_FLOOR else None
+        if factor is None:
             # the kept copy is shifted in place for the full factor and its
             # diagonal then restored: m + PSD_TOL * eye(dim) would hold two
             # more 2^N x 2^N arrays
             diagonal = kept.ravel()[:: dim + 1]
             diagonal += config.PSD_TOL
-            try:
-                np.linalg.cholesky(kept)
-            except np.linalg.LinAlgError:
-                raise ValidationError(
-                    "density matrix is not positive semidefinite within 1e-9"
-                ) from None
+            if not has_cholesky(kept):
+                raise ValidationError("density matrix is not positive semidefinite within 1e-9")
             diagonal[:] = m.diagonal()
         trace = np.trace(m)
         if abs(trace.real - 1.0) > config.WEIGHT_TOL or abs(trace.imag) > config.WEIGHT_TOL:
             raise ValidationError(f"density matrix trace {trace!r} is not 1")
         kept.setflags(write=False)
         object.__setattr__(self, "matrix", kept)
-        if proof is not None and max(proof[1], residual) < config.ZERO_FLOOR:
-            factor = proof[0]
+        if factor is not None:
             factor.setflags(write=False)
             object.__setattr__(self, "factor", factor)
 

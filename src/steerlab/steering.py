@@ -58,6 +58,7 @@ from .linalg import (
     TILE,
     ComplexArray,
     canonical_phase,
+    has_cholesky,
     hermiticity_residuals,
     phase_coincidences,
     read_only_copy,
@@ -81,15 +82,6 @@ def _two_products(stack: ComplexArray) -> ComplexArray:
     column = stack[np.arange(len(stack)), :, j]
     v = (stack @ column[..., None])[..., 0]
     return v / np.linalg.norm(v, axis=1)[:, None]
-
-
-def _has_cholesky(a: ComplexArray) -> bool:
-    """Whether every matrix of a (..., d, d) stack has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,19 +178,19 @@ class ConditionalStateSet:
     def validate(self, rho_b: ComplexArray) -> None:
         """Check positivity, unit total probability and Bob's marginal ``rho_b``.
 
-        Positivity is the criterion ``DensityMatrix`` applies: each evidence
-        matrix plus ``config.PSD_TOL`` * I must have a Cholesky factor, which
-        holds exactly when no eigenvalue lies below -``PSD_TOL``.  A rank-1
-        outcome's rho_a compresses rho, so its spectrum lies within rho's; a
-        rank-r outcome can reach -r ``PSD_TOL``.  All outcomes are factored
+        Positivity is ``linalg.has_cholesky``'s rule, as for a
+        ``DensityMatrix``: each evidence matrix plus ``config.PSD_TOL`` * I
+        must have a Cholesky factor.  A rank-1 outcome's rho_a compresses
+        rho, so its spectrum lies within rho's; a rank-r outcome can reach
+        -r ``PSD_TOL``.  All outcomes are factored
         in one batched call; only when it fails is each factored alone, to
         name the first outcome without a factor.
         """
         # G_a has rho_a's nonzero eigenvalues, and rho_a's others are zero
         stack = self._evidence_stack
         shifted = stack + config.PSD_TOL * np.eye(stack.shape[-1])
-        if not _has_cholesky(shifted):
-            first = next(i for i, a in enumerate(shifted) if not _has_cholesky(a))
+        if not has_cholesky(shifted):
+            first = next(i for i, a in enumerate(shifted) if not has_cholesky(a))
             raise ValidationError(f"conditional state {self.outcomes[first]!r} is not PSD")
         if abs(float(np.sum(self.probabilities)) - 1.0) > config.MARGINAL_TOL:
             raise ValidationError("outcome probabilities do not sum to 1")

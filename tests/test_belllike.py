@@ -232,6 +232,13 @@ class TestMaxRankFamily:
         with pytest.raises(DimensionError):
             max_rank_family(2, 2, seed=0)
 
+    @pytest.mark.parametrize("alice_qubits", [0, 3, 4])
+    def test_shared_slot_rejects_a_split_without_bob(self, alice_qubits):
+        # at alice_qubits == n, Bob's dimension is 1 and no two distinct
+        # collapse vectors exist to draw
+        with pytest.raises(DimensionError, match="alice_qubits must lie in"):
+            add_shared_slot_component(max_rank_family(3, 2, 1), alice_qubits, 1)
+
     def test_refuses_past_the_cap_before_drawing(self):
         with pytest.raises(DimensionError, match="dimension cap"):
             max_rank_family(40, 1, seed=0)

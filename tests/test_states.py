@@ -133,11 +133,17 @@ BOUNDARY_CASES = [
 ]
 
 
-def refuse_full_factor(monkeypatch):
-    def refuse(a):
-        raise AssertionError("the full Cholesky factor was called")
+def count_full_factors(monkeypatch):
+    """The shapes ``np.linalg.cholesky`` is called on, which it still factors."""
+    calls = []
+    cholesky = np.linalg.cholesky
 
-    monkeypatch.setattr(states.np.linalg, "cholesky", refuse)
+    def counted(a):
+        calls.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(states.np.linalg, "cholesky", counted)
+    return calls
 
 
 class TestPsdBoundary:
@@ -165,8 +171,9 @@ class TestPsdBoundary:
     @pytest.mark.parametrize("rank", [1, 3])
     def test_low_rank_inputs_need_no_full_factor(self, rank, monkeypatch):
         rho = density_of(random_mixed(9, rank, seed=rank)).matrix
-        refuse_full_factor(monkeypatch)
+        calls = count_full_factors(monkeypatch)
         np.testing.assert_array_equal(DensityMatrix(9, rho).matrix, rho)
+        assert calls == []
 
     def test_full_rank_input_accepted_with_identical_bytes(self):
         # Werner-like: every eigenvalue is at least 0.7 / 512
@@ -217,9 +224,12 @@ class TestPsdBoundary:
         assert 1e-11 < hermiticity_residuals(m) <= config.HERMITICITY_TOL
         with pytest.raises(ValidationError, match="not positive semidefinite within 1e-9"):
             DensityMatrix(9, m)
+        # its Hermiticity residual is above ZERO_FLOOR, so the full factor
+        # decides, once
         m, _ = self.one_triangle_negative(lower=False)
-        refuse_full_factor(monkeypatch)
+        calls = count_full_factors(monkeypatch)
         assert DensityMatrix(9, m).matrix.tobytes() == m.tobytes()
+        assert calls == [(512, 512)]
 
 
 class TestFactorGate:
@@ -230,29 +240,71 @@ class TestFactorGate:
         # triangle 2e-11 away, within HERMITICITY_TOL, moves Bob's marginal
         # by about 7e-9, so L's conditional states would not sum to it
         m = density_of(random_mixed(9, 2, 3)).matrix + np.triu(np.full((512, 512), 2e-11), 1)
-        assert hermiticity_residuals(m) <= config.HERMITICITY_TOL
-        assert states._low_rank_psd(m, config.PSD_TOL)[1] < config.ZERO_FLOOR
+        assert config.ZERO_FLOOR <= hermiticity_residuals(m) <= config.HERMITICITY_TOL
+        # the lower triangle alone is its factor to rounding
+        assert states._low_rank_psd(m, config.ZERO_FLOOR) is not None
         rho = DensityMatrix(9, m)
         assert rho.factor is None
         assert certify(rho, random_protocol(4, 5)).verdict == NO_PARADOX_PURITY
 
     @pytest.mark.parametrize("lam_min", [-0.5 * config.PSD_TOL, -1e-12])
     def test_remainder_above_floor_keeps_no_factor(self, lam_min, monkeypatch):
-        # a rank-3 operator and one small negative eigenvalue: the low-rank
-        # proof holds, but its remainder is that eigenvalue, not rounding
+        # a rank-3 operator and one small negative eigenvalue: a low-rank
+        # proof would hold at PSD_TOL, but the remainder is that eigenvalue,
+        # not rounding, so the full factor decides, once
         m = boundary_density(9, 3, lam_min)
-        _, remainder = states._low_rank_psd(m, config.PSD_TOL)
-        assert config.ZERO_FLOOR <= remainder < config.PSD_TOL
+        assert states._low_rank_psd(m, config.PSD_TOL) is not None
+        assert states._low_rank_psd(m, config.ZERO_FLOOR) is None
         protocol = random_protocol(4, 9)
-        refuse_full_factor(monkeypatch)
+        calls = count_full_factors(monkeypatch)
         rho = DensityMatrix(9, m)
         monkeypatch.undo()
+        assert calls == [(512, 512)]
         assert rho.factor is None
         for which, setting in enumerate(protocol.settings, start=1):
             cs = conditional_states(rho, protocol, which)
             assert not hasattr(cs, "branches")
             want = loop_conditional(m, setting.projectors, 9, 4)
             np.testing.assert_allclose(cs.operators, want, rtol=0, atol=1e-15)
+
+    def test_small_positive_tail_keeps_its_column(self):
+        # a rank-3 operator and a 1e-12 eigenvalue: the tail is pivoted as a
+        # fourth column, and L L^H is the matrix to rounding
+        m = boundary_density(9, 3, 1e-12)
+        rho = DensityMatrix(9, m)
+        assert rho.factor.shape == (512, 4)
+        protocol = random_protocol(4, 9)
+        for which, setting in enumerate(protocol.settings, start=1):
+            cs = conditional_states(rho, protocol, which)
+            want = loop_conditional(m, setting.projectors, 9, 4)
+            np.testing.assert_allclose(cs.operators, want, rtol=0, atol=1e-15)
+
+    @staticmethod
+    def gate_inputs():
+        """The boundary fixtures, the 2e-11 upper-triangle input and valid
+        mixtures at n = 5 to 9, ranks 1 to two past the pivot budget."""
+        for n, rank, shift in BOUNDARY_CASES:
+            yield n, boundary_density(n, rank, -config.PSD_TOL * (1.0 + shift))
+        upper = np.triu(np.full((512, 512), 2e-11), 1)
+        yield 9, density_of(random_mixed(9, 2, 3)).matrix + upper
+        for n in range(5, 10):
+            for rank in range(1, 2**n // 32 + 3):
+                yield n, density_of(random_mixed(n, rank, 10 * n + rank)).matrix
+
+    def test_factor_kept_exactly_when_hermitian_and_factored(self):
+        # rejected input keeps nothing
+        kept, expected = [], []
+        for n, m in self.gate_inputs():
+            try:
+                kept.append(DensityMatrix(n, m).factor is not None)
+            except ValidationError:
+                kept.append(False)
+            expected.append(
+                bool(hermiticity_residuals(m) < config.ZERO_FLOOR)
+                and untiled_low_rank_psd(m, config.ZERO_FLOOR)
+            )
+        assert kept == expected
+        assert True in kept and False in kept
 
 
 def test_tiled_remainder_matches_untiled():
