@@ -72,7 +72,9 @@ def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
     diagonal tile is its own mirror, and a matrix with d <= TILE is one
     tile.  |a_rc - conj(a_cr)| and |a_cr - conj(a_rc)| are the same float,
     so the result is bitwise max |A - A^H|, and no temporary is larger than
-    one tile of the stack.
+    one tile of the stack.  A NaN or infinite entry makes its matrix's
+    result NaN or infinite (inf - inf is NaN, and np.max and np.maximum
+    carry NaN from tile to tile); ``DensityMatrix`` decides finiteness so.
     """
     d = stack.shape[-1]
     out = np.zeros(stack.shape[:-2])

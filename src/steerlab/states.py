@@ -8,6 +8,7 @@ factor.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -46,10 +47,11 @@ class BoundaryThetaWarning(UserWarning):
 class EnsembleState:
     """Convex mixture of pure states, sum_a weights[a] |vectors[a]><vectors[a]|.
 
-    Invariants, checked on construction: every weight is positive, the weights
-    sum to one within 1e-10, every vector is finite and unit norm on 2**n_qubits
-    amplitudes, and sum_a p_a ||psi_a||^2 = 1 within 1e-10.  ``vectors`` is a
-    read-only (T, 2**n_qubits) copy of the input, one row per term.
+    Invariants, checked on construction: every weight is finite and positive,
+    the weights sum to one within 1e-10, every vector is finite and unit norm
+    on 2**n_qubits amplitudes, and sum_a p_a ||psi_a||^2 = 1 within 1e-10.
+    ``vectors`` is a read-only (T, 2**n_qubits) copy of the input, one row
+    per term.
     """
 
     n_qubits: int
@@ -63,6 +65,9 @@ class EnsembleState:
         weights = tuple(float(w) for w in self.weights)
         if len(weights) == 0 or len(weights) != len(self.vectors):
             raise ValidationError("ensemble needs matching, non-empty weights and vectors")
+        # every comparison with NaN is false, so the checks below would pass it
+        if not all(map(math.isfinite, weights)):
+            raise ValidationError("ensemble weights must be finite")
         if any(w <= 0.0 for w in weights):
             raise ValidationError("ensemble weights must be positive")
         if abs(sum(weights) - 1.0) > config.WEIGHT_TOL:
@@ -153,15 +158,18 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> ComplexArray | None:
 class DensityMatrix:
     """Validated density operator on n qubits.
 
-    Invariants: Hermitian within 1e-10, positive semidefinite within 1e-9
-    (no eigenvalue below -1e-9), unit trace within 1e-10, checked in that
-    order.  The PSD test reads only the lower triangle, so Hermiticity is
-    checked first.  A matrix is accepted on one of two paths.  When the
-    largest entry of |matrix - matrix^H| is below ``config.ZERO_FLOOR``, a
-    pivoted partial Cholesky factor L of at most 2**n_qubits // 32 columns
-    with ||matrix - L L^H||_F below ``ZERO_FLOOR`` (``_low_rank_psd``) is
-    both the PSD proof and ``factor``, read-only and (2**n_qubits, r); L
-    stands for the operator the lower triangle defines, hence the gate.
+    Invariants: finite, Hermitian within 1e-10, positive semidefinite within
+    1e-9 (no eigenvalue below -1e-9), unit trace within 1e-10, checked in
+    that order.  Finiteness is decided from the Hermiticity residual, which
+    is not finite exactly when an entry is not (or a difference overflows),
+    so no separate pass reads the matrix for it.  The PSD test reads only
+    the lower triangle, so Hermiticity is checked first.  A matrix is
+    accepted on one of two paths.  When the largest entry of
+    |matrix - matrix^H| is below ``config.ZERO_FLOOR``, a pivoted partial
+    Cholesky factor L of at most 2**n_qubits // 32 columns with
+    ||matrix - L L^H||_F below ``ZERO_FLOOR`` (``_low_rank_psd``) is both
+    the PSD proof and ``factor``, read-only and (2**n_qubits, r); L stands
+    for the operator the lower triangle defines, hence the gate.
     Otherwise, and always at n_qubits <= 4, matrix + 1e-9 * I must have a
     full Cholesky factor (``linalg.has_cholesky``), and ``factor`` is None.
     The Hermiticity check and the remainder read the matrix in
@@ -175,14 +183,21 @@ class DensityMatrix:
     factor: ComplexArray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        m = as_complex(self.matrix)
+        m = np.asarray(self.matrix, dtype=np.complex128)
         dim = 2**self.n_qubits
         if self.n_qubits < 1 or m.shape != (dim, dim):
+            as_complex(m)
             raise DimensionError(
                 f"density matrix of shape {m.shape} does not act on {self.n_qubits} qubits"
             )
         config.capped_dim(self.n_qubits)
-        residual = hermiticity_residuals(m)
+        # a non-finite entry makes the residual NaN or inf (inf - inf is NaN),
+        # and as_complex then raises; a finite matrix whose difference
+        # overflowed goes on to fail the Hermiticity check
+        with np.errstate(invalid="ignore"):
+            residual = hermiticity_residuals(m)
+        if not np.isfinite(residual):
+            as_complex(m)
         if residual > config.HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
         kept = m.copy()

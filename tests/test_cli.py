@@ -117,6 +117,17 @@ class TestCheck:
         assert r.returncode == 2
         assert "n_qubits" in r.stderr
 
+    def test_non_finite_weight_exit_2(self, files, tmp_path):
+        state = tmp_path / "nan.json"
+        doc = save_state(EnsembleState(2, (0.5, 0.5), (basis_ket(2, 0), basis_ket(2, 3))))
+        doc["state"]["terms"][1]["weight"] = float("nan")
+        state.write_text(json.dumps(doc))
+        assert '"weight": NaN' in state.read_text()
+        r = run_cli("check", "--state", str(state), "--protocol", files["zx.json"])
+        assert r.returncode == 2
+        assert "error: ensemble weights must be finite" in r.stderr
+        assert "verdict" not in r.stdout
+
     def test_missing_file_exit_2(self, files):
         r = run_cli("check", "--state", files["root"] + "/absent.json",
                     "--protocol", files["zx.json"])

@@ -213,6 +213,41 @@ class TestStacks:
                     assert np.array_equal(hermiticity_residuals(a), plain_hermiticity_residuals(a))
                 assert hermiticity_residuals(planted) > 1e-7
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 130),
+        k=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        plants=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 129), st.integers(0, 129),
+                st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, -np.inf),
+                                 complex(np.inf, np.nan)]),
+                st.booleans(),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_hermiticity_residuals_non_finite_exactly_with_an_entry(self, d, k, seed, plants):
+        """A non-finite entry anywhere (with or without a conjugate mirror)
+        makes that matrix's residual non-finite, and only such an entry.
+
+        k = 0 is one matrix; otherwise a stack of k; d crosses TILE twice.
+        """
+        rng = np.random.default_rng(seed)
+        shape = (d, d) if k == 0 else (k, d, d)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = g + g.conj().swapaxes(-1, -2) + 1e-9 * g
+        members = a.reshape(-1, d, d)
+        for member, r, c, value, mirrored in plants:
+            m = members[member % len(members)]
+            m[r % d, c % d] = value
+            if mirrored:
+                m[c % d, r % d] = np.conj(value)
+        with np.errstate(invalid="ignore"):
+            got = hermiticity_residuals(a)
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(a).all(axis=(-2, -1)))
+
     def test_empty_stack(self):
         # no outcome of a zero set counts, so its evidence stacks are empty
         zero = ConditionalStateSet(0, "s", 2, ("0", "1"), np.zeros((2, 4, 4)))

@@ -88,6 +88,40 @@ class TestContainers:
         with pytest.raises(ValidationError, match="non-finite"):
             EnsembleState(2, (0.5, 0.5), (basis_ket(2, 1), v))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_density_rejects_non_finite_entry(self, n, bad):
+        """A diagonal, strictly lower and strictly upper entry, and a pair that
+        looks Hermitian, on the full-factor (n = 1) and low-rank (n = 9) paths."""
+        base = np.eye(2) / 2 if n == 1 else density_of(random_mixed(9, 3, 5)).matrix
+        last = len(base) - 1
+        for entries in ([(last, last)], [(last, 0)], [(0, last)], [(0, last), (last, 0)]):
+            m = base.astype(complex)
+            for k, (r, c) in enumerate(entries):
+                m[r, c] = np.conj(bad) if k else bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityMatrix(n, m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_density_wrong_shape_rejects_non_finite_entry(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 0] = bad
+        for n in (0, 2):
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityMatrix(n, m)
+
+    def test_density_difference_overflow_is_not_hermitian(self):
+        # every entry is finite, but |a_01 - conj(a_10)| overflows to inf
+        m = np.array([[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityMatrix(1, m)
+
+    @pytest.mark.parametrize("weights", [(np.nan,), (0.5, np.nan), (np.inf,), (1.0, -np.inf)])
+    def test_ensemble_rejects_non_finite_weight(self, weights):
+        vectors = (basis_ket(2, 0), basis_ket(2, 3))[: len(weights)]
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            EnsembleState(2, weights, vectors)
+
     def test_basis_ket(self):
         v = basis_ket(2, 0b10)
         assert v[2] == 1.0
@@ -460,6 +494,14 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError) as err:
             load_state(doc)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_rejects_non_finite_weight(self, weight):
+        # Python's json parses NaN and Infinity, so the schema passes them on
+        doc = ('{"n_qubits": 1, "state": {"type": "ensemble", "terms": '
+               f'[{{"weight": {weight}, "vector": [[1, 0], [0, 0]]}}]}}}}')
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            load_state(doc)
 
     def test_rejects_boolean_weight(self):
         doc = {
