@@ -4,8 +4,13 @@
 The pool is a benchmark workload's, rebuilt from ``bench/workloads.py``.
 Rows starting ``density.`` time the checks a ``DensityMatrix`` runs on
 construction (skipped when the pool holds no density matrix); rows starting
-``certify.`` time the stages ``certify`` runs, one after another, on fresh
-inputs each repeat; ``op`` is the benchmark's timed operation.
+``protocol.`` time ``build_protocol``'s library calls: both
+``MeasurementSetting``s from the instance's projector and vector tuples,
+then the ``SteeringProtocol`` (its check that the settings differ); rows
+starting ``certify.`` time the stages ``certify`` runs, one after another,
+on fresh inputs each repeat: the joint contraction of both settings, the
+joint validation, then the purity check and principal vectors, each read
+once for both sets; ``op`` is the benchmark's timed operation.
 A density pool's header also counts the instances on each of the
 ``DensityMatrix``'s two acceptance paths: its own low-rank factor, which
 ``certify`` then contracts in place of the matrix, or the full Cholesky
@@ -36,6 +41,8 @@ from workloads import WORKLOADS, build_protocol, build_state, run_op  # noqa: E4
 
 from steerlab import (  # noqa: E402
     DensityMatrix,
+    MeasurementSetting,
+    SteeringProtocol,
     bob_marginal,
     certify,
     config,
@@ -44,7 +51,22 @@ from steerlab import (  # noqa: E402
 )
 from steerlab.linalg import hermiticity_residuals  # noqa: E402
 from steerlab.states import _low_rank_psd  # noqa: E402
-from steerlab.steering import _unvalidated_states, _validated_states  # noqa: E402
+from steerlab.steering import _unvalidated_states, _validate, _validated_states  # noqa: E402
+
+
+def raw_settings(inst):
+    """``build_protocol``'s constructor arguments for both settings; its
+    ``np.outer`` calls run here, outside the timed span."""
+    m = inst.alice_qubits
+    outcomes = tuple(format(i, f"0{m}b") for i in range(2**m))
+    return [
+        (f"setting-{k}", m, outcomes, tuple(np.outer(v, v.conj()) for v in vecs), tuple(vecs))
+        for k, vecs in enumerate(inst.settings, start=1)
+    ]
+
+
+def settings(raw):
+    return [MeasurementSetting(*args) for args in raw]
 
 
 def unvalidated_sets(state, protocol):
@@ -56,11 +78,6 @@ def validated_sets(state, protocol):
     return _validated_states(state, protocol, (1, 2))
 
 
-def validate_both(sets, rho_b):
-    for cs in sets:
-        cs.validate(rho_b)
-
-
 def pure_sets(state, protocol):
     # certify reads principal vectors only when every counted state is pure;
     # other instances time nothing in that row
@@ -69,6 +86,7 @@ def pure_sets(state, protocol):
 
 
 def principal_vectors(*sets):
+    # the first read computes both sets' vectors in one pass
     for cs in sets:
         cs.principal_vectors
 
@@ -87,12 +105,18 @@ def stages(lp):
         ("density.low_rank_psd", lambda i, s, p: (i.matrix, config.ZERO_FLOOR), _low_rank_psd),
         ("density.copy", lambda i, s, p: (i.matrix,), np.copy),
         ("density.construct", lambda i, s, p: (i.n_qubits, i.matrix), DensityMatrix),
+        ("protocol.settings", lambda i, s, p: (raw_settings(i),), settings),
+        (
+            "protocol.equality",
+            lambda i, s, p: (i.alice_qubits, *settings(raw_settings(i)), i.n_qubits),
+            SteeringProtocol,
+        ),
         ("certify.bob_marginal", lambda i, s, p: (s, p.alice_qubits), bob_marginal),
         ("certify.conditional", lambda i, s, p: (s, p), unvalidated_sets),
         (
             "certify.validate",
             lambda i, s, p: (unvalidated_sets(s, p), bob_marginal(s, p.alice_qubits)),
-            validate_both,
+            _validate,
         ),
         ("certify.purity", lambda i, s, p: validated_sets(s, p), purity_requirement),
         ("certify.principal_vectors", lambda i, s, p: pure_sets(s, p), principal_vectors),

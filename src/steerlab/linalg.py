@@ -26,23 +26,35 @@ def as_complex(a: npt.ArrayLike) -> ComplexArray:
     return out
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, marked unwritable: for a fresh array a container keeps."""
+    a.setflags(write=False)
+    return a
+
+
 def read_only_copy(a: ComplexArray) -> ComplexArray:
     """A copy that cannot be written, for arrays a validated container keeps."""
-    out = a.copy()
-    out.setflags(write=False)
-    return out
+    return read_only(a.copy())
 
 
 def stacked(items: Sequence[npt.ArrayLike], shape: tuple[int, ...], what: str) -> ComplexArray:
-    """Arrays of one shape as one complex (K, *shape) array.
+    """Arrays of one shape as one complex (K, *shape) array, finite (``as_complex``).
 
-    Raises DimensionError naming the first item of another shape, before any
-    entry is read.
+    The whole sequence is converted in one ``np.asarray`` and its shape
+    checked once.  Only when that conversion fails or gives another shape
+    are the items read one by one, to raise DimensionError naming the first
+    item of another shape; so a wrong shape is reported before any
+    non-finite entry.  An array of the right shape and dtype is not copied.
     """
-    for i, item in enumerate(items):
-        if np.shape(item) != shape:
-            raise DimensionError(f"{what} {i} has shape {np.shape(item)}, expected {shape}")
-    return as_complex(items).reshape(-1, *shape)
+    try:
+        out = np.asarray(items, dtype=np.complex128)
+    except (ValueError, TypeError):
+        out = None
+    if out is None or out.shape != (len(items), *shape):
+        for i, item in enumerate(items):
+            if np.shape(item) != shape:
+                raise DimensionError(f"{what} {i} has shape {np.shape(item)}, expected {shape}")
+    return as_complex(items if out is None else out).reshape(-1, *shape)
 
 
 def outers(rows: ComplexArray) -> ComplexArray:

@@ -40,6 +40,7 @@ from .linalg import (
     n_qubits_of,
     outers,
     phase_coincidences,
+    read_only,
     read_only_copy,
     stacked,
 )
@@ -167,27 +168,33 @@ class MeasurementSetting:
         tol = config.SETTING_TOL
         vectors = self.vectors
         if vectors is not None:
-            # sum_a |u_a><u_a| = I and U* U^T = I bound the completeness,
-            # idempotence and orthogonality residuals of the outer products,
-            # which are exactly Hermitian: no projector is checked on its own
+            # sum_a |u_a><u_a| = U^T U* = I and U* U^T = I bound the
+            # completeness, idempotence and orthogonality residuals of the
+            # outer products, which are exactly Hermitian: no projector is
+            # checked on its own
             if self.projectors is not None and len(self.projectors) != len(vectors):
                 raise ValidationError("vectors and projectors differ in count")
-            vectors = stacked([np.ravel(v) for v in vectors], (dim,), "vector")
-            stack = outers(vectors)
+            try:
+                # each vector raveled, in one conversion when all have dim entries
+                vectors = np.asarray(vectors, dtype=np.complex128).reshape(len(vectors), dim)
+            except (ValueError, TypeError):
+                vectors = [np.ravel(v) for v in vectors]
+            vectors = stacked(vectors, (dim,), "vector")
+            stack = read_only(outers(vectors))
             if self.projectors is not None:
                 given = stacked(self.projectors, (dim, dim), "projector")
-                gap = np.max(np.abs(stack - given), axis=(1, 2))
-                bad = np.flatnonzero(gap > config.SETTING_VECTOR_TOL)
-                if bad.size:
-                    raise ValidationError(f"vector {bad[0]} does not generate projector {bad[0]}")
-            if np.max(np.abs(stack.sum(0) - np.eye(dim))) > tol:
+                if np.max(np.abs(stack - given)) > config.SETTING_VECTOR_TOL:
+                    gap = np.max(np.abs(stack - given), axis=(1, 2))
+                    bad = np.flatnonzero(gap > config.SETTING_VECTOR_TOL)[0]
+                    raise ValidationError(f"vector {bad} does not generate projector {bad}")
+            if np.max(np.abs(vectors.T @ vectors.conj() - np.eye(dim))) > tol:
                 raise ValidationError(f"vectors do not resolve the identity within {tol:g}")
             if np.max(np.abs(vectors.conj() @ vectors.T - np.eye(len(vectors)))) > tol:
                 raise ValidationError(f"vectors are not orthonormal within {tol:g}")
         else:
             if self.projectors is None or len(self.projectors) == 0:
                 raise ValidationError("setting needs at least one projector")
-            stack = stacked(self.projectors, (dim, dim), "projector")
+            stack = read_only_copy(stacked(self.projectors, (dim, dim), "projector"))
             not_hermitian = hermiticity_residuals(stack) > tol
             not_idempotent = np.max(np.abs(stack @ stack - stack), axis=(1, 2)) > tol
             bad = np.flatnonzero(not_hermitian | not_idempotent)
@@ -210,7 +217,7 @@ class MeasurementSetting:
         if len(set(outcomes)) != len(outcomes):
             raise ValidationError("outcome labels are not unique")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "projectors", read_only_copy(stack))
+        object.__setattr__(self, "projectors", stack)
         object.__setattr__(self, "vectors", None if vectors is None else read_only_copy(vectors))
 
     @property
@@ -283,10 +290,19 @@ def settings_equal(a: MeasurementSetting, b: MeasurementSetting) -> bool:
     """Whether two settings have the same projector set (labels ignored).
 
     Each projector of ``a`` takes the first still unmatched projector of ``b``
-    within ``config.SETTING_TOL``, entrywise.
+    within ``config.SETTING_TOL``, entrywise.  When both store vectors, one
+    overlap product answers first for most unequal pairs: |u><u| and |v><v|
+    within t entrywise give |<u|v>|^2 >= |u|^4 - d t |u|^2, and |u|^2 >=
+    1 - t, so |<u|v>| >= 1 - (d + 2) t / 2 (1 - 3e-7 at the default cap
+    d = 4096); a vector of ``a`` whose largest overlap is below 1 - 1e-6
+    matches nothing.
     """
     if a.m_qubits != b.m_qubits or a.n_outcomes != b.n_outcomes:
         return False
+    if a.vectors is not None and b.vectors is not None:
+        overlaps = np.abs(a.vectors.conj() @ b.vectors.T)
+        if overlaps.max(axis=1).min() < 1.0 - 1e-6:
+            return False
     unmatched = np.ones(b.n_outcomes, dtype=bool)
     for p in a.projectors:
         close = np.max(np.abs(b.projectors - p), axis=(1, 2)) <= config.SETTING_TOL

@@ -22,7 +22,13 @@ for a pure outcome the normalized G_a(G_a e_j), two products, and for any
 other one the top eigenvector from ``eigh``.  Such a set holds only its
 branches: its probabilities are tr(G_a), its total sum_a rho_a is one
 product of the branches flattened to (K T, d_B), and its (K, d_B, d_B)
-operators are built on first read, which no verdict stage does.  A
+operators are built on first read, which no verdict stage does.  When both
+settings are rank-1, ``certify`` contracts them together: one product with
+the stacked (K1 + K2, d_A) bases, whose two sets are row views of one
+branch array and share one ``_Joint`` record, so the Gram stack, the PSD
+test, the purities and the principal vectors are each computed once for
+both; every batched step acts matrix by matrix, so each set is bitwise the
+one its setting gives alone.  A
 density matrix kept with its low-rank ``factor`` L, rho = L L^H to rounding,
 is contracted the same way, with L's columns as the amplitudes.  Any other
 density matrix (n <= 4, a rank above the pivot budget, or input whose
@@ -61,6 +67,7 @@ from .linalg import (
     has_cholesky,
     hermiticity_residuals,
     phase_coincidences,
+    read_only,
     read_only_copy,
     stacked,
 )
@@ -84,6 +91,58 @@ def _two_products(stack: ComplexArray) -> ComplexArray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def _is_psd(stack: ComplexArray) -> bool:
+    """``linalg.has_cholesky``'s PSD rule for evidence matrices E: E + ``PSD_TOL`` * I has a factor."""
+    return has_cholesky(stack + config.PSD_TOL * np.eye(stack.shape[-1]))
+
+
+class _Joint:
+    """The evidence of one or more sets, computed once over their stacked rows.
+
+    ``evidence`` stacks the rows of every set that shares the record,
+    setting 1's first: their operators, or for sets held as (K, T, d_B)
+    ``branches`` the Gram stack G_a = W_a^H W_a, formed on first read.  Each
+    set reads its slice of the quantities below.  Every batched step acts
+    matrix by matrix, so a slice is bitwise what its rows alone would give.
+    """
+
+    def __init__(
+        self, operators: ComplexArray | None = None, branches: ComplexArray | None = None
+    ) -> None:
+        self.branches = branches
+        if operators is not None:
+            # fills the cached property: operators are their own evidence
+            self.evidence = operators
+
+    @cached_property
+    def evidence(self) -> ComplexArray:
+        return self.branches.conj() @ self.branches.swapaxes(1, 2)
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        return read_only(np.trace(self.evidence, axis1=1, axis2=2).real)
+
+    @cached_property
+    def counted(self) -> np.ndarray:
+        return read_only(self.probabilities > config.PROB_FLOOR)
+
+    @cached_property
+    def purities(self) -> np.ndarray:
+        return read_only(stack_purities(self.evidence[self.counted]))
+
+    @cached_property
+    def principal_vectors(self) -> ComplexArray:
+        stack = self.evidence[self.counted]
+        top = _two_products(stack)
+        mixed = np.abs(self.purities - 1.0) >= config.REQUIREMENT_TOL
+        if mixed.any():
+            top[mixed] = np.linalg.eigh(stack[mixed])[1][..., -1]
+        if self.branches is not None:
+            top = (top[:, None] @ self.branches[self.counted])[:, 0]
+            top = top / np.linalg.norm(top, axis=1)[:, None]
+        return read_only(canonical_phase(top))
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalStateSet:
     """Bob's unnormalized conditional states for one setting.
@@ -103,8 +162,10 @@ class ConditionalStateSet:
     evidence come from the branches.
 
     ``counted``, ``purities`` and ``principal_vectors``, the evidence every
-    stage reads, are computed on first use and kept.  Equality and hashing
-    go by identity.
+    stage reads, are computed on first use and kept, by the set's ``_Joint``
+    record: its own, or for the branch-backed sets of one contraction one
+    record shared by both settings, of which each set reads its rows.
+    Equality and hashing go by identity.
     """
 
     setting_index: int
@@ -112,6 +173,9 @@ class ConditionalStateSet:
     bob_qubits: int
     outcomes: tuple[str, ...]
     operators: ComplexArray = field(repr=False)
+
+    # the set's rows in its ``_Joint`` record
+    _rows = slice(0, None)
 
     def __post_init__(self) -> None:
         dim = 2**self.bob_qubits
@@ -124,31 +188,37 @@ class ConditionalStateSet:
             raise ValidationError(f"conditional state {label!r} is not Hermitian")
         object.__setattr__(self, "operators", read_only_copy(operators))
 
+    @cached_property
+    def _joint(self) -> _Joint:
+        return _Joint(operators=self.operators)
+
+    @property
+    def _counted_rows(self) -> slice:
+        """This set's rows among its record's counted rows."""
+        before = int(np.count_nonzero(self._joint.counted[: self._rows.start]))
+        return slice(before, before + int(np.count_nonzero(self.counted)))
+
     @property
     def probabilities(self) -> np.ndarray:
-        return np.trace(self.operators, axis1=1, axis2=2).real
+        return self._joint.probabilities[self._rows]
 
     def total(self) -> ComplexArray:
         return self.operators.sum(0)
 
-    @property
+    @cached_property
     def _evidence_stack(self) -> ComplexArray:
         """The matrices the PSD test, purities and principal vectors read."""
-        return self.operators
-
-    def _lifted(self, top: ComplexArray) -> ComplexArray:
-        """The principal vectors of the states from those of ``_evidence_stack``."""
-        return top
+        return self._joint.evidence[self._rows]
 
     @cached_property
     def counted(self) -> np.ndarray:
         """Which outcomes count: probability above ``config.PROB_FLOOR``."""
-        return read_only_copy(self.probabilities > config.PROB_FLOOR)
+        return self._joint.counted[self._rows]
 
     @cached_property
     def purities(self) -> np.ndarray:
         """Purity of each counted state: tr(E^2) / tr(E)^2 of its evidence matrix E."""
-        return read_only_copy(stack_purities(self._evidence_stack[self.counted]))
+        return self._joint.purities[self._counted_rows]
 
     @cached_property
     def principal_vectors(self) -> ComplexArray:
@@ -166,14 +236,10 @@ class ConditionalStateSet:
         outcomes, mixed ones that a ``tol`` above the default lets through or
         a direct call on a mixed set, take one batched ``eigh``, whose top
         eigenvector is their principal vector.  A branch-backed set lifts
-        the vector g found for G_a to W_a g / ||W_a g||.
+        the vector g found for G_a to W_a g / ||W_a g||.  The record computes
+        them for all its counted rows in one pass, setting 1's first.
         """
-        stack = self._evidence_stack[self.counted]
-        top = _two_products(stack)
-        mixed = np.abs(self.purities - 1.0) >= config.REQUIREMENT_TOL
-        if mixed.any():
-            top[mixed] = np.linalg.eigh(stack[mixed])[1][..., -1]
-        return read_only_copy(canonical_phase(self._lifted(top)))
+        return self._joint.principal_vectors[self._counted_rows]
 
     def validate(self, rho_b: ComplexArray) -> None:
         """Check positivity, unit total probability and Bob's marginal ``rho_b``.
@@ -188,10 +254,13 @@ class ConditionalStateSet:
         """
         # G_a has rho_a's nonzero eigenvalues, and rho_a's others are zero
         stack = self._evidence_stack
-        shifted = stack + config.PSD_TOL * np.eye(stack.shape[-1])
-        if not has_cholesky(shifted):
-            first = next(i for i, a in enumerate(shifted) if not has_cholesky(a))
+        if not _is_psd(stack):
+            first = next(i for i, e in enumerate(stack) if not _is_psd(e))
             raise ValidationError(f"conditional state {self.outcomes[first]!r} is not PSD")
+        self._check_sums(rho_b)
+
+    def _check_sums(self, rho_b: ComplexArray) -> None:
+        """``validate``'s checks after positivity: unit total probability and Bob's marginal."""
         if abs(float(np.sum(self.probabilities)) - 1.0) > config.MARGINAL_TOL:
             raise ValidationError("outcome probabilities do not sum to 1")
         if np.linalg.norm(self.total() - rho_b) > config.MARGINAL_TOL:
@@ -203,50 +272,41 @@ class _BranchStates(ConditionalStateSet):
 
     The ensemble may be a density matrix's factor L, one term per column.
     ``branches`` is a read-only (K, T, d_B) array whose row (a, alpha) is the
-    branch w_{a,alpha}, so that rho_a = W_a W_a^H.  Only
-    ``_unvalidated_states`` builds one, from a fresh product of validated,
-    finite arrays, so the array is kept (marked read-only, not copied), and
-    the constructor's finiteness and Hermiticity checks are skipped: W W^H is
-    Hermitian by construction.  Every verdict quantity comes from the T x T
-    Gram stack G_a = W_a^H W_a, formed once, which has rho_a's nonzero
-    eigenvalues: the PSD test, the purities, the principal vectors and the
-    probabilities tr(G_a).  The total is one product of the flattened
-    (K T, d_B) branches, B^T B^*.  ``operators``, read only by the LP stage,
-    ``fallback_candidates`` and ``verify_model``, is built on first read as
-    branches^T @ branches^*, read-only, and kept.
+    branch w_{a,alpha}, so that rho_a = W_a W_a^H.  ``_unvalidated_states``
+    contracts every rank-1 setting of a call in one fresh product, and each
+    set keeps its rows of it as a view, rows ``start`` on of the ``_Joint``
+    record they share; a set given only its branches gets its own record.
+    The array is not copied, and the constructor's finiteness and
+    Hermiticity checks are skipped: W W^H is Hermitian by construction.
+    Every verdict quantity comes from the record's T x T Gram stack
+    G_a = W_a^H W_a, which has rho_a's nonzero eigenvalues: the PSD test,
+    the purities, the principal vectors and the probabilities tr(G_a).  The
+    total is one product of the flattened (K T, d_B) branches, B^T B^*.
+    ``operators``, read only by the LP stage, ``fallback_candidates`` and
+    ``verify_model``, is built on first read as branches^T @ branches^*,
+    read-only, and kept.
     """
 
     def __init__(
         self, setting_index: int, setting_label: str, bob_qubits: int,
         outcomes: tuple[str, ...], branches: ComplexArray,
+        joint: _Joint | None = None, start: int = 0,
     ) -> None:
-        branches.setflags(write=False)
+        if joint is None:
+            joint = _Joint(branches=read_only(branches))
         vars(self).update(
             setting_index=setting_index, setting_label=setting_label,
             bob_qubits=bob_qubits, outcomes=outcomes, branches=branches,
+            _joint=joint, _rows=slice(start, start + len(outcomes)),
         )
 
     @cached_property
     def operators(self) -> ComplexArray:
-        out = self.branches.swapaxes(1, 2) @ self.branches.conj()
-        out.setflags(write=False)
-        return out
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.trace(self._evidence_stack, axis1=1, axis2=2).real
+        return read_only(self.branches.swapaxes(1, 2) @ self.branches.conj())
 
     def total(self) -> ComplexArray:
         flat = self.branches.reshape(-1, self.branches.shape[-1])
         return flat.T @ flat.conj()
-
-    @cached_property
-    def _evidence_stack(self) -> ComplexArray:
-        return self.branches.conj() @ self.branches.swapaxes(1, 2)
-
-    def _lifted(self, top: ComplexArray) -> ComplexArray:
-        top = (top[:, None] @ self.branches[self.counted])[:, 0]
-        return top / np.linalg.norm(top, axis=1)[:, None]
 
 
 def _amplitudes(
@@ -321,12 +381,28 @@ def conditional_states(
 def _validated_states(
     state: EnsembleState | DensityMatrix, protocol: SteeringProtocol, which: tuple[int, ...]
 ) -> tuple[ConditionalStateSet, ...]:
-    """The sets of ``_unvalidated_states``, each validated against one Bob marginal."""
+    """The sets of ``_unvalidated_states``, validated against one Bob marginal."""
     sets = _unvalidated_states(state, protocol, which)
-    rho_b = bob_marginal(state, protocol.alice_qubits)
-    for cs in sets:
-        cs.validate(rho_b)
+    _validate(sets, bob_marginal(state, protocol.alice_qubits))
     return sets
+
+
+def _validate(sets: tuple[ConditionalStateSet, ...], rho_b: ComplexArray) -> None:
+    """Each set's ``validate``, in order, with one PSD test per ``_Joint`` record.
+
+    The sets of one contraction that share a record are factored in one
+    batched call over its whole evidence stack; only when a record fails does
+    each set run its own ``validate``, which names the first outcome without
+    a factor as it would alone.  Each set then checks its own probability sum
+    and Bob marginal.
+    """
+    joints = {id(cs._joint): cs._joint for cs in sets}.values()
+    if all(_is_psd(joint.evidence) for joint in joints):
+        for cs in sets:
+            cs._check_sums(rho_b)
+    else:
+        for cs in sets:
+            cs.validate(rho_b)
 
 
 def _banded_product(
@@ -364,8 +440,10 @@ def _unvalidated_states(
     """The sets of the settings ``which`` (each 1 or 2), before validation.
 
     A state with amplitudes, an ensemble or a density matrix kept with its
-    ``factor``, gives a ``_BranchStates`` under a rank-1 setting; every other
-    pair gives operators, checked by ``ConditionalStateSet``'s constructor.
+    ``factor``, gives a ``_BranchStates`` under a rank-1 setting, and all
+    rank-1 settings of the call are contracted in one product whose
+    ``_Joint`` record they share; every other pair gives operators, checked
+    by ``ConditionalStateSet``'s constructor.
     A density matrix without a factor is contracted once for all of them:
     each setting's flattened projector stack, a view of its own array,
     multiplies the same bands of rho in one ``_banded_product``.
@@ -384,23 +462,30 @@ def _unvalidated_states(
     settings = [protocol.settings[k - 1] for k in which]
     d_a, d_b = 2**m, 2 ** (n - m)
     heads = [(k, s.label, n - m, s.outcomes) for k, s in zip(which, settings)]
-    sets: list[ConditionalStateSet] = []
     phi = _amplitudes(state, m)
-    if phi is not None:
-        for head, setting in zip(heads, settings):
-            if setting.vectors is not None:
-                sets.append(_BranchStates(*head, _branches(phi, setting.vectors)))
-                continue
-            # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
-            # projected[a, alpha] over alpha is one product with the terms
-            # stacked along the rows
-            projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
-            projected = projected.reshape(setting.n_outcomes, -1, d_b)
-            sets.append(ConditionalStateSet(*head, phi.reshape(-1, d_b).T @ projected))
-    else:
+    if phi is None:
         stacks = tuple(s.projectors.reshape(s.n_outcomes, d_a * d_a) for s in settings)
         operators = _banded_product(state.matrix, stacks, d_a, d_b)
-        sets.extend(ConditionalStateSet(*head, ops) for head, ops in zip(heads, operators))
+        return tuple(ConditionalStateSet(*head, ops) for head, ops in zip(heads, operators))
+    bases = [s.vectors for s in settings if s.vectors is not None]
+    if bases:
+        # one product for the stacked (K1 + K2, d_A) bases; each set keeps its rows
+        branches = read_only(_branches(phi, np.concatenate(bases)))
+        joint = _Joint(branches=branches)
+    sets: list[ConditionalStateSet] = []
+    start = 0
+    for head, setting in zip(heads, settings):
+        if setting.vectors is not None:
+            stop = start + setting.n_outcomes
+            sets.append(_BranchStates(*head, branches[start:stop], joint, start))
+            start = stop
+            continue
+        # projected[a, alpha] = P_a^T Phi_alpha^*; summing Phi_alpha^T
+        # projected[a, alpha] over alpha is one product with the terms
+        # stacked along the rows
+        projected = setting.projectors.swapaxes(1, 2)[:, None] @ phi.conj()
+        projected = projected.reshape(setting.n_outcomes, -1, d_b)
+        sets.append(ConditionalStateSet(*head, phi.reshape(-1, d_b).T @ projected))
     return tuple(sets)
 
 
@@ -500,10 +585,9 @@ def purity_requirement(
     for cs in (set1, set2):
         q = np.zeros(len(cs.outcomes))
         q[cs.counted] = cs.purities
-        for label, p, kept, q_a in zip(cs.outcomes, cs.probabilities, cs.counted, q):
-            records.append(
-                OutcomeRecord(cs.setting_index, label, float(p), float(q_a) if kept else None)
-            )
+        rows = zip(cs.outcomes, cs.probabilities.tolist(), cs.counted.tolist(), q.tolist())
+        for label, p, kept, q_a in rows:
+            records.append(OutcomeRecord(cs.setting_index, label, p, q_a if kept else None))
     ok = not any(r.purity is not None and abs(r.purity - 1.0) >= tol for r in records)
     return PurityCheck(ok=ok, records=tuple(records))
 

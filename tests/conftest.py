@@ -313,6 +313,24 @@ def completeness_gap(setting):
     return float(np.linalg.norm(setting.projectors.sum(0) - np.eye(setting.dim)))
 
 
+def loop_settings_equal(a, b):
+    """Reference for ``settings_equal``: the greedy entrywise matching alone.
+
+    Each projector of ``a`` takes the first still unmatched projector of ``b``
+    within ``config.SETTING_TOL``, entrywise, with no overlap pre-check.
+    """
+    if a.m_qubits != b.m_qubits or a.n_outcomes != b.n_outcomes:
+        return False
+    unmatched = np.ones(b.n_outcomes, dtype=bool)
+    for p in a.projectors:
+        close = np.max(np.abs(b.projectors - p), axis=(1, 2)) <= config.SETTING_TOL
+        match = np.flatnonzero(unmatched & close)
+        if match.size == 0:
+            return False
+        unmatched[match[0]] = False
+    return True
+
+
 def overlaps(setting_1, setting_2):
     """V[j, i] = <setting_2 vector j | setting_1 vector i> for two rank-1 settings."""
     return setting_2.vectors.conj() @ setting_1.vectors.T

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     completeness_gap,
     loop_conditional,
+    loop_settings_equal,
     outer,
     overlaps,
     phase_equal,
@@ -40,6 +41,7 @@ from steerlab import (
     tensor_protocol,
     tensor_setting,
 )
+from steerlab import config
 from steerlab.linalg import outers
 
 
@@ -166,6 +168,75 @@ def test_shapes_checked_before_values():
     with pytest.raises(DimensionError, match=r"^projector 1 has shape \(4, 4\), expected \(2, 2\)$"):
         MeasurementSetting(label="bad", m_qubits=1, outcomes=("0", "1"),
                            projectors=(OBLIQUE, E4))
+
+
+OUTCOMES_4 = ("00", "01", "10", "11")
+
+
+class TestSettingInput:
+    """How a setting reads its caller's vectors and projectors: shapes, values, aliasing."""
+
+    @pytest.mark.parametrize("vectors, message", [
+        (([1.0, 0.0], [0.0, 1.0, 0.0]), "vector 1 has shape (3,), expected (2,)"),
+        (([1.0, 0.0], [0.0], [0.0, 1.0]), "vector 1 has shape (1,), expected (2,)"),
+        (([1.0, 0.0, 0.0], [[0.0, 1.0]]), "vector 0 has shape (3,), expected (2,)"),
+    ], ids=["long", "first-of-two", "nested"])
+    def test_ragged_vectors_name_the_first(self, vectors, message):
+        with pytest.raises(DimensionError) as err:
+            MeasurementSetting("bad", 1, ("0", "1"), vectors=vectors)
+        assert str(err.value) == message
+
+    def test_ragged_vectors_that_ravel_alike_are_accepted(self):
+        # each vector is raveled on its own, so a nested row of the right size counts
+        setting = MeasurementSetting("z", 1, ("0", "1"), vectors=([1.0, 0.0], [[0.0, 1.0]]))
+        assert setting.vectors.tobytes() == tensor_setting("z").vectors.tobytes()
+
+    @pytest.mark.parametrize("container", [tuple, np.array], ids=["tuple", "array"])
+    def test_square_vectors_are_raveled(self, container):
+        want = np.array(HADAMARD4, dtype=complex)
+        setting = MeasurementSetting(
+            "h", 2, OUTCOMES_4, vectors=container([row.reshape(2, 2) for row in want])
+        )
+        assert setting.vectors.shape == (4, 4)
+        assert setting.vectors.tobytes() == want.tobytes()
+        assert setting.projectors.tobytes() == outers(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("where", ["vectors", "projectors", "bare-projectors"])
+    def test_non_finite_entries(self, bad, where):
+        vectors = np.array(HADAMARD4, dtype=complex)
+        projectors = outers(vectors)
+        if where == "vectors":
+            vectors[2, 1] = bad
+        else:
+            projectors[3, 0, 2] = bad
+        given = None if where == "bare-projectors" else vectors
+        with pytest.raises(ValidationError, match="^array contains non-finite entries$"):
+            MeasurementSetting("bad", 2, OUTCOMES_4, projectors, given)
+
+    @pytest.mark.parametrize("vectors", [None, HADAMARD4], ids=["bare", "with-vectors"])
+    def test_first_wrong_projector_named(self, vectors):
+        p = outers(np.array(HADAMARD4, dtype=complex))
+        projectors = (p[0], p[1][:3], p[2][:, :2], p[3])
+        with pytest.raises(DimensionError) as err:
+            MeasurementSetting("bad", 2, OUTCOMES_4, projectors, vectors)
+        assert str(err.value) == "projector 1 has shape (3, 4), expected (4, 4)"
+
+    def test_vector_shapes_checked_before_projectors(self):
+        projectors = (E4[:2, :2], E4)
+        with pytest.raises(DimensionError) as err:
+            MeasurementSetting("bad", 1, ("0", "1"), projectors, ([1.0, 0.0], [0.0, 1.0, 0.0]))
+        assert str(err.value) == "vector 1 has shape (3,), expected (2,)"
+
+    @pytest.mark.parametrize("with_vectors", [False, True], ids=["bare", "with-vectors"])
+    def test_projector_array_and_tuple_agree(self, with_vectors):
+        source = random_rank1_setting(3, np.random.default_rng(5))
+        vectors = source.vectors if with_vectors else None
+        stack = np.array(source.projectors)
+        from_array = MeasurementSetting("s", 3, source.outcomes, stack, vectors)
+        from_tuple = MeasurementSetting("s", 3, source.outcomes, tuple(stack), vectors)
+        assert from_array.projectors.tobytes() == from_tuple.projectors.tobytes()
+        assert from_array.vectors.tobytes() == from_tuple.vectors.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -328,6 +399,79 @@ class TestEqualityAndProtocols:
 
     def test_settings_not_equal(self):
         assert not settings_equal(tensor_setting("z"), tensor_setting("x"))
+
+    @staticmethod
+    def base_setting(base, m, rng):
+        if base == "computational":
+            return tensor_setting("z" * m)
+        if base == "product":
+            return tensor_setting("".join(rng.choice(list("xyz"), m)))
+        return random_rank1_setting(m, rng)
+
+    @staticmethod
+    def perturbed(vectors, kind, scale):
+        """Rows 0 and 1 of ``vectors`` moved so that their projectors' largest
+        entrywise change is ``scale`` SETTING_TOL: row 0 shortened ("shrink"),
+        or rows 0 and 1 turned by a small angle in their plane ("rotate")."""
+        target = scale * config.SETTING_TOL
+
+        def moved(step):
+            v = vectors.copy()
+            if kind == "shrink":
+                v[0] *= 1.0 - step
+            else:
+                v[0], v[1] = (np.cos(step) * vectors[0] + np.sin(step) * vectors[1],
+                              np.cos(step) * vectors[1] - np.sin(step) * vectors[0])
+            return v
+
+        step = target
+        for _ in range(4):  # the gap is linear in the step to first order
+            gap = np.max(np.abs(outers(moved(step))[:2] - outers(vectors)[:2]))
+            step *= target / gap
+        return moved(step)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("base, kind, scale", [
+        ("computational", "none", 0.0),
+        ("computational", "shrink", 0.5),
+        ("computational", "rotate", 0.5),
+        ("computational", "rotate", 2.0),
+        ("product", "none", 0.0),
+        ("product", "rotate", 0.5),
+        ("product", "rotate", 2.0),
+        ("haar", "none", 0.0),
+        ("haar", "rotate", 0.5),
+        ("haar", "rotate", 2.0),
+        ("haar", "unrelated", 0.0),
+    ])
+    def test_settings_equal_matches_the_matching_loop(self, m, base, kind, scale):
+        """``settings_equal`` against the bare entrywise matching, on settings with
+        and without vectors: phase flips and outcome permutations keep a setting,
+        an entrywise change of 0.5 SETTING_TOL keeps it and one of 2 SETTING_TOL does not."""
+        for seed in range(4):
+            rng = np.random.default_rng([m, seed, 41])
+            a = self.base_setting(base, m, rng)
+            if kind == "unrelated":
+                b, expected = random_rank1_setting(m, rng), False
+            else:
+                phases = np.exp(2j * np.pi * rng.integers(0, 8, a.dim) / 8)
+                vectors = (a.vectors * phases[:, None])[rng.permutation(a.dim)]
+                if kind != "none":
+                    vectors = self.perturbed(vectors, kind, scale)
+                b = MeasurementSetting("b", m, a.outcomes, vectors=vectors)
+                expected = scale < 1.0
+            for x, y in ((a, b), (b, a)):
+                assert loop_settings_equal(x, y) == expected
+                assert settings_equal(x, y) == expected
+            # settings without vectors: rank-2 projectors summed in pairs
+            coarse = [
+                MeasurementSetting("c", m, tuple(a.outcomes[::2]),
+                                   projectors=s.projectors.reshape(-1, 2, a.dim, a.dim).sum(1))
+                for s in (a, b)
+            ]
+            assert coarse[0].vectors is None or m == 1
+            for x, y in ((coarse[0], coarse[1]), (a, coarse[1]), (coarse[0], b)):
+                assert settings_equal(x, y) == loop_settings_equal(x, y)
 
     def test_protocol_rejects_identical_settings(self):
         with pytest.raises(ValidationError):

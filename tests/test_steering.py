@@ -765,6 +765,82 @@ class TestBranchEvidence:
         assert type(conditional_states(density_of(state), protocol, 2)) is ConditionalStateSet
 
 
+def joint_cases():
+    """(kind, n, m, terms, coarse) for n = 2..9, with T cycling through 1..9.
+
+    "ensemble" is a Haar mixture of T terms; "factor" a density matrix of
+    rank T within the pivot budget 2**n // 32, kept with its factor.
+    ``coarse`` names the setting replaced by a ``coarse_haar_setting``, which
+    stores no vectors; bare projectors take O(d_A^5) checks, so only up to
+    M = 5.
+    """
+    cases = []
+    for n in range(2, 10):
+        for m in sorted({1, (n + 1) // 2, n - 1}):
+            for coarse in (None, 1, 2) if m <= 5 else (None,):
+                cases.append(("ensemble", n, m, 1 + len(cases) % 9, coarse))
+                if n >= 5:
+                    cases.append(("factor", n, m, 1 + len(cases) % (2**n // 32), coarse))
+    return cases
+
+
+class TestJointContraction:
+    """Both rank-1 settings contracted in one stack, against each setting contracted alone."""
+
+    FIELDS = ("probabilities", "counted", "purities", "principal_vectors", "operators")
+
+    @pytest.mark.parametrize("kind, n, m, terms, coarse", joint_cases())
+    def test_matches_each_setting_alone(self, kind, n, m, terms, coarse):
+        """Bitwise the sets ``conditional_states`` builds one setting at a time.
+
+        With a setting that stores no vectors the pair falls back to one
+        record per set: the rank-1 one alone, the other from its operators.
+        """
+        seed = 100 * n + 10 * m + terms
+        if kind == "ensemble":
+            state = haar_ensemble(n, terms, seed)
+        else:
+            state = density_of(random_mixed(n, terms, seed))
+            assert state.factor.shape == (2**n, terms)
+        protocol = random_protocol(m, seed)
+        if coarse is not None:
+            protocol = replace(protocol, **{f"setting_{coarse}": coarse_haar_setting(m, seed)})
+        joint = steerlab.steering._validated_states(state, protocol, (1, 2))
+        assert len({id(cs._joint) for cs in joint}) == (1 if coarse is None else 2)
+        for k, got in enumerate(joint, start=1):
+            alone = conditional_states(state, protocol, k)
+            assert type(got) is type(alone)
+            assert type(got) is (ConditionalStateSet if k == coarse else _BranchStates)
+            for name in self.FIELDS:
+                a, b = getattr(got, name), getattr(alone, name)
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+
+    @pytest.mark.parametrize("planted", [
+        ((2, 3),), ((1, 0), (2, 1)), ((1, 5), (1, 6), (2, 0)), ((2, 6), (2, 7)),
+    ])
+    def test_planted_non_psd_outcome_named(self, planted):
+        """A joint record that fails the batched PSD test names the outcome each
+        set's own ``validate``, run in turn, names: the first planted one."""
+        m, terms = 3, 3
+        state, protocol = haar_ensemble(6, terms, 7), random_protocol(m, 7)
+        sets = steerlab.steering._unvalidated_states(state, protocol, (1, 2))
+        rho_b = bob_marginal(state, m)
+        joint = sets[0]._joint
+        evidence = np.array(joint.evidence)
+        for k, a in planted:
+            row = (k - 1) * 2**m + a
+            low = np.linalg.eigvalsh(evidence[row])[0]
+            evidence[row] -= (low + 2 * config.PSD_TOL) * np.eye(terms)
+        joint.__dict__["evidence"] = evidence
+        k, a = planted[0]
+        message = f"^conditional state '{protocol.settings[k - 1].outcomes[a]}' is not PSD$"
+        with pytest.raises(ValidationError, match=message):
+            steerlab.steering._validate(sets, rho_b)
+        with pytest.raises(ValidationError, match=message):
+            for cs in sets:
+                cs.validate(rho_b)
+
+
 class TestBranchStates:
     """An ensemble's set under a rank-1 setting holds its branches; operators only when read."""
 
@@ -1245,12 +1321,13 @@ class TestCertify:
     @pytest.mark.parametrize("lp", [False, True])
     def test_one_evidence_pass(self, lp, monkeypatch):
         # the duplicate check and the LP read the principal vectors each set
-        # keeps: one phase-fixed pass per set, of its two counted outcomes
+        # keeps: one phase-fixed pass over the joint record of both settings,
+        # of their four counted outcomes
         computed = count_phase_fixes(monkeypatch)
         state, _, protocol = two_qubit_setup(np.pi / 4)
         report = certify(state, protocol, lp=lp)
         assert report.verdict == PARADOX
-        assert computed == [2, 2]
+        assert computed == [4]
 
     def test_lp_reads_the_verdicts_evidence(self, monkeypatch):
         # certify(lp=True) builds the program from the purity check and the
