@@ -9,6 +9,7 @@ basis vectors.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -286,6 +287,15 @@ def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
     return _rank1_setting(f"bell_like(beta={basis.beta:.6g})", vectors, basis)
 
 
+def _overlap_floor(dim: int) -> float:
+    """The smallest |<u|v>| two stored vectors on ``dim`` amplitudes can have
+    when their projectors match: sqrt(1 - (d + 2) t), just under the
+    1 - (d + 2) t / 2 of ``settings_equal``, less 4 (d + 2) machine epsilons
+    for the rounding of the overlap product."""
+    bound = 1.0 - (dim + 2) * config.SETTING_TOL
+    return math.sqrt(max(bound, 0.0)) - 4 * (dim + 2) * np.finfo(float).eps
+
+
 def settings_equal(a: MeasurementSetting, b: MeasurementSetting) -> bool:
     """Whether two settings have the same projector set (labels ignored).
 
@@ -293,15 +303,15 @@ def settings_equal(a: MeasurementSetting, b: MeasurementSetting) -> bool:
     within ``config.SETTING_TOL``, entrywise.  When both store vectors, one
     overlap product answers first for most unequal pairs: |u><u| and |v><v|
     within t entrywise give |<u|v>|^2 >= |u|^4 - d t |u|^2, and |u|^2 >=
-    1 - t, so |<u|v>| >= 1 - (d + 2) t / 2 (1 - 3e-7 at the default cap
-    d = 4096); a vector of ``a`` whose largest overlap is below 1 - 1e-6
-    matches nothing.
+    1 - t, so |<u|v>| >= sqrt(1 - (d + 2) t), about 1 - (d + 2) t / 2; a
+    vector of ``a`` whose largest overlap is below that, less a rounding
+    margin (``_overlap_floor``), matches nothing.
     """
     if a.m_qubits != b.m_qubits or a.n_outcomes != b.n_outcomes:
         return False
     if a.vectors is not None and b.vectors is not None:
         overlaps = np.abs(a.vectors.conj() @ b.vectors.T)
-        if overlaps.max(axis=1).min() < 1.0 - 1e-6:
+        if overlaps.max(axis=1).min() < _overlap_floor(a.dim):
             return False
     unmatched = np.ones(b.n_outcomes, dtype=bool)
     for p in a.projectors:

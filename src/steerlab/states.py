@@ -101,20 +101,21 @@ _PIVOT_SHARE = 32
 
 
 def _low_rank_psd(m: ComplexArray, tol: float) -> ComplexArray | None:
-    """A pivoted partial Cholesky factor L with ||L L^H - H||_F < tol, or None.
+    """A pivoted partial Cholesky factor L with ||L L^H - m||_F < tol, or None.
 
-    m is read as the Hermitian operator H its lower triangle defines, the one
-    ``np.linalg.cholesky`` factors.  Columns of H enter the factor L largest
-    remaining diagonal first, each less its projection on the columns taken,
+    Columns enter the factor L largest remaining diagonal first, each read
+    from the lower triangle and less its projection on the columns taken,
     until the remaining diagonal's squared sum falls below tol**2, the next
     pivot is not positive, or len(m) // 32 columns are taken.  Only in the
-    first case can the remainder E = L L^H - H be small, and only then is it
-    formed: its lower triangle, one block of ``TILE`` rows at a time, so no
-    temporary has more than TILE rows.  By Weyl every eigenvalue of H lies
-    above -||E||_2, so a Frobenius norm below tol (the diagonal's squares
-    plus twice the strictly lower triangle's) makes L a PSD proof as well as
-    H to within tol.  Returns L, a compact (len(m), r) copy of the taken
-    columns; None means undecided, not indefinite.
+    first case can the remainder E = L L^H - m be small, and only then is
+    it formed: all of it, one block of ``TILE`` rows across every column at
+    a time, so no temporary has more than TILE rows.  L L^H is Hermitian,
+    so m - m^H = E^H - E, and ||E||_F < tol proves three things of m: every
+    entry of |m - m^H| is below 2 tol, every entry is finite (a NaN or
+    infinite entry makes ||E|| NaN or infinite), and by Weyl no eigenvalue
+    lies below -tol.  Returns L, a compact (len(m), r) copy of the taken
+    columns; None means undecided, not indefinite.  Non-finite input may
+    raise floating-point warnings; the caller silences them.
     """
     dim = len(m)
     budget = dim // _PIVOT_SHARE
@@ -138,19 +139,15 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> ComplexArray | None:
         remaining[j] = 0.0
     taken = factor[:, :k]
     adjoint = taken.conj().T
-    strictly_lower = np.tri(TILE, k=-1, dtype=bool)
+    # one buffer for every block: a fresh TILE x dim array per block is
+    # mapped and faulted in anew, and costs about as much as its product
+    buffer = np.empty((min(TILE, dim), dim), dtype=np.complex128)
     squared = 0.0
-    # E's diagonal is real, as the factor reads it; its strictly lower
-    # triangle counts twice, once for the upper triangle it stands for
     for i in range(0, dim, TILE):
-        block = taken[i : i + TILE] @ adjoint[:, : i + TILE]
-        block -= m[i : i + TILE, : i + TILE]
-        rows = len(block)
-        square = block[:, i:]
-        diagonal = square.diagonal().real
-        squared += diagonal @ diagonal
-        square *= strictly_lower[:rows, :rows]
-        squared += 2.0 * np.vdot(block, block).real
+        block = buffer[: min(TILE, dim - i)]
+        np.matmul(taken[i : i + TILE], adjoint, out=block)
+        block -= m[i : i + TILE]
+        squared += np.vdot(block, block).real
     return taken.copy() if squared < tol**2 else None
 
 
@@ -160,22 +157,24 @@ class DensityMatrix:
 
     Invariants: finite, Hermitian within 1e-10, positive semidefinite within
     1e-9 (no eigenvalue below -1e-9), unit trace within 1e-10, checked in
-    that order.  Finiteness is decided from the Hermiticity residual, which
-    is not finite exactly when an entry is not (or a difference overflows),
-    so no separate pass reads the matrix for it.  The PSD test reads only
-    the lower triangle, so Hermiticity is checked first.  A matrix is
-    accepted on one of two paths.  When the largest entry of
-    |matrix - matrix^H| is below ``config.ZERO_FLOOR``, a pivoted partial
-    Cholesky factor L of at most 2**n_qubits // 32 columns with
-    ||matrix - L L^H||_F below ``ZERO_FLOOR`` (``_low_rank_psd``) is both
-    the PSD proof and ``factor``, read-only and (2**n_qubits, r); L stands
-    for the operator the lower triangle defines, hence the gate.
-    Otherwise, and always at n_qubits <= 4, matrix + 1e-9 * I must have a
-    full Cholesky factor (``linalg.has_cholesky``), and ``factor`` is None.
-    The Hermiticity check and the remainder read the matrix in
-    ``linalg.TILE``-sized blocks, so the only full-size array a low-rank
-    input costs is ``matrix``, a read-only copy of the input; the full
-    factor is taken on that copy, shifted in place and restored.
+    that order.  A matrix is accepted on one of two paths.  A pivoted
+    partial Cholesky factor L of at most 2**n_qubits // 32 columns with
+    ||L L^H - matrix||_F below ``config.ZERO_FLOOR`` (``_low_rank_psd``) is
+    tried first and, when found, is ``factor``, read-only and
+    (2**n_qubits, r): L L^H is Hermitian, so matrix - matrix^H = E^H - E
+    for the remainder E = L L^H - matrix, and a small E proves the matrix
+    finite, Hermitian within 2 * ZERO_FLOOR and PSD at once; only the trace
+    is left to check.  Otherwise, and always at n_qubits <= 4, the checks
+    run one by one and ``factor`` is None.  Finiteness is decided from the
+    Hermiticity residual, which is not finite exactly when an entry is not
+    (or a difference overflows), so no separate pass reads the matrix for
+    it; then matrix + 1e-9 * I must have a full Cholesky factor
+    (``linalg.has_cholesky``), which reads only the lower triangle, so
+    Hermiticity is checked first.  The remainder and the Hermiticity check
+    read the matrix in ``linalg.TILE``-row blocks, so the only full-size
+    array a low-rank input costs is ``matrix``, a read-only copy of the
+    input; the full factor is taken on that copy, shifted in place and
+    restored.
     """
 
     n_qubits: int
@@ -191,18 +190,20 @@ class DensityMatrix:
                 f"density matrix of shape {m.shape} does not act on {self.n_qubits} qubits"
             )
         config.capped_dim(self.n_qubits)
-        # a non-finite entry makes the residual NaN or inf (inf - inf is NaN),
-        # and as_complex then raises; a finite matrix whose difference
-        # overflowed goes on to fail the Hermiticity check
-        with np.errstate(invalid="ignore"):
-            residual = hermiticity_residuals(m)
-        if not np.isfinite(residual):
-            as_complex(m)
-        if residual > config.HERMITICITY_TOL:
-            raise ValidationError("density matrix is not Hermitian within 1e-10")
+        # NaN, inf or overflow leaves the remainder not finite, and no factor
+        with np.errstate(invalid="ignore", over="ignore"):
+            factor = _low_rank_psd(m, config.ZERO_FLOOR)
         kept = m.copy()
-        factor = _low_rank_psd(kept, config.ZERO_FLOOR) if residual < config.ZERO_FLOOR else None
         if factor is None:
+            # a non-finite entry makes the residual NaN or inf (inf - inf is
+            # NaN), and as_complex then raises; a finite matrix whose
+            # difference overflowed goes on to fail the Hermiticity check
+            with np.errstate(invalid="ignore"):
+                residual = hermiticity_residuals(m)
+            if not np.isfinite(residual):
+                as_complex(m)
+            if residual > config.HERMITICITY_TOL:
+                raise ValidationError("density matrix is not Hermitian within 1e-10")
             # the kept copy is shifted in place for the full factor and its
             # diagonal then restored: m + PSD_TOL * eye(dim) would hold two
             # more 2^N x 2^N arrays

@@ -92,11 +92,10 @@ def partial_trace(rho, n_qubits, traced):
 
 
 def untiled_low_rank_psd(m, tol):
-    """``states._low_rank_psd`` with the remainder E formed whole.
+    """Whether ``states._low_rank_psd`` keeps a factor, with the remainder formed whole.
 
-    The same pivoted partial factor; then E = L L^H - H as one full-size
-    array and a full-size strictly-lower mask.  Reference for the tiled
-    remainder.
+    The same pivoted partial factor; then E = L L^H - m as one full-size
+    array, every entry counted once.  Reference for the tiled remainder.
     """
     dim = len(m)
     budget = dim // 32
@@ -119,9 +118,7 @@ def untiled_low_rank_psd(m, tol):
         remaining[j] = 0.0
     taken = factor[:, :k]
     residual = taken @ taken.conj().T - m
-    diagonal = residual.diagonal().real
-    lower = residual * np.tri(dim, k=-1, dtype=bool)
-    return bool(diagonal @ diagonal + 2.0 * np.vdot(lower, lower).real < tol**2)
+    return bool(np.linalg.norm(residual) < tol)
 
 
 def outer(v):

@@ -473,6 +473,30 @@ class TestEqualityAndProtocols:
             for x, y in ((coarse[0], coarse[1]), (a, coarse[1]), (coarse[0], b)):
                 assert settings_equal(x, y) == loop_settings_equal(x, y)
 
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_overlap_floor_follows_the_dimension(self, m):
+        """The pre-check's floor lies just under sqrt(1 - (d + 2) SETTING_TOL), the
+        least overlap of two vectors whose projectors match, at every d up to 2**20;
+        past d = 19 998 that is below the fixed 1 - 1e-6 the floor once was."""
+        d = 2**m
+        bound = np.sqrt(1.0 - (d + 2) * config.SETTING_TOL)
+        floor = measurements._overlap_floor(d)
+        assert bound - 1e-9 < floor < bound
+        assert (floor < 1.0 - 1e-6) == (d > 19_998)
+
+    def test_overlap_floor_covers_the_rounding_at_2_20(self):
+        # two dense unit vectors on 2**20 amplitudes whose overlap is the
+        # bound itself: the product settings_equal forms stays above the floor
+        d = 2**20
+        rng = np.random.default_rng(20)
+        u, w = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        u /= np.linalg.norm(u)
+        w -= np.vdot(u, w) * u
+        w /= np.linalg.norm(w)
+        cos = np.sqrt(1.0 - (d + 2) * config.SETTING_TOL)
+        v = cos * u + np.sqrt(1.0 - cos**2) * w
+        assert np.abs(u.conj()[None] @ v[:, None])[0, 0] >= measurements._overlap_floor(d)
+
     def test_protocol_rejects_identical_settings(self):
         with pytest.raises(ValidationError):
             SteeringProtocol(alice_qubits=1, setting_1=tensor_setting("z"),

@@ -270,13 +270,14 @@ class TestFactorGate:
     """A matrix keeps its factor L only when L L^H is the matrix to rounding."""
 
     def test_non_hermitian_input_keeps_no_factor(self):
-        # L stands for the operator the lower triangle defines; an upper
-        # triangle 2e-11 away, within HERMITICITY_TOL, moves Bob's marginal
-        # by about 7e-9, so L's conditional states would not sum to it
+        # an upper triangle 2e-11 away, within HERMITICITY_TOL, moves Bob's
+        # marginal by about 7e-9, so no factor's conditional states sum to it
         m = density_of(random_mixed(9, 2, 3)).matrix + np.triu(np.full((512, 512), 2e-11), 1)
         assert config.ZERO_FLOOR <= hermiticity_residuals(m) <= config.HERMITICITY_TOL
-        # the lower triangle alone is its factor to rounding
-        assert states._low_rank_psd(m, config.ZERO_FLOOR) is not None
+        # the lower triangle alone is a factor's to rounding, but the whole
+        # remainder holds the upper triangle's shift
+        assert untiled_low_rank_psd(np.tril(m) + np.tril(m, -1).conj().T, config.ZERO_FLOOR)
+        assert states._low_rank_psd(m, config.ZERO_FLOOR) is None
         rho = DensityMatrix(9, m)
         assert rho.factor is None
         assert certify(rho, random_protocol(4, 5)).verdict == NO_PARADOX_PURITY
