@@ -2,8 +2,12 @@
 """Print best-of-k milliseconds per operation for each stage of a benchmark pool.
 
 The pool is a benchmark workload's, rebuilt from ``bench/workloads.py``.
-Rows starting ``density.`` time the checks a ``DensityMatrix`` runs on
-construction (skipped when the pool holds no density matrix); rows starting
+Rows starting ``density.`` time the passes a ``DensityMatrix`` runs on
+construction (skipped when the pool holds no density matrix):
+``density.low_rank_psd`` is the pivot loop and the whole remainder, which
+accepts the matrix on its own factor; ``density.copy`` the kept copy;
+``density.fallback_hermiticity`` the Hermiticity pass, which runs, before
+the full Cholesky factor, only on instances that keep no factor; rows starting
 ``protocol.`` time ``build_protocol``'s library calls: both
 ``MeasurementSetting``s from the instance's projector and vector tuples,
 then the ``SteeringProtocol`` (its check that the settings differ); rows
@@ -101,9 +105,9 @@ def stages(lp):
     """(name, prepare, run): ``prepare`` turns (instance, state, protocol) into
     the arguments of ``run``, outside the timed span."""
     return (
-        ("density.hermiticity", lambda i, s, p: (i.matrix,), hermiticity_residuals),
         ("density.low_rank_psd", lambda i, s, p: (i.matrix, config.ZERO_FLOOR), _low_rank_psd),
         ("density.copy", lambda i, s, p: (i.matrix,), np.copy),
+        ("density.fallback_hermiticity", lambda i, s, p: (i.matrix,), hermiticity_residuals),
         ("density.construct", lambda i, s, p: (i.n_qubits, i.matrix), DensityMatrix),
         ("protocol.settings", lambda i, s, p: (raw_settings(i),), settings),
         (
@@ -157,7 +161,7 @@ def main() -> int:
     for name, prepare, run in stages(workload.lp):
         if name.startswith("density.") and not dense:
             continue
-        print(f"{name:25s} {best_ms(prepare, run, inputs, args.repeats):9.3f}")
+        print(f"{name:30s} {best_ms(prepare, run, inputs, args.repeats):9.3f}")
     return 0
 
 

@@ -86,7 +86,8 @@ def hermiticity_residuals(stack: ComplexArray) -> npt.NDArray[np.float64]:
     so the result is bitwise max |A - A^H|, and no temporary is larger than
     one tile of the stack.  A NaN or infinite entry makes its matrix's
     result NaN or infinite (inf - inf is NaN, and np.max and np.maximum
-    carry NaN from tile to tile); ``DensityMatrix`` decides finiteness so.
+    carry NaN from tile to tile); ``DensityMatrix`` decides finiteness so
+    when it keeps no low-rank factor, whose remainder would prove it.
     """
     d = stack.shape[-1]
     out = np.zeros(stack.shape[:-2])

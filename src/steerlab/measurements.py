@@ -9,7 +9,6 @@ basis vectors.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -288,12 +287,8 @@ def bell_like_setting(basis: BellLikeBasis) -> MeasurementSetting:
 
 
 def _overlap_floor(dim: int) -> float:
-    """The smallest |<u|v>| two stored vectors on ``dim`` amplitudes can have
-    when their projectors match: sqrt(1 - (d + 2) t), just under the
-    1 - (d + 2) t / 2 of ``settings_equal``, less 4 (d + 2) machine epsilons
-    for the rounding of the overlap product."""
-    bound = 1.0 - (dim + 2) * config.SETTING_TOL
-    return math.sqrt(max(bound, 0.0)) - 4 * (dim + 2) * np.finfo(float).eps
+    """``settings_equal``'s bound on |<u|v>| at d = ``dim``, less 4 (d + 2) epsilons of rounding."""
+    return np.sqrt(max(1.0 - (dim + 2) * config.SETTING_TOL, 0.0)) - 4 * (dim + 2) * 2.0**-52
 
 
 def settings_equal(a: MeasurementSetting, b: MeasurementSetting) -> bool:

@@ -35,6 +35,7 @@ from .linalg import (
     canonical_phase,
     has_cholesky,
     hermiticity_residuals,
+    read_only,
     read_only_copy,
 )
 
@@ -103,19 +104,16 @@ _PIVOT_SHARE = 32
 def _low_rank_psd(m: ComplexArray, tol: float) -> ComplexArray | None:
     """A pivoted partial Cholesky factor L with ||L L^H - m||_F < tol, or None.
 
-    Columns enter the factor L largest remaining diagonal first, each read
-    from the lower triangle and less its projection on the columns taken,
-    until the remaining diagonal's squared sum falls below tol**2, the next
-    pivot is not positive, or len(m) // 32 columns are taken.  Only in the
-    first case can the remainder E = L L^H - m be small, and only then is
-    it formed: all of it, one block of ``TILE`` rows across every column at
-    a time, so no temporary has more than TILE rows.  L L^H is Hermitian,
-    so m - m^H = E^H - E, and ||E||_F < tol proves three things of m: every
-    entry of |m - m^H| is below 2 tol, every entry is finite (a NaN or
-    infinite entry makes ||E|| NaN or infinite), and by Weyl no eigenvalue
-    lies below -tol.  Returns L, a compact (len(m), r) copy of the taken
-    columns; None means undecided, not indefinite.  Non-finite input may
-    raise floating-point warnings; the caller silences them.
+    Columns enter L largest remaining diagonal first, each read from the
+    lower triangle less its projection on the columns taken, until the
+    remaining diagonal's squared sum falls below tol**2, the next pivot is
+    not positive, or len(m) // 32 columns are taken.  Only in the first
+    case is the remainder E = L L^H - m formed: all of it, ``TILE`` rows at
+    a time.  L L^H is Hermitian, so m - m^H = E^H - E, and ||E||_F < tol
+    proves m finite (NaN or inf makes ||E|| so), Hermitian within 2 tol
+    and, by Weyl, without an eigenvalue below -tol.  Returns L, a compact
+    (len(m), r) copy; None means undecided, not indefinite.  Non-finite or
+    huge input may warn on its way to None; the caller silences that.
     """
     dim = len(m)
     budget = dim // _PIVOT_SHARE
@@ -139,12 +137,11 @@ def _low_rank_psd(m: ComplexArray, tol: float) -> ComplexArray | None:
         remaining[j] = 0.0
     taken = factor[:, :k]
     adjoint = taken.conj().T
-    # one buffer for every block: a fresh TILE x dim array per block is
-    # mapped and faulted in anew, and costs about as much as its product
-    buffer = np.empty((min(TILE, dim), dim), dtype=np.complex128)
+    # one block for all rows (dim is a power of two): a fresh TILE x dim
+    # array per block is mapped anew, a quarter of the remainder's time
+    block = np.empty((min(TILE, dim), dim), dtype=np.complex128)
     squared = 0.0
     for i in range(0, dim, TILE):
-        block = buffer[: min(TILE, dim - i)]
         np.matmul(taken[i : i + TILE], adjoint, out=block)
         block -= m[i : i + TILE]
         squared += np.vdot(block, block).real
@@ -157,24 +154,19 @@ class DensityMatrix:
 
     Invariants: finite, Hermitian within 1e-10, positive semidefinite within
     1e-9 (no eigenvalue below -1e-9), unit trace within 1e-10, checked in
-    that order.  A matrix is accepted on one of two paths.  A pivoted
-    partial Cholesky factor L of at most 2**n_qubits // 32 columns with
-    ||L L^H - matrix||_F below ``config.ZERO_FLOOR`` (``_low_rank_psd``) is
-    tried first and, when found, is ``factor``, read-only and
-    (2**n_qubits, r): L L^H is Hermitian, so matrix - matrix^H = E^H - E
-    for the remainder E = L L^H - matrix, and a small E proves the matrix
-    finite, Hermitian within 2 * ZERO_FLOOR and PSD at once; only the trace
-    is left to check.  Otherwise, and always at n_qubits <= 4, the checks
-    run one by one and ``factor`` is None.  Finiteness is decided from the
+    that order.  A matrix is accepted on one of two paths.  First, a
+    pivoted partial Cholesky factor L of at most 2**n_qubits // 32 columns
+    whose remainder E = L L^H - matrix has ||E||_F below
+    ``config.ZERO_FLOOR`` (``_low_rank_psd``) is ``factor``, read-only and
+    (2**n_qubits, r): as matrix - matrix^H = E^H - E, it proves the first
+    three invariants at once.  Otherwise, and always at n_qubits <= 4,
+    ``factor`` is None and the checks run in turn: finiteness from the
     Hermiticity residual, which is not finite exactly when an entry is not
-    (or a difference overflows), so no separate pass reads the matrix for
-    it; then matrix + 1e-9 * I must have a full Cholesky factor
-    (``linalg.has_cholesky``), which reads only the lower triangle, so
-    Hermiticity is checked first.  The remainder and the Hermiticity check
-    read the matrix in ``linalg.TILE``-row blocks, so the only full-size
-    array a low-rank input costs is ``matrix``, a read-only copy of the
-    input; the full factor is taken on that copy, shifted in place and
-    restored.
+    (or a difference overflows), then Hermiticity, then a full Cholesky
+    factor of matrix + 1e-9 * I (``linalg.has_cholesky``), which reads only
+    the lower triangle.  The only full-size array a low-rank input costs is
+    ``matrix``, a read-only copy of the input; the full factor is taken on
+    that copy, shifted in place and restored.
     """
 
     n_qubits: int
@@ -195,9 +187,8 @@ class DensityMatrix:
             factor = _low_rank_psd(m, config.ZERO_FLOOR)
         kept = m.copy()
         if factor is None:
-            # a non-finite entry makes the residual NaN or inf (inf - inf is
-            # NaN), and as_complex then raises; a finite matrix whose
-            # difference overflowed goes on to fail the Hermiticity check
+            # NaN or inf makes the residual so (inf - inf is NaN), and as_complex
+            # raises; a finite difference that overflowed fails as not Hermitian
             with np.errstate(invalid="ignore"):
                 residual = hermiticity_residuals(m)
             if not np.isfinite(residual):
@@ -215,11 +206,9 @@ class DensityMatrix:
         trace = np.trace(m)
         if abs(trace.real - 1.0) > config.WEIGHT_TOL or abs(trace.imag) > config.WEIGHT_TOL:
             raise ValidationError(f"density matrix trace {trace!r} is not 1")
-        kept.setflags(write=False)
-        object.__setattr__(self, "matrix", kept)
+        object.__setattr__(self, "matrix", read_only(kept))
         if factor is not None:
-            factor.setflags(write=False)
-            object.__setattr__(self, "factor", factor)
+            object.__setattr__(self, "factor", read_only(factor))
 
     @property
     def dim(self) -> int:

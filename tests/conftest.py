@@ -18,7 +18,7 @@ from steerlab import (
     settings_equal,
     tensor_protocol,
 )
-from steerlab import DegenerateInputError, DimensionError, config
+from steerlab import DegenerateInputError, DimensionError, ValidationError, config
 from steerlab.linalg import as_complex, canonical_phase
 
 
@@ -91,12 +91,9 @@ def partial_trace(rho, n_qubits, traced):
     return t.reshape(2**keep, 2**keep)
 
 
-def untiled_low_rank_psd(m, tol):
-    """Whether ``states._low_rank_psd`` keeps a factor, with the remainder formed whole.
-
-    The same pivoted partial factor; then E = L L^H - m as one full-size
-    array, every entry counted once.  Reference for the tiled remainder.
-    """
+def pivoted_factor(m, tol):
+    """``states._low_rank_psd``'s pivot loop: the taken columns L, or None when
+    the loop stops on a nonpositive pivot or the len(m) // 32 budget."""
     dim = len(m)
     budget = dim // 32
     factor = np.zeros((dim, budget), dtype=np.complex128)
@@ -107,7 +104,7 @@ def untiled_low_rank_psd(m, tol):
         j = int(np.argmax(remaining))
         pivot = remaining[j]
         if k == budget or pivot <= 0.0:
-            return False
+            return None
         column = factor[:, k]
         column[j:] = m[j:, j]
         column[:j] = m[j, :j].conj()
@@ -116,9 +113,68 @@ def untiled_low_rank_psd(m, tol):
         column /= np.sqrt(pivot)
         remaining -= column.real**2 + column.imag**2
         remaining[j] = 0.0
-    taken = factor[:, :k]
-    residual = taken @ taken.conj().T - m
-    return bool(np.linalg.norm(residual) < tol)
+    return factor[:, :k]
+
+
+def untiled_low_rank_psd(m, tol):
+    """Whether ``states._low_rank_psd`` keeps a factor, with the remainder formed whole.
+
+    The same pivoted partial factor L; then E = L L^H - m as one full-size
+    array, every entry counted once.  Reference for the tiled remainder.
+    """
+    taken = pivoted_factor(m, tol)
+    return taken is not None and bool(np.linalg.norm(taken @ taken.conj().T - m) < tol)
+
+
+def legacy_density_check(n_qubits, matrix):
+    """``DensityMatrix``'s checks as they ran before the whole remainder decided
+    the factor: (exception type name, message), or None when accepted.
+
+    Shape and cap, then the Hermiticity residual (not finite: the non-finite
+    message), then the factor, tried only when the residual is below
+    ZERO_FLOOR and judged on the remainder the lower triangle defines (its
+    diagonal and twice its strictly lower part), else the shifted full
+    Cholesky factor, then the trace.  Every array is formed whole.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    dim = 2**n_qubits
+    try:
+        if n_qubits < 1 or m.shape != (dim, dim):
+            as_complex(m)
+            raise DimensionError(
+                f"density matrix of shape {m.shape} does not act on {n_qubits} qubits"
+            )
+        config.capped_dim(n_qubits)
+        with np.errstate(invalid="ignore"):
+            residual = plain_hermiticity_residuals(m)
+        if not np.isfinite(residual):
+            as_complex(m)
+        if residual > config.HERMITICITY_TOL:
+            raise ValidationError("density matrix is not Hermitian within 1e-10")
+        kept = False
+        if residual < config.ZERO_FLOOR:
+            # the loop ran unguarded there and warned on overflow; only its
+            # outcome is compared here
+            with np.errstate(invalid="ignore", over="ignore"):
+                taken = pivoted_factor(m, config.ZERO_FLOOR)
+            if taken is not None:
+                e = taken @ taken.conj().T - m
+                lower = e * np.tri(dim, k=-1, dtype=bool)
+                squared = e.diagonal().real @ e.diagonal().real + 2.0 * np.vdot(lower, lower).real
+                kept = bool(squared < config.ZERO_FLOOR**2)
+        if not kept:
+            try:
+                np.linalg.cholesky(m + config.PSD_TOL * np.eye(dim))
+            except np.linalg.LinAlgError:
+                raise ValidationError(
+                    "density matrix is not positive semidefinite within 1e-9"
+                ) from None
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > config.WEIGHT_TOL or abs(trace.imag) > config.WEIGHT_TOL:
+            raise ValidationError(f"density matrix trace {trace!r} is not 1")
+    except (DimensionError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
 
 
 def outer(v):

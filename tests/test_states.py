@@ -22,7 +22,12 @@ from steerlab import (
     save_state,
     two_qubit_theta_state,
 )
-from conftest import loop_conditional, random_protocol, untiled_low_rank_psd
+from conftest import (
+    legacy_density_check,
+    loop_conditional,
+    random_protocol,
+    untiled_low_rank_psd,
+)
 from steerlab import NO_PARADOX_PURITY, certify, conditional_states, config, states
 from steerlab.linalg import hermiticity_residuals
 
@@ -258,7 +263,7 @@ class TestPsdBoundary:
         assert 1e-11 < hermiticity_residuals(m) <= config.HERMITICITY_TOL
         with pytest.raises(ValidationError, match="not positive semidefinite within 1e-9"):
             DensityMatrix(9, m)
-        # its Hermiticity residual is above ZERO_FLOOR, so the full factor
+        # its whole remainder holds the moved triangle, so the full factor
         # decides, once
         m, _ = self.one_triangle_negative(lower=False)
         calls = count_full_factors(monkeypatch)
@@ -315,31 +320,140 @@ class TestFactorGate:
             np.testing.assert_allclose(cs.operators, want, rtol=0, atol=1e-15)
 
     @staticmethod
-    def gate_inputs():
-        """The boundary fixtures, the 2e-11 upper-triangle input and valid
-        mixtures at n = 5 to 9, ranks 1 to two past the pivot budget."""
+    def plant(delta):
+        """A rank-2 state on 9 qubits with the anti-Hermitian pair +-delta at
+        the indices of its two smallest diagonal entries, which no pivot
+        reads; the state alone and the planted matrix."""
+        base = density_of(random_mixed(9, 2, 3)).matrix
+        r, c = np.argsort(base.diagonal().real)[:2]
+        m = base.copy()
+        m[r, c] += delta
+        m[c, r] -= delta
+        return base, m
+
+    @staticmethod
+    def shifted_upper(shift):
+        """The rank-2 state of ``plant`` with ``shift`` added above the diagonal."""
+        m = density_of(random_mixed(9, 2, 3)).matrix
+        return m + np.triu(np.full((512, 512), shift), 1)
+
+    def test_small_anti_hermitian_plant_keeps_its_factor(self):
+        # a Hermiticity residual of 1.2 ZERO_FLOOR, once enough to skip the
+        # factor: the whole remainder is 0.85 ZERO_FLOOR, so L is kept, and
+        # its conditional states are the matrix's to within that
+        base, m = self.plant(0.6 * config.ZERO_FLOOR)
+        assert config.ZERO_FLOOR <= hermiticity_residuals(m) < 2.0 * config.ZERO_FLOOR
+        assert untiled_low_rank_psd(m, config.ZERO_FLOOR)
+        rho = DensityMatrix(9, m)
+        assert rho.factor.tobytes() == DensityMatrix(9, base).factor.tobytes()
+        protocol = random_protocol(4, 5)
+        for which, setting in enumerate(protocol.settings, start=1):
+            cs = conditional_states(rho, protocol, which)
+            want = loop_conditional(m, setting.projectors, 9, 4)
+            np.testing.assert_allclose(cs.operators, want, rtol=0, atol=1e-14)
+
+    def test_tiny_upper_shift_goes_to_the_full_factor(self, monkeypatch):
+        # a Hermiticity residual of 5e-16, below ZERO_FLOOR, and a lower
+        # triangle that is its factor's to rounding; the whole remainder
+        # holds the shift of every upper entry, about 2e-13
+        m = self.shifted_upper(5e-16)
+        assert hermiticity_residuals(m) < config.ZERO_FLOOR
+        assert not untiled_low_rank_psd(m, config.ZERO_FLOOR)
+        calls = count_full_factors(monkeypatch)
+        rho = DensityMatrix(9, m)
+        assert calls == [(512, 512)]
+        assert rho.factor is None
+        assert rho.matrix.tobytes() == m.tobytes()
+
+    @classmethod
+    def gate_inputs(cls):
+        """The boundary fixtures, the 2e-11 and 5e-16 upper-triangle inputs,
+        the anti-Hermitian plants either side of the floor and valid mixtures
+        at n = 5 to 9, ranks 1 to two past the pivot budget."""
         for n, rank, shift in BOUNDARY_CASES:
             yield n, boundary_density(n, rank, -config.PSD_TOL * (1.0 + shift))
-        upper = np.triu(np.full((512, 512), 2e-11), 1)
-        yield 9, density_of(random_mixed(9, 2, 3)).matrix + upper
+        for shift in (2e-11, 5e-16):
+            yield 9, cls.shifted_upper(shift)
+        for scale in (0.3, 0.6, 0.8):
+            yield 9, cls.plant(scale * config.ZERO_FLOOR)[1]
         for n in range(5, 10):
             for rank in range(1, 2**n // 32 + 3):
                 yield n, density_of(random_mixed(n, rank, 10 * n + rank)).matrix
 
     def test_factor_kept_exactly_when_hermitian_and_factored(self):
-        # rejected input keeps nothing
+        # the whole remainder below ZERO_FLOOR proves the matrix Hermitian,
+        # so it alone decides; rejected input keeps nothing
         kept, expected = [], []
         for n, m in self.gate_inputs():
             try:
                 kept.append(DensityMatrix(n, m).factor is not None)
             except ValidationError:
                 kept.append(False)
-            expected.append(
-                bool(hermiticity_residuals(m) < config.ZERO_FLOOR)
-                and untiled_low_rank_psd(m, config.ZERO_FLOOR)
-            )
+            expected.append(untiled_low_rank_psd(m, config.ZERO_FLOOR))
         assert kept == expected
         assert True in kept and False in kept
+
+
+def differential_inputs():
+    """(n, matrix) pairs for every outcome of ``DensityMatrix``'s checks.
+
+    The factor gate's inputs; non-Hermitian ones (anti-Hermitian plants up
+    to twice HERMITICITY_TOL, one moved triangle, an overflowing
+    difference); indefinite ones; wrong traces, one on each path; wrong
+    shapes; and NaN or inf at the largest diagonal entry and in a pivot
+    column below the pivot, where the pivot loop meets them first.
+    """
+    yield from TestFactorGate.gate_inputs()
+    for scale in (2e-4, 0.6, 2.0):
+        yield 9, TestFactorGate.plant(scale * config.HERMITICITY_TOL)[1]
+    for lower in (True, False):
+        yield 9, TestPsdBoundary.one_triangle_negative(lower)[0]
+    for n in (1, 9):
+        m = np.eye(2**n, dtype=complex) / 2**n
+        m[0, -1] = 1.5e308 + 1.5e308j
+        yield n, m
+        # Hermitian, but the pivot column overflows when it is scaled
+        m = m.copy()
+        m[-1, 0] = 1.5e308 - 1.5e308j
+        yield n, m
+    for n, rank, lam_min in ((9, 3, -2.0 * config.PSD_TOL), (9, 3, -1e-12), (5, 1, -0.1)):
+        yield n, boundary_density(n, rank, lam_min)
+    negative = np.zeros((512, 512), dtype=complex)
+    negative[[0, 1, 2], [0, 1, 2]] = 0.6, 0.5, -0.1
+    yield 9, negative
+    for n, scale in ((9, 1.1), (3, 0.9), (9, 1.0 + 2e-10)):
+        yield n, scale * density_of(random_mixed(n, 2, n)).matrix
+    yield 0, np.eye(2) / 2
+    yield 2, np.eye(2) / 2
+    for n in (1, 5, 9):
+        base = density_of(random_mixed(n, min(3, 2**n), 5)).matrix
+        pivot = int(np.argmax(base.diagonal().real))
+        below = len(base) - 1 if pivot < len(base) - 1 else 0
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            for entry in ((pivot, pivot), (below, pivot)):
+                m = base.copy()
+                m[entry] = bad
+                yield n, m
+
+
+def test_validation_outcomes_match_the_legacy_checks():
+    """``DensityMatrix`` raises what the checks it ran before the whole
+    remainder decided the factor raise, message for message, or accepts
+    what they accept; the suite turns any RuntimeWarning into a failure."""
+    kinds = ("does not act", "non-finite", "not Hermitian", "not positive", "trace")
+    outcomes, mismatches = set(), []
+    for i, (n, m) in enumerate(differential_inputs()):
+        try:
+            DensityMatrix(n, m)
+            got = None
+        except (DimensionError, ValidationError) as exc:
+            got = type(exc).__name__, str(exc)
+        want = legacy_density_check(n, m)
+        outcomes.add(want and next(k for k in kinds if k in want[1]))
+        if got != want:
+            mismatches.append((i, n, got, want))
+    assert mismatches == []
+    assert outcomes == {None, *kinds}
 
 
 def test_tiled_remainder_matches_untiled():
