@@ -153,8 +153,8 @@ def legacy_density_check(n_qubits, matrix):
             raise ValidationError("density matrix is not Hermitian within 1e-10")
         kept = False
         if residual < config.ZERO_FLOOR:
-            # the loop ran unguarded there and warned on overflow; only its
-            # outcome is compared here
+            # the old constructor ran this loop unguarded, and it warned on
+            # overflow; only its outcome is compared here
             with np.errstate(invalid="ignore", over="ignore"):
                 taken = pivoted_factor(m, config.ZERO_FLOOR)
             if taken is not None:

@@ -338,9 +338,9 @@ class TestFactorGate:
         return m + np.triu(np.full((512, 512), shift), 1)
 
     def test_small_anti_hermitian_plant_keeps_its_factor(self):
-        # a Hermiticity residual of 1.2 ZERO_FLOOR, once enough to skip the
-        # factor: the whole remainder is 0.85 ZERO_FLOOR, so L is kept, and
-        # its conditional states are the matrix's to within that
+        # a Hermiticity residual of 1.2 ZERO_FLOOR but a whole remainder of
+        # 0.85 ZERO_FLOOR: L is kept, and its conditional states are the
+        # matrix's to within that
         base, m = self.plant(0.6 * config.ZERO_FLOOR)
         assert config.ZERO_FLOOR <= hermiticity_residuals(m) < 2.0 * config.ZERO_FLOOR
         assert untiled_low_rank_psd(m, config.ZERO_FLOOR)
@@ -400,8 +400,8 @@ def differential_inputs():
     The factor gate's inputs; non-Hermitian ones (anti-Hermitian plants up
     to twice HERMITICITY_TOL, one moved triangle, an overflowing
     difference); indefinite ones; wrong traces, one on each path; wrong
-    shapes; and NaN or inf at the largest diagonal entry and in a pivot
-    column below the pivot, where the pivot loop meets them first.
+    shapes; and NaN or inf at the largest diagonal entry and elsewhere in
+    the first pivot's column, where the pivot loop meets them first.
     """
     yield from TestFactorGate.gate_inputs()
     for scale in (2e-4, 0.6, 2.0):
@@ -427,10 +427,11 @@ def differential_inputs():
     yield 2, np.eye(2) / 2
     for n in (1, 5, 9):
         base = density_of(random_mixed(n, min(3, 2**n), 5)).matrix
-        pivot = int(np.argmax(base.diagonal().real))
-        below = len(base) - 1 if pivot < len(base) - 1 else 0
+        pivot, last = int(np.argmax(base.diagonal().real)), len(base) - 1
+        # the first pivot's column reads m[pivot:, pivot] and m[pivot, :pivot]
+        beside = (last, pivot) if pivot < last else (pivot, 0)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-            for entry in ((pivot, pivot), (below, pivot)):
+            for entry in ((pivot, pivot), beside):
                 m = base.copy()
                 m[entry] = bad
                 yield n, m
